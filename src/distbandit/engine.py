@@ -20,14 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BernoulliArmModel, ExplorationFunction, exploration_value
+from .core import BernoulliArmModel
 from .policies import (
     DKLUCB,
-    LN2T,
     PlayerView,
     PolicySpec,
     UCB,
     count_prediction_batch,
+    exploration_budget,
     klucb_index_batch,
 )
 from .schedule import CommunicationSchedule
@@ -88,6 +88,8 @@ class WorldState:
     last_merge: int
     streams: list
     means: np.ndarray  # float64 [K]
+    replication_indices: tuple[int, ...]  # the replication each batch slot runs
+    comm_mask: np.ndarray  # bool [horizon+1]; entry t: is round t a communication round
     last_actions: np.ndarray | None = None
     _block: np.ndarray | None = field(default=None, repr=False)
     _pos: int = 0
@@ -113,6 +115,8 @@ def init_state(cfg: RunConfig, replication_indices) -> WorldState:
         last_merge=0,
         streams=streams,
         means=np.asarray(cfg.arm_model.means, dtype=np.float64),
+        replication_indices=tuple(reps),
+        comm_mask=cfg.schedule.comm_mask(cfg.horizon),
     )
 
 
@@ -158,14 +162,25 @@ def _next_uniforms(state: WorldState) -> np.ndarray:
 
 def _check_claims(state: WorldState, n_prime: np.ndarray, cfg: RunConfig) -> None:
     m, alpha = cfg.players, cfg.policy.alpha
+    t = state.t + 1
     bound = m / (1.0 + (m - 1) * alpha) * state.known_count
-    if np.any(n_prime > bound + 1e-9):
+    over = n_prime > bound + 1e-9
+    if over.any():
+        r, p, a = np.argwhere(over)[0]
         raise InvariantViolation(
-            f"count prediction exceeded its per-player bound at round {state.t + 1}"
+            f"count prediction exceeded its per-player bound at round {t}: "
+            f"replication {state.replication_indices[r]}, player {p}, arm {a}, "
+            f"N' = {n_prime[r, p, a]} > {bound[r, p, a]}"
         )
-    if np.any(n_prime.sum(axis=1) > m * state.total_count + 1e-9):
+    summed = n_prime.sum(axis=1)
+    bound = m * state.total_count
+    over = summed > bound + 1e-9
+    if over.any():
+        r, a = np.argwhere(over)[0]
         raise InvariantViolation(
-            f"summed count predictions exceeded M times the global count at round {state.t + 1}"
+            f"summed count predictions exceeded M times the global count at round {t}: "
+            f"replication {state.replication_indices[r]}, arm {a}, "
+            f"sum of N' = {summed[r, a]} > {bound[r, a]}"
         )
 
 
@@ -173,14 +188,7 @@ def _select_batch(state: WorldState, cfg: RunConfig, t: int) -> np.ndarray:
     spec = cfg.policy
     counts = state.known_count
     total_known = (t - 1) + (cfg.players - 1) * state.last_merge
-    if spec.rule == DKLUCB:
-        f = exploration_value(
-            ExplorationFunction.dklucb(cfg.players, spec.alpha), total_known
-        )
-    elif spec.exploration.variant == LN2T:
-        f = exploration_value(spec.exploration, t)
-    else:
-        f = exploration_value(spec.exploration, total_known)
+    f = exploration_budget(spec, cfg.players, t, total_known)
     counts_f = counts.astype(np.float64)
     mu_hat = state.known_sum / counts_f
     if spec.rule == UCB:
@@ -217,7 +225,7 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
     np.add.at(state.total_count, (np.broadcast_to(rr, (r_n, m)), actions), 1)
     np.add.at(state.total_sum, (np.broadcast_to(rr, (r_n, m)), actions), rewards)
     state.last_actions = actions
-    if cfg.schedule.is_comm_round(t):
+    if state.comm_mask[t]:
         merge_views(state)
         state.last_merge = t
     state.t = t
@@ -265,10 +273,20 @@ def _aggregate(counts: np.ndarray, cfg: RunConfig) -> RunAggregate:
     # of replication order
     r_n = counts.shape[1]
     totals = counts.sum(axis=1)
-    sumsq = (counts * counts).sum(axis=1)
     mean = totals / r_n
     if r_n > 1:
-        var = np.maximum(sumsq - r_n * mean * mean, 0.0) / (r_n - 1)
+        peak = int(counts.max())
+        if peak * peak * r_n <= 2**53:
+            # the int64 sums of squares are exact and exactly representable
+            sumsq = (counts * counts).sum(axis=1)
+            var = np.maximum(sumsq - r_n * mean * mean, 0.0) / (r_n - 1)
+        else:
+            # int64 could wrap and float64 would cancel: form the centred sum
+            # exactly in Python ints and round once
+            exact = counts.astype(object)
+            sums = exact.sum(axis=1)
+            centred = r_n * (exact * exact).sum(axis=1) - sums * sums
+            var = (centred / (r_n * (r_n - 1))).astype(np.float64)
         stderr = np.sqrt(var / r_n)
     else:
         stderr = np.zeros_like(mean)

@@ -3,9 +3,14 @@ DKLUCB count-prediction policy.
 
 The index computations come in two equivalent forms: scalar operations on a
 PlayerView (the reference semantics) and batched numpy kernels over arrays of
-sufficient statistics (what the simulation engine calls). The batched KL
-bisections are the only nontrivial numerics; they run a fixed number of
-halvings, far below the 1e-9 tolerance the indices are specified at.
+sufficient statistics (what the simulation engine calls). Inverting the
+Bernoulli KL divergence is the only nontrivial numerics. The KL-UCB upper index
+runs a fixed number of Newton steps in y = -ln(1-q), where the divergence is
+increasing and convex, from the Pinsker bound above the root; the few lanes
+whose last step has not settled (tiny budgets, where the divergence evaluation
+is cancellation-limited) are redone by bisection. The lower index is a plain
+bisection. Both land far inside the 1e-9 tolerance the indices are specified
+at.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ DKLUCB = "dklucb"
 _RULES = (UCB, KLUCB, DKLUCB)
 
 _BISECTION_ITERATIONS = 40  # interval 1 -> final width 2**-40, well under 1e-9
+# Newton steps in klucb_index_batch: enough for every lane at budgets >= 1e-5
+# to settle from the Pinsker start; unsettled lanes fall back to bisection.
+_NEWTON_ITERATIONS = 8
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass
@@ -92,36 +101,64 @@ class PolicySpec:
 def _bernoulli_entropy_terms(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p, 1-p) entropy part p ln p + (1-p) ln(1-p) with 0 ln 0 = 0."""
     q = 1.0 - p
-    ent = np.zeros_like(p)
-    mask = p > 0.0
-    ent[mask] += p[mask] * np.log(p[mask])
-    mask = q > 0.0
-    ent[mask] += q[mask] * np.log(q[mask])
-    return ent, q
+    # the floor only moves a zero argument, whose term is then 0 * finite = 0
+    return p * np.log(np.maximum(p, _TINY)) + q * np.log(np.maximum(q, _TINY)), q
+
+
+def _klucb_bisect(p: np.ndarray, b: np.ndarray, upper: bool = True) -> np.ndarray:
+    """The KL-UCB upper (or lower) index by a fixed number of halvings of
+    [p, 1] (or [0, p]); a zero budget returns p."""
+    ent, one_minus_p = _bernoulli_entropy_terms(p)
+    lo, hi = (p.copy(), np.ones_like(p)) if upper else (np.zeros_like(p), p.copy())
+    for _ in range(_BISECTION_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        # mid == 1 only where p == 1 (upper); clip the evaluation point so the
+        # logs are finite (the interval update still uses mid itself).
+        mid_eval = np.clip(mid, 1e-300, 1.0 - 1e-16)
+        kl = ent - p * np.log(mid_eval) - one_minus_p * np.log1p(-mid_eval)
+        feasible = kl <= b
+        keep_lo = feasible if upper else ~feasible  # mid moves the bound nearer p
+        lo = np.where(keep_lo, mid, lo)
+        hi = np.where(keep_lo, hi, mid)
+    # Near q == p the divergence evaluation is cancellation-limited, so a
+    # zero budget is answered exactly rather than through the loop.
+    return np.where(b <= 0.0, p, lo if upper else hi)
 
 
 def klucb_index_batch(mu_hat, budget) -> np.ndarray:
     """Elementwise sup{q in [mu_hat, 1): K(mu_hat, q) <= budget}.
 
     Returns mu_hat when the budget is 0 and exactly 1.0 when mu_hat is 1.
+    Solves g(y) = (1-p) y - p ln(1 - e^-y) + ent(p) - budget = 0 for
+    y = -ln(1-q) by Newton's method. g is increasing and convex in y for q > p,
+    so iterates started above the root come down to it without overshooting;
+    a start below the root (the Pinsker start is capped just under q = 1)
+    overshoots once and then comes down.
     """
     p = np.asarray(mu_hat, dtype=np.float64)
     b = np.asarray(budget, dtype=np.float64)
     ent, one_minus_p = _bernoulli_entropy_terms(p)
-    lo = p.copy()
-    hi = np.ones_like(p)
-    for _ in range(_BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        # mid == 1 only where mu_hat == 1; clip the evaluation point so the
-        # log is finite there (the interval update still uses mid itself).
-        mid_eval = np.minimum(mid, 1.0 - 1e-16)
-        kl = ent - p * np.log(mid_eval) - one_minus_p * np.log1p(-mid_eval)
-        feasible = kl <= b
-        lo = np.where(feasible, mid, lo)
-        hi = np.where(feasible, hi, mid)
-    # Near q == mu_hat the divergence evaluation is cancellation-limited, so a
-    # zero budget is answered exactly rather than through the loop.
-    return np.where(b <= 0.0, p, lo)
+    target = b - ent
+    # lanes with b <= 0 or p == 1 iterate on nonsense and are overwritten below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Pinsker: K(p, q) >= 2 (q - p)^2, so q0 is at or above the root
+        y = -np.log1p(-np.minimum(p + np.sqrt(0.5 * b), 1.0 - 1e-16))
+        for _ in range(_NEWTON_ITERATIONS):
+            q = -np.expm1(-y)
+            g = one_minus_p * y - p * np.log(q) - target
+            step = g * q / (q - p)  # g / g'(y), with g'(y) = (q - p) / q
+            y = y - step
+        q = -np.expm1(-y)
+        # written so that nan fails the test
+        settled = (np.abs(step) < 1e-12 * np.maximum(y, 1.0)) & (q >= p)
+    no_budget = b <= 0.0
+    certain = p >= 1.0
+    q = np.where(no_budget, p, np.where(certain, 1.0, q))
+    redo = ~(settled | no_budget | certain)
+    if redo.any():
+        p_all, b_all = np.broadcast_arrays(p, b)
+        q[redo] = _klucb_bisect(p_all[redo], b_all[redo])
+    return q
 
 
 def klucb_lower_batch(mu_hat, budget) -> np.ndarray:
@@ -131,17 +168,7 @@ def klucb_lower_batch(mu_hat, budget) -> np.ndarray:
     """
     p = np.asarray(mu_hat, dtype=np.float64)
     b = np.asarray(budget, dtype=np.float64)
-    ent, one_minus_p = _bernoulli_entropy_terms(p)
-    lo = np.zeros_like(p)
-    hi = p.copy()
-    for _ in range(_BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        mid_eval = np.clip(mid, 1e-300, 1.0 - 1e-16)
-        kl = ent - p * np.log(mid_eval) - one_minus_p * np.log1p(-mid_eval)
-        feasible = kl <= b
-        hi = np.where(feasible, mid, hi)
-        lo = np.where(feasible, lo, mid)
-    return np.where(b <= 0.0, p, hi)
+    return _klucb_bisect(p, b, upper=False)
 
 
 def ucb_index_batch(mu_hat, counts, f_value) -> np.ndarray:
@@ -204,6 +231,24 @@ def count_prediction(view: PlayerView, a: int, m: int, alpha: float) -> float:
     )
 
 
+def exploration_budget(
+    spec: PolicySpec, m: int, t: int | None, total_known: int
+) -> float:
+    """The exploration value f a player's indices use at round t.
+
+    dklucb scales the standard form by M / (1 + (M-1) alpha); the ln2t variant
+    is evaluated at the round index t (required then); every other variant at
+    the player's total sample count.
+    """
+    if spec.rule == DKLUCB:
+        return exploration_value(ExplorationFunction.dklucb(m, spec.alpha), total_known)
+    if spec.exploration.variant == LN2T:
+        if t is None:
+            raise ValueError("ln2t exploration is evaluated at the round index")
+        return exploration_value(spec.exploration, t)
+    return exploration_value(spec.exploration, total_known)
+
+
 def select_arm(
     view: PlayerView, spec: PolicySpec, m: int, round_index: int | None = None
 ) -> int:
@@ -221,15 +266,7 @@ def select_arm(
     zero = np.flatnonzero(counts == 0)
     if zero.size:
         return int(zero[0])
-    total_known = view.total_known
-    if spec.rule == DKLUCB:
-        f = exploration_value(ExplorationFunction.dklucb(m, spec.alpha), total_known)
-    elif spec.exploration.variant == LN2T:
-        if round_index is None:
-            raise ValueError("ln2t exploration is evaluated at the round index")
-        f = exploration_value(spec.exploration, round_index)
-    else:
-        f = exploration_value(spec.exploration, total_known)
+    f = exploration_budget(spec, m, round_index, view.total_known)
     mu_hat = view.known_sum / counts
     if spec.rule == UCB:
         indices = ucb_index_batch(mu_hat, counts, f)

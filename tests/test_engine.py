@@ -2,6 +2,9 @@
 independent scalar reference implementation, conservation/merge invariants,
 statistical sanity of the Monte Carlo aggregates, and config validation."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from distbandit.core import BernoulliArmModel, ExplorationFunction
 from distbandit.engine import (
     InvariantViolation,
     RunConfig,
+    _aggregate,
     _check_claims,
     init_state,
     merge_views,
@@ -364,15 +368,35 @@ class TestClaims:
             players=2, policy=PolicySpec(DKLUCB, alpha=0.5),
             horizon=10, checkpoints=(10,),
         )
-        state = init_state(cfg, [0])
+        state = init_state(cfg, [4, 9])
         for _ in range(6):
             step(state, cfg)
         inflated = state.known_count * 10.0
         with pytest.raises(InvariantViolation, match="per-player bound"):
             _check_claims(state, inflated, cfg)
+        # the report names the first breach: replication, player, arm, round,
+        # the prediction N' and the bound it broke
+        doctored = state.known_count.astype(float)
+        doctored[1, 1, 0] *= 10.0
+        n, bound = doctored[1, 1, 0], 2 / 1.5 * state.known_count[1, 1, 0]
+        with pytest.raises(InvariantViolation) as err:
+            _check_claims(state, doctored, cfg)
+        assert str(err.value) == (
+            "count prediction exceeded its per-player bound at round 7: "
+            f"replication 9, player 1, arm 0, N' = {n} > {bound}"
+        )
         state.total_count[:] = 0
         with pytest.raises(InvariantViolation, match="global count"):
             _check_claims(state, state.known_count.astype(float), cfg)
+        state.total_count[:] = state.known_count.sum(axis=1)
+        state.total_count[1, 1] = 0
+        summed = float(state.known_count[1, :, 1].sum())
+        with pytest.raises(InvariantViolation) as err:
+            _check_claims(state, state.known_count.astype(float), cfg)
+        assert str(err.value) == (
+            "summed count predictions exceeded M times the global count at round 7: "
+            f"replication 9, arm 1, sum of N' = {summed} > 0"
+        )
 
 
 class TestAggregation:
@@ -417,6 +441,22 @@ class TestAggregation:
         assert agg.regret[1] == pytest.approx(want, rel=1e-12)
         with pytest.raises(KeyError):
             regret(agg, model, 9)
+
+    def test_stderr_is_exact_where_int64_squares_would_wrap(self):
+        # T = 2^24, M = 2, R = 10^4: the best arm's count is about 2^25, so the
+        # sum of squared counts (about 1.1e19) exceeds the int64 range
+        horizon, r_n = 2**24, 10**4
+        cfg = make_cfg(horizon=horizon, checkpoints=(horizon,), replications=r_n)
+        worse = np.arange(r_n, dtype=np.int64) % 3
+        counts = np.stack([2 * horizon - worse, worse], axis=-1)[None]
+        agg = _aggregate(counts, cfg)
+        # both arms' counts vary exactly as much as `worse`; its exact stderr:
+        mean = Fraction(int(worse.sum()), r_n)
+        var = sum((Fraction(int(x)) - mean) ** 2 for x in worse) / (r_n - 1)
+        want = math.sqrt(var / r_n)
+        assert want == pytest.approx(0.0082, abs=1e-4)
+        assert agg.stderr[0, 0] == pytest.approx(want, rel=1e-12)
+        assert agg.stderr[0, 1] == pytest.approx(want, rel=1e-12)
 
     def test_equal_means_give_zero_regret(self):
         cfg = make_cfg(means=(0.5, 0.5), horizon=16, checkpoints=(16,), replications=3)

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from distbandit import policies
 from distbandit.core import ExplorationFunction, exploration_value
 from distbandit.policies import (
     DKLUCB,
@@ -16,6 +17,7 @@ from distbandit.policies import (
     UCB,
     PlayerView,
     PolicySpec,
+    _klucb_bisect,
     count_prediction,
     klucb_index,
     klucb_index_batch,
@@ -138,6 +140,45 @@ class TestKlucbIndex:
         b = float(klucb_index_batch(mu, hi_f / hi_n))
         c = float(klucb_index_batch(mu, hi_f / lo_n))
         assert mu <= a <= b <= c <= 1.0
+
+
+class TestKlucbNewtonKernel:
+    """klucb_index_batch (Newton in y = -ln(1-q)) against the bisection it
+    falls back to."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                st.one_of(st.just(0.0), st.floats(-12.0, 2.0).map(lambda e: 10.0**e)),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_agrees_with_bisection(self, lanes):
+        mu, budget = (np.array(column) for column in zip(*lanes))
+        got = klucb_index_batch(mu, budget)
+        assert np.all(np.abs(got - _klucb_bisect(mu, budget)) <= 1e-10)
+        assert np.all((mu <= got) & (got <= 1.0))
+
+    def test_unsettled_lanes_alone_fall_back_to_bisection(self, monkeypatch):
+        # near q = mu the divergence evaluation is cancellation-limited, so
+        # Newton's last step does not settle on some tiny-budget lanes
+        redone = []
+
+        def spy(p, b, upper=True):
+            redone.append(p.size)
+            return _klucb_bisect(p, b, upper)
+
+        monkeypatch.setattr(policies, "_klucb_bisect", spy)
+        mu = np.full(64, 0.3)
+        budget = np.geomspace(1e-12, 1e-10, 64)
+        got = klucb_index_batch(mu, budget)
+        assert len(redone) == 1 and 0 < redone[0] < 64
+        assert np.all(np.abs(got - _klucb_bisect(mu, budget)) <= 1e-10)
+        assert np.all(got >= mu)
 
 
 class TestKlucbLowerIndex:
