@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BernoulliArmModel, d_inf_bernoulli, kl_bernoulli
+from .core import BernoulliArmModel, d_inf_bernoulli, dklucb_scale, kl_bernoulli
 from .engine import RunAggregate
 
 # Upper-bound flavors, keyed by the communication regime they describe:
@@ -46,8 +46,7 @@ def lower_bound_coefficient(m: int, alpha: float, mu_a: float, mu_star: float) -
     M / (1 + (M-1) alpha) * 1 / d_inf(mu_a, mu_star)."""
     _check_m_alpha(m, alpha)
     _check_pair(mu_a, mu_star)
-    scale = m / (1.0 + (m - 1) * alpha)
-    return scale / d_inf_bernoulli(mu_a, mu_star)
+    return dklucb_scale(m, alpha) / d_inf_bernoulli(mu_a, mu_star)
 
 
 def upper_bound_coefficient(
@@ -64,7 +63,7 @@ def upper_bound_coefficient(
     _check_pair(mu_a, mu_star)
     divergence = kl_bernoulli(mu_a, mu_star)
     if kind == BOUND_SPARSE:
-        return m / (1.0 + (m - 1) * alpha) / divergence
+        return dklucb_scale(m, alpha) / divergence
     return 1.0 / divergence
 
 

@@ -146,6 +146,7 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = cfg.out or "."
+    name = None  # the strategy being run or reported, for error messages
     try:
         os.makedirs(out_dir, exist_ok=True)
         runs = experiment_runs(cfg)
@@ -156,6 +157,7 @@ def main(argv=None) -> int:
             path = os.path.join(out_dir, f"{name}.csv")
             _write_csv(path, _STRATEGY_HEADER, _aggregate_rows(None, run_cfg, agg))
             print(f"wrote {path}")
+        name = None
         combined = os.path.join(out_dir, "combined.csv")
         _write_csv(
             combined,
@@ -175,7 +177,8 @@ def main(argv=None) -> int:
         print(f"error writing {target}: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # simulation failures (invariants, memory, ...)
-        print(f"error: {exc}", file=sys.stderr)
+        where = f"[{name}] " if name is not None else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 3
     return 0
 

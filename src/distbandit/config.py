@@ -32,10 +32,9 @@ from dataclasses import dataclass
 
 from .core import LN2T, STANDARD, BernoulliArmModel, ExplorationFunction
 from .engine import RunConfig
-from .policies import DKLUCB, KLUCB, UCB, PolicySpec
+from .policies import DKLUCB, RULES, UCB, PolicySpec
 from .schedule import CommunicationSchedule, parse_schedule
 
-_POLICIES = (UCB, KLUCB, DKLUCB)
 _EXPLORATIONS = (STANDARD, LN2T)
 
 _EXPERIMENT_KEYS = frozenset(
@@ -200,9 +199,9 @@ def parse_config(text: str) -> ExperimentConfig:
     policy = exp.get("policy")
     if policy is None:
         errors.append("[experiment] policy is required")
-    elif policy not in _POLICIES:
+    elif policy not in RULES:
         errors.append(
-            f"[experiment] policy: unknown rule {policy!r}; expected one of {_POLICIES}"
+            f"[experiment] policy: unknown rule {policy!r}; expected one of {RULES}"
         )
         policy = None
 

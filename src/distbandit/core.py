@@ -65,6 +65,11 @@ DKLUCB = "dklucb"
 _VARIANTS = (STANDARD, LN2T, DKLUCB)
 
 
+def dklucb_scale(m: int, alpha: float) -> float:
+    """DKLUCB's multiplier M / (1 + (M-1) alpha) of the single-player budget."""
+    return m / (1.0 + (m - 1) * alpha)
+
+
 @dataclass(frozen=True)
 class ExplorationFunction:
     """Exploration budget F as a function of a positive integer argument.
@@ -107,7 +112,7 @@ class ExplorationFunction:
     def scale(self) -> float:
         """Multiplier applied to the standard form (1 except for dklucb)."""
         if self.variant == DKLUCB:
-            return self.m / (1.0 + (self.m - 1) * self.alpha)
+            return dklucb_scale(self.m, self.alpha)
         return 1.0
 
 

@@ -20,16 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BernoulliArmModel
-from .policies import (
-    DKLUCB,
-    PlayerView,
-    PolicySpec,
-    UCB,
-    count_prediction_batch,
-    exploration_budget,
-    klucb_index_batch,
-)
+from .core import BernoulliArmModel, dklucb_scale
+from .policies import DKLUCB, PlayerView, PolicySpec, exploration_budget, select_batch
 from .schedule import CommunicationSchedule
 
 _BLOCK_BYTES = 1 << 27  # uniform prefetch buffer budget (128 MiB)
@@ -163,7 +155,7 @@ def _next_uniforms(state: WorldState) -> np.ndarray:
 def _check_claims(state: WorldState, n_prime: np.ndarray, cfg: RunConfig) -> None:
     m, alpha = cfg.players, cfg.policy.alpha
     t = state.t + 1
-    bound = m / (1.0 + (m - 1) * alpha) * state.known_count
+    bound = dklucb_scale(m, alpha) * state.known_count
     over = n_prime > bound + 1e-9
     if over.any():
         r, p, a = np.argwhere(over)[0]
@@ -184,26 +176,6 @@ def _check_claims(state: WorldState, n_prime: np.ndarray, cfg: RunConfig) -> Non
         )
 
 
-def _select_batch(state: WorldState, cfg: RunConfig, t: int) -> np.ndarray:
-    spec = cfg.policy
-    counts = state.known_count
-    total_known = (t - 1) + (cfg.players - 1) * state.last_merge
-    f = exploration_budget(spec, cfg.players, t, total_known)
-    counts_f = counts.astype(np.float64)
-    mu_hat = state.known_sum / counts_f
-    if spec.rule == UCB:
-        indices = mu_hat + np.sqrt(f / (2.0 * counts_f))
-    elif spec.rule == DKLUCB:
-        n_prime = count_prediction_batch(
-            counts, state.snapshot_count, cfg.players, spec.alpha
-        )
-        _check_claims(state, n_prime, cfg)
-        indices = klucb_index_batch(mu_hat, f / n_prime)
-    else:
-        indices = klucb_index_batch(mu_hat, f / counts_f)
-    return np.argmax(indices, axis=2)
-
-
 def step(state: WorldState, cfg: RunConfig) -> WorldState:
     """Advance the batch by one round (in place); see the module docstring."""
     if state.t >= cfg.horizon:
@@ -215,7 +187,13 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
         # unpulled-arm rule forces arm t-1 for every player
         actions = np.full((r_n, m), t - 1, dtype=np.int64)
     else:
-        actions = _select_batch(state, cfg, t)
+        total_known = (t - 1) + (m - 1) * state.last_merge
+        f = exploration_budget(cfg.policy, m, t, total_known)
+        actions, denom = select_batch(
+            cfg.policy, m, f, state.known_count, state.known_sum, state.snapshot_count
+        )
+        if cfg.policy.rule == DKLUCB:
+            _check_claims(state, denom, cfg)
     u = _next_uniforms(state)
     rewards = (u < state.means[actions]).astype(np.int64)
     rr = np.arange(r_n)[:, None]
@@ -232,6 +210,26 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
     return state
 
 
+def _simulate(cfg: RunConfig, replication_indices, record_actions: bool = False):
+    """The round loop for one batch of replications: the int64 global counts
+    at cfg.checkpoints, [C, R, K], and the selected arms, [horizon, R, M] (None
+    without record_actions). init_state and step are called through the module
+    globals, so rebinding them (as timing shims do) reaches this loop."""
+    state = init_state(cfg, replication_indices)
+    r_n, m, k = state.known_count.shape
+    cp_slot = {t: i for i, t in enumerate(cfg.checkpoints)}
+    counts = np.zeros((len(cfg.checkpoints), r_n, k), dtype=np.int64)
+    actions = np.zeros((cfg.horizon, r_n, m), np.int64) if record_actions else None
+    for t in range(1, cfg.horizon + 1):
+        step(state, cfg)
+        if actions is not None:
+            actions[t - 1] = state.last_actions
+        slot = cp_slot.get(t)
+        if slot is not None:
+            counts[slot] = state.total_count
+    return counts, actions
+
+
 def run_once(cfg: RunConfig, replication_index: int, record_actions: bool = False):
     """Run a single replication; a pure function of (cfg.seed, replication_index).
 
@@ -239,22 +237,10 @@ def run_once(cfg: RunConfig, replication_index: int, record_actions: bool = Fals
     shape (len(checkpoints), K); with record_actions also the (horizon, M)
     array of selected arms.
     """
-    state = init_state(cfg, [replication_index])
-    cp_slot = {t: i for i, t in enumerate(cfg.checkpoints)}
-    counts_at = np.zeros((len(cfg.checkpoints), cfg.arm_model.k), dtype=np.int64)
-    actions = (
-        np.zeros((cfg.horizon, cfg.players), dtype=np.int64) if record_actions else None
-    )
-    for t in range(1, cfg.horizon + 1):
-        step(state, cfg)
-        if record_actions:
-            actions[t - 1] = state.last_actions[0]
-        slot = cp_slot.get(t)
-        if slot is not None:
-            counts_at[slot] = state.total_count[0]
+    counts, actions = _simulate(cfg, [replication_index], record_actions)
     if record_actions:
-        return counts_at, actions
-    return counts_at
+        return counts[:, 0], actions[:, 0]
+    return counts[:, 0]
 
 
 @dataclass(frozen=True)
@@ -302,17 +288,7 @@ def _aggregate(counts: np.ndarray, cfg: RunConfig) -> RunAggregate:
 
 def run_monte_carlo(cfg: RunConfig) -> RunAggregate:
     """Aggregate cfg.replications independent runs of the configured process."""
-    state = init_state(cfg, range(cfg.replications))
-    cp_slot = {t: i for i, t in enumerate(cfg.checkpoints)}
-    counts = np.zeros(
-        (len(cfg.checkpoints), cfg.replications, cfg.arm_model.k), dtype=np.int64
-    )
-    for t in range(1, cfg.horizon + 1):
-        step(state, cfg)
-        slot = cp_slot.get(t)
-        if slot is not None:
-            counts[slot] = state.total_count
-    return _aggregate(counts, cfg)
+    return _aggregate(_simulate(cfg, range(cfg.replications))[0], cfg)
 
 
 def regret(aggregate: RunAggregate, arm_model: BernoulliArmModel, t: int) -> float:

@@ -1,21 +1,25 @@
 """Per-player arm-selection rules: UCB / KL-UCB index adaptations and the
 DKLUCB count-prediction policy.
 
-The index computations come in two equivalent forms: scalar operations on a
-PlayerView (the reference semantics) and batched numpy kernels over arrays of
-sufficient statistics (what the simulation engine calls). Inverting the
-Bernoulli KL divergence is the only nontrivial numerics. The KL-UCB upper index
-runs a fixed number of Newton steps in y = -ln(1-q), where the divergence is
-increasing and convex, from the Pinsker bound above the root; the few lanes
-whose last step has not settled (tiny budgets, where the divergence evaluation
-is cancellation-limited) are redone by bisection. The lower index is a plain
-bisection. Both land far inside the 1e-9 tolerance the indices are specified
-at.
+The selection rule is written once, as select_batch over a [..., K] batch of
+sufficient statistics; the engine calls it on its whole (replication, player)
+batch and select_arm on one view. The independent reference the engine's
+traces are checked against is the scalar simulator in tests/oracle_sim.py.
+
+Inverting the Bernoulli KL divergence is the only nontrivial numerics. The
+KL-UCB upper index runs a fixed number of Newton steps in y = -ln(1-q), where
+the divergence is increasing and convex, from the Pinsker bound above the
+root. Lanes with budgets below 1e-11, where that form's divergence evaluation
+is cancellation-limited, and the few whose last step has not settled are
+redone by a bisection that evaluates the divergence in a form that does not
+cancel. The lower index is that bisection. Both land far inside the 1e-9
+tolerance the indices are specified at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,12 +29,15 @@ UCB = "ucb"
 KLUCB = "klucb"
 DKLUCB = "dklucb"
 
-_RULES = (UCB, KLUCB, DKLUCB)
+RULES = (UCB, KLUCB, DKLUCB)
 
 _BISECTION_ITERATIONS = 40  # interval 1 -> final width 2**-40, well under 1e-9
 # Newton steps in klucb_index_batch: enough for every lane at budgets >= 1e-5
 # to settle from the Pinsker start; unsettled lanes fall back to bisection.
 _NEWTON_ITERATIONS = 8
+# Below this budget the Newton form's cancellation error (~1e-16 near q = mu)
+# moves the index by over 1e-10; simulated budgets are f / N >= ln(2) / N.
+_NEWTON_MIN_BUDGET = 1e-11
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
@@ -84,7 +91,7 @@ class PolicySpec:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rule not in _RULES:
+        if self.rule not in RULES:
             raise ValueError(f"unknown policy rule {self.rule!r}")
         if self.rule == DKLUCB:
             if not 0.0 <= self.alpha <= 1.0:
@@ -98,30 +105,29 @@ class PolicySpec:
 # -- batched kernels --------------------------------------------------------
 
 
-def _bernoulli_entropy_terms(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, 1-p) entropy part p ln p + (1-p) ln(1-p) with 0 ln 0 = 0."""
-    q = 1.0 - p
-    # the floor only moves a zero argument, whose term is then 0 * finite = 0
-    return p * np.log(np.maximum(p, _TINY)) + q * np.log(np.maximum(q, _TINY)), q
-
-
 def _klucb_bisect(p: np.ndarray, b: np.ndarray, upper: bool = True) -> np.ndarray:
     """The KL-UCB upper (or lower) index by a fixed number of halvings of
-    [p, 1] (or [0, p]); a zero budget returns p."""
-    ent, one_minus_p = _bernoulli_entropy_terms(p)
+    [p, 1] (or [0, p]); a zero budget returns p.
+
+    K(p, q) is evaluated as -p ln(1 + d/p) - (1-p) ln(1 - d/(1-p)), d = q - p,
+    which does not cancel near q = p. The floors keep d / p finite.
+    """
+    one_minus_p = 1.0 - p
+    p_floor = np.maximum(p, 1e-300)
+    one_minus_p_floor = np.maximum(one_minus_p, 1e-300)
     lo, hi = (p.copy(), np.ones_like(p)) if upper else (np.zeros_like(p), p.copy())
     for _ in range(_BISECTION_ITERATIONS):
         mid = 0.5 * (lo + hi)
         # mid == 1 only where p == 1 (upper); clip the evaluation point so the
         # logs are finite (the interval update still uses mid itself).
         mid_eval = np.clip(mid, 1e-300, 1.0 - 1e-16)
-        kl = ent - p * np.log(mid_eval) - one_minus_p * np.log1p(-mid_eval)
+        d = mid_eval - p
+        kl = -p * np.log1p(d / p_floor) - one_minus_p * np.log1p(-d / one_minus_p_floor)
         feasible = kl <= b
         keep_lo = feasible if upper else ~feasible  # mid moves the bound nearer p
         lo = np.where(keep_lo, mid, lo)
         hi = np.where(keep_lo, hi, mid)
-    # Near q == p the divergence evaluation is cancellation-limited, so a
-    # zero budget is answered exactly rather than through the loop.
+    # a zero budget is answered exactly rather than through the loop
     return np.where(b <= 0.0, p, lo if upper else hi)
 
 
@@ -137,9 +143,13 @@ def klucb_index_batch(mu_hat, budget) -> np.ndarray:
     """
     p = np.asarray(mu_hat, dtype=np.float64)
     b = np.asarray(budget, dtype=np.float64)
-    ent, one_minus_p = _bernoulli_entropy_terms(p)
+    one_minus_p = 1.0 - p
+    # entropy part p ln p + (1-p) ln(1-p); the floor only moves a zero
+    # argument, whose term is then 0 * finite = 0
+    ent = p * np.log(np.maximum(p, _TINY))
+    ent = ent + one_minus_p * np.log(np.maximum(one_minus_p, _TINY))
     target = b - ent
-    # lanes with b <= 0 or p == 1 iterate on nonsense and are overwritten below
+    # lanes with b < _NEWTON_MIN_BUDGET or p == 1 are overwritten below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Pinsker: K(p, q) >= 2 (q - p)^2, so q0 is at or above the root
         y = -np.log1p(-np.minimum(p + np.sqrt(0.5 * b), 1.0 - 1e-16))
@@ -151,10 +161,9 @@ def klucb_index_batch(mu_hat, budget) -> np.ndarray:
         q = -np.expm1(-y)
         # written so that nan fails the test
         settled = (np.abs(step) < 1e-12 * np.maximum(y, 1.0)) & (q >= p)
-    no_budget = b <= 0.0
     certain = p >= 1.0
-    q = np.where(no_budget, p, np.where(certain, 1.0, q))
-    redo = ~(settled | no_budget | certain)
+    q = np.where(certain, 1.0, q)
+    redo = ~(settled | certain) | (b < _NEWTON_MIN_BUDGET)
     if redo.any():
         p_all, b_all = np.broadcast_arrays(p, b)
         q[redo] = _klucb_bisect(p_all[redo], b_all[redo])
@@ -172,9 +181,8 @@ def klucb_lower_batch(mu_hat, budget) -> np.ndarray:
 
 
 def ucb_index_batch(mu_hat, counts, f_value) -> np.ndarray:
-    """Elementwise mu_hat + sqrt(f_value / (2 counts))."""
-    n = np.asarray(counts, dtype=np.float64)
-    return np.asarray(mu_hat, dtype=np.float64) + np.sqrt(f_value / (2.0 * n))
+    """Elementwise mu_hat + sqrt(f_value / (2 counts)) over arrays or scalars."""
+    return mu_hat + np.sqrt(f_value / (2.0 * counts))
 
 
 def count_prediction_batch(known_count, snapshot_count, m: int, alpha: float) -> np.ndarray:
@@ -231,6 +239,12 @@ def count_prediction(view: PlayerView, a: int, m: int, alpha: float) -> float:
     )
 
 
+@lru_cache(maxsize=16)
+def _dklucb_exploration(m: int, alpha: float) -> ExplorationFunction:
+    # built and validated once per (M, alpha) instead of every round
+    return ExplorationFunction.dklucb(m, alpha)
+
+
 def exploration_budget(
     spec: PolicySpec, m: int, t: int | None, total_known: int
 ) -> float:
@@ -241,12 +255,31 @@ def exploration_budget(
     the player's total sample count.
     """
     if spec.rule == DKLUCB:
-        return exploration_value(ExplorationFunction.dklucb(m, spec.alpha), total_known)
+        return exploration_value(_dklucb_exploration(m, spec.alpha), total_known)
     if spec.exploration.variant == LN2T:
         if t is None:
             raise ValueError("ln2t exploration is evaluated at the round index")
         return exploration_value(spec.exploration, t)
     return exploration_value(spec.exploration, total_known)
+
+
+def select_batch(
+    spec: PolicySpec, m: int, f: float, known_count, known_sum, snapshot_count
+) -> tuple[np.ndarray, np.ndarray]:
+    """The index rule over a [..., K] batch of views whose counts are all >= 1.
+
+    Returns the argmax over the last axis (ties broken by lowest arm index)
+    and the sample-count denominator the indices used: the count prediction
+    N' for dklucb, the float counts otherwise.
+    """
+    counts = known_count.astype(np.float64)
+    mu_hat = known_sum / counts
+    if spec.rule == UCB:
+        return np.argmax(ucb_index_batch(mu_hat, counts, f), axis=-1), counts
+    denom = counts
+    if spec.rule == DKLUCB:
+        denom = count_prediction_batch(known_count, snapshot_count, m, spec.alpha)
+    return np.argmax(klucb_index_batch(mu_hat, f / denom), axis=-1), denom
 
 
 def select_arm(
@@ -255,10 +288,9 @@ def select_arm(
     """Pick the next arm for one player.
 
     Any arm with zero samples is served first, lowest index winning; otherwise
-    the rule's index is computed for every arm and the argmax returned, ties
-    broken by lowest arm index. The ln2t exploration variant is evaluated at
-    round_index (required then); the other variants use the player's total
-    sample count.
+    select_batch runs on this single view. The ln2t exploration variant is
+    evaluated at round_index (required then); the other variants use the
+    player's total sample count.
     """
     counts = view.known_count
     if counts.size == 0:
@@ -267,12 +299,5 @@ def select_arm(
     if zero.size:
         return int(zero[0])
     f = exploration_budget(spec, m, round_index, view.total_known)
-    mu_hat = view.known_sum / counts
-    if spec.rule == UCB:
-        indices = ucb_index_batch(mu_hat, counts, f)
-    elif spec.rule == KLUCB:
-        indices = klucb_index_batch(mu_hat, f / counts)
-    else:
-        n_prime = count_prediction_batch(counts, view.snapshot_count, m, spec.alpha)
-        indices = klucb_index_batch(mu_hat, f / n_prime)
-    return int(np.argmax(indices))
+    arm, _ = select_batch(spec, m, f, counts, view.known_sum, view.snapshot_count)
+    return int(arm)

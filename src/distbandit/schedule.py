@@ -130,19 +130,7 @@ class CommunicationSchedule:
         """True iff round t is a communication round."""
         if t < 1:
             raise ValueError(f"round index must be >= 1, got {t!r}")
-        if self.kind == NONE:
-            return False
-        if self.kind == FULL:
-            return True
-        if self.kind == ONESHOT:
-            return t == self.params[0]
-        if self.kind == LINEAR:
-            return t % self.params[0] == 0
-        if self.kind == EXPLICIT:
-            i = bisect_right(self.params, t)
-            return i > 0 and self.params[i - 1] == t
-        elems = self.elements_up_to(t)
-        return bool(elems) and elems[-1] == t
+        return self.last_comm_leq(t) == t
 
     def last_comm_leq(self, t: int) -> int:
         """Largest communication round <= t, or 0 if there is none."""

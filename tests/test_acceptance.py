@@ -65,6 +65,7 @@ def preset_results():
     return cfg, out
 
 
+@pytest.mark.slow
 def test_criterion_1_figure1_replication(preset_results):
     cfg, results = preset_results
     at_16 = {name: float(agg.mean_counts[-1, 1]) for name, agg in results.items()}
@@ -83,6 +84,7 @@ def test_criterion_1_figure1_replication(preset_results):
         )
 
 
+@pytest.mark.slow
 def test_criterion_2_paradox_signature(preset_results):
     cfg, results = preset_results
     full, c = results["full"], results["C"]

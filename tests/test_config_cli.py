@@ -5,6 +5,7 @@ import csv
 
 import pytest
 
+from distbandit import cli
 from distbandit.cli import main
 from distbandit.config import (
     ConfigError,
@@ -13,6 +14,7 @@ from distbandit.config import (
     parse_config,
 )
 from distbandit.core import LN2T, STANDARD
+from distbandit.engine import InvariantViolation
 from distbandit.policies import DKLUCB, KLUCB, UCB
 
 MINIMAL = """
@@ -377,3 +379,20 @@ class TestCliErrors:
         code = main(["--config", write_config(tmp_path, SMALL), "--out", str(blocker)])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    def test_runtime_error_names_the_failing_strategy(self, tmp_path, monkeypatch, capsys):
+        real = cli.run_monte_carlo
+        seen = []
+
+        def fail_on_second(run_cfg):
+            seen.append(run_cfg)
+            if len(seen) == 2:
+                raise InvariantViolation("count prediction exceeded its bound")
+            return real(run_cfg)
+
+        monkeypatch.setattr("distbandit.cli.run_monte_carlo", fail_on_second)
+        code = main(["--config", write_config(tmp_path, SMALL), "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: [quiet] count prediction exceeded its bound\n"
+        )

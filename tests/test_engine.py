@@ -84,23 +84,36 @@ class TestRngContract:
         assert np.array_equal(counts, counts_small)
         assert np.array_equal(acts, acts_small)
 
-    def test_run_once_matches_batched_slice(self):
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            PolicySpec(UCB, ExplorationFunction.ln2t()),
+            PolicySpec(KLUCB),
+            PolicySpec(DKLUCB, alpha=0.5),
+        ],
+        ids=["ucb-ln2t", "klucb", "dklucb"],
+    )
+    def test_run_once_matches_batched_slice(self, policy):
         cfg = make_cfg(
             schedule=CS.explicit([6, 20]),
-            policy=PolicySpec(UCB, ExplorationFunction.ln2t()),
+            policy=policy,
             checkpoints=(5, 20, 40),
             replications=5,
         )
         state = init_state(cfg, range(5))
         batch = {t: None for t in cfg.checkpoints}
+        batch_actions = []
         for t in range(1, cfg.horizon + 1):
             step(state, cfg)
+            batch_actions.append(state.last_actions.copy())
             if t in batch:
                 batch[t] = state.total_count.copy()
+        batch_actions = np.stack(batch_actions)  # [T, R, M]
         for rep in range(5):
-            counts = run_once(cfg, rep)
+            counts, actions = run_once(cfg, rep, record_actions=True)
             for j, t in enumerate(cfg.checkpoints):
                 assert np.array_equal(counts[j], batch[t][rep])
+            assert np.array_equal(actions, batch_actions[:, rep])
 
     def test_monte_carlo_equals_averaged_run_once(self):
         cfg = make_cfg(schedule=CS.linear(5), checkpoints=(10, 40), replications=6)

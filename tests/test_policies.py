@@ -180,6 +180,15 @@ class TestKlucbNewtonKernel:
         assert np.all(np.abs(got - _klucb_bisect(mu, budget)) <= 1e-10)
         assert np.all(got >= mu)
 
+    def test_tiny_budgets_are_accurate_and_monotone(self):
+        # below 1e-13 the root is p + sqrt(2 p (1-p) b) to well under 1e-12;
+        # the entropy form of the divergence cancels to ~1e-16 there
+        budget = np.geomspace(1e-30, 1e-13, 18)
+        for p in (0.3, 0.75):
+            got = klucb_index_batch(np.full(budget.size, p), budget)
+            assert np.all(np.abs(got - (p + np.sqrt(2 * p * (1 - p) * budget))) <= 1e-11)
+            assert np.all(np.diff(got) >= 0)
+
 
 class TestKlucbLowerIndex:
     def test_mean_one_closed_form(self):
