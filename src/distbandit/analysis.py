@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BernoulliArmModel, d_inf_bernoulli, dklucb_scale, kl_bernoulli
+from .core import BernoulliArmModel, d_inf_bernoulli, kl_bernoulli
 from .engine import RunAggregate
 
 # Upper-bound flavors, keyed by the communication regime they describe:
@@ -41,12 +41,21 @@ def _check_m_alpha(m: int, alpha: float) -> None:
         raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
 
 
+def _scale(m: int, alpha: float) -> float:
+    """M / (1 + (M-1) alpha), formed exactly in integers and rounded once by
+    int division. The exact value is monotone in M and alpha, so the correctly
+    rounded one is too; the float expression of core.dklucb_scale is not when
+    alpha is within an ulp of 1."""
+    num, den = float(alpha).as_integer_ratio()
+    return m * den / (den + (m - 1) * num)
+
+
 def lower_bound_coefficient(m: int, alpha: float, mu_a: float, mu_star: float) -> float:
     """Leading coefficient of the pull-count lower bound for a suboptimal arm:
     M / (1 + (M-1) alpha) * 1 / d_inf(mu_a, mu_star)."""
     _check_m_alpha(m, alpha)
     _check_pair(mu_a, mu_star)
-    return dklucb_scale(m, alpha) / d_inf_bernoulli(mu_a, mu_star)
+    return _scale(m, alpha) / d_inf_bernoulli(mu_a, mu_star)
 
 
 def upper_bound_coefficient(
@@ -63,7 +72,7 @@ def upper_bound_coefficient(
     _check_pair(mu_a, mu_star)
     divergence = kl_bernoulli(mu_a, mu_star)
     if kind == BOUND_SPARSE:
-        return dklucb_scale(m, alpha) / divergence
+        return _scale(m, alpha) / divergence
     return 1.0 / divergence
 
 

@@ -178,6 +178,11 @@ def main(argv=None) -> int:
         return 3
     except Exception as exc:  # simulation failures (invariants, memory, ...)
         where = f"[{name}] " if name is not None else ""
+        # imported only here: at module level it adds about 0.5 MB of
+        # resident memory to every run, failed or not
+        import logging
+
+        logging.getLogger(__name__).debug("%srun failed", where, exc_info=True)
         print(f"error: {where}{exc}", file=sys.stderr)
         return 3
     return 0

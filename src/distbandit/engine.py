@@ -1,14 +1,17 @@
 """Round-based execution of the distributed bandit process.
 
 Every replication follows the same loop: each player selects an arm using its
-end-of-previous-round view, all rewards are drawn, views and global totals are
+end-of-previous-round view, all rewards are drawn, the global totals are
 updated, and if the round is a communication round every view is merged into
-the global history. Replications are vectorized along a leading axis, but the
-random numbers are drawn from one stream per (seed, replication, player) --
-``Generator(Philox(SeedSequence((seed, replication, player))))``, consuming
-exactly one uniform per round in round order -- so a batched run and
-``run_once`` of a single replication produce bit-identical trajectories, and
-two configs sharing a seed share reward randomness round for round.
+the global history. A player's own pull is added to its view only between
+merges: on a communication round the merge overwrites every view with the
+totals, which already hold that pull. Replications are vectorized along a
+leading axis, but the random numbers are drawn from one stream per (seed,
+replication, player) -- ``Generator(Philox(SeedSequence((seed, replication,
+player))))``, consuming exactly one uniform per round in round order -- so a
+batched run and ``run_once`` of a single replication produce bit-identical
+trajectories, and two configs sharing a seed share reward randomness round for
+round.
 
 Aggregation works on exact integer totals, so it is independent of
 replication order and of how replications are batched.
@@ -24,7 +27,8 @@ from .core import BernoulliArmModel, dklucb_scale
 from .policies import DKLUCB, PlayerView, PolicySpec, exploration_budget, select_batch
 from .schedule import CommunicationSchedule
 
-_BLOCK_BYTES = 1 << 27  # uniform prefetch buffer budget (128 MiB)
+# uniform prefetch budget per block (128 MiB); a block also ends at the horizon
+_BLOCK_BYTES = 1 << 27
 
 
 class InvariantViolation(RuntimeError):
@@ -82,6 +86,8 @@ class WorldState:
     means: np.ndarray  # float64 [K]
     replication_indices: tuple[int, ...]  # the replication each batch slot runs
     comm_mask: np.ndarray  # bool [horizon+1]; entry t: is round t a communication round
+    view_offset: np.ndarray  # int64 [R, M]; (r*M + p)*K, view (r, p)'s arm 0 in the flat views
+    total_offset: np.ndarray  # int64 [R, 1]; r*K, replication r's arm 0 in the flat totals
     last_actions: np.ndarray | None = None
     _block: np.ndarray | None = field(default=None, repr=False)
     _pos: int = 0
@@ -109,6 +115,8 @@ def init_state(cfg: RunConfig, replication_indices) -> WorldState:
         means=np.asarray(cfg.arm_model.means, dtype=np.float64),
         replication_indices=tuple(reps),
         comm_mask=cfg.schedule.comm_mask(cfg.horizon),
+        view_offset=np.arange(r_n * m, dtype=np.int64).reshape(r_n, m) * k,
+        total_offset=np.arange(r_n, dtype=np.int64)[:, None] * k,
     )
 
 
@@ -133,12 +141,12 @@ def view_of(state: WorldState, rep_slot: int, player: int) -> PlayerView:
     )
 
 
-def _next_uniforms(state: WorldState) -> np.ndarray:
+def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
     block = state._block
     if block is None or state._pos == block.shape[2]:
         r_n, m, _ = state.known_count.shape
         length = int(_BLOCK_BYTES // (8 * r_n * m))
-        length = max(64, min(4096, length))
+        length = min(max(64, min(4096, length)), rounds_left)
         block = np.empty((r_n, m, length))
         i = 0
         for r in range(r_n):
@@ -194,18 +202,22 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
         )
         if cfg.policy.rule == DKLUCB:
             _check_claims(state, denom, cfg)
-    u = _next_uniforms(state)
-    rewards = (u < state.means[actions]).astype(np.int64)
-    rr = np.arange(r_n)[:, None]
-    pp = np.arange(m)[None, :]
-    np.add.at(state.known_count, (rr, pp, actions), 1)
-    np.add.at(state.known_sum, (rr, pp, actions), rewards)
-    np.add.at(state.total_count, (np.broadcast_to(rr, (r_n, m)), actions), 1)
-    np.add.at(state.total_sum, (np.broadcast_to(rr, (r_n, m)), actions), rewards)
+    u = _next_uniforms(state, cfg.horizon - state.t)
+    rewards = u < state.means[actions]
+    # players of one replication may pick the same arm, so the flat indices
+    # into the totals can repeat: count them with bincount
+    slot = state.total_offset + actions
+    state.total_count += np.bincount(slot.ravel(), minlength=r_n * k).reshape(r_n, k)
+    state.total_sum += np.bincount(slot[rewards], minlength=r_n * k).reshape(r_n, k)
     state.last_actions = actions
     if state.comm_mask[t]:
         merge_views(state)
         state.last_merge = t
+    else:
+        # each (replication, player) owns one [K] row, so these never repeat
+        slot = state.view_offset + actions
+        state.known_count.reshape(-1)[slot] += 1
+        state.known_sum.reshape(-1)[slot] += rewards
     state.t = t
     return state
 

@@ -63,6 +63,16 @@ class TestLowerBoundCoefficient:
         with pytest.raises(ValueError):
             lower_bound_coefficient(2, 0.5, 0.8, 1.0)
 
+    def test_monotone_in_players_an_ulp_below_full_density(self):
+        # the float expression M / (1 + (M-1) alpha) gives 22.520996985245286
+        # at M = 6 and 22.520996985245283 at M = 9 for this alpha
+        alpha = 0.9999999999999999
+        for coeff in (
+            lower_bound_coefficient,
+            lambda *args: upper_bound_coefficient(BOUND_SPARSE, *args),
+        ):
+            assert coeff(6, alpha, 0.8, 0.9) <= coeff(9, alpha, 0.8, 0.9)
+
     @given(
         m1=st.integers(1, 50),
         m2=st.integers(0, 50),

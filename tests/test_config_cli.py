@@ -2,6 +2,7 @@
 the command-line runner's files, exit codes, and determinism."""
 
 import csv
+import logging
 
 import pytest
 
@@ -396,3 +397,20 @@ class TestCliErrors:
         assert capsys.readouterr().err == (
             "error: [quiet] count prediction exceeded its bound\n"
         )
+
+    def test_runtime_error_traceback_is_logged_at_debug(
+        self, tmp_path, monkeypatch, caplog, capsys
+    ):
+        def fail(run_cfg):
+            raise InvariantViolation("count prediction exceeded its bound")
+
+        monkeypatch.setattr("distbandit.cli.run_monte_carlo", fail)
+        with caplog.at_level(logging.DEBUG, logger="distbandit.cli"):
+            code = main(["--config", write_config(tmp_path, SMALL), "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: [full] count prediction exceeded its bound\n"
+        [record] = [r for r in caplog.records if r.name == "distbandit.cli"]
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage() == "[full] run failed"
+        assert record.exc_info[0] is InvariantViolation
+        assert "Traceback" in caplog.text and "in fail" in caplog.text

@@ -51,6 +51,11 @@ def make_cfg(
     )
 
 
+def player_stream(seed, r, p):
+    """The RNG contract's stream for player p of replication r."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, r, p))))
+
+
 class TestRngContract:
     def test_single_draws_equal_chunked_draws(self):
         def gen():
@@ -83,6 +88,25 @@ class TestRngContract:
         counts_small, acts_small = run_once(cfg, 2, record_actions=True)
         assert np.array_equal(counts, counts_small)
         assert np.array_equal(acts, acts_small)
+
+    def test_uniform_block_is_sized_to_the_rounds_left(self, monkeypatch):
+        cfg = make_cfg(horizon=100, checkpoints=(100,), replications=2)
+        state = init_state(cfg, range(2))
+        step(state, cfg)
+        assert state._block.shape == (2, cfg.players, 100)
+        for r in range(2):
+            for p in range(cfg.players):
+                want = player_stream(cfg.seed, r, p).random(100)
+                assert np.array_equal(state._block[r, p], want)
+        # 64-round blocks: the third block holds only the 150 - 128 rounds left
+        monkeypatch.setattr("distbandit.engine._BLOCK_BYTES", 1)
+        cfg = make_cfg(horizon=150, checkpoints=(150,))
+        state = init_state(cfg, [0])
+        for _ in range(129):
+            step(state, cfg)
+        assert state._block.shape == (1, cfg.players, 22)
+        want = player_stream(cfg.seed, 0, 1).random(150)[128:]
+        assert np.array_equal(state._block[0, 1], want)
 
     @pytest.mark.parametrize(
         "policy",
@@ -240,6 +264,50 @@ class TestStateInvariants:
                     state.known_sum, np.broadcast_to(state.total_sum[:, None, :], state.known_sum.shape)
                 )
             prev_known = state.known_count.copy()
+
+    @pytest.mark.parametrize(
+        "schedule", [CS.none(), CS.full(), CS.linear(5)], ids=["none", "full", "linear5"]
+    )
+    def test_update_with_colliding_players(self, schedule):
+        # M = K = 3: every player pulls the same arm in rounds 1-3, and players
+        # of one replication keep colliding later; rewards are redrawn here
+        # from the per-(seed, replication, player) streams
+        m, k, r_n = 3, 3, 4
+        cfg = make_cfg(
+            means=(0.7, 0.5, 0.3), players=m, horizon=30, schedule=schedule,
+            checkpoints=(30,), replications=r_n,
+        )
+        state = init_state(cfg, range(r_n))
+        streams = [[player_stream(cfg.seed, r, p) for p in range(m)] for r in range(r_n)]
+        pulls = np.zeros((r_n, m, k), dtype=np.int64)  # own pulls and wins since the last merge
+        wins = np.zeros((r_n, m, k), dtype=np.int64)
+        merged_sum = np.zeros((r_n, k), dtype=np.int64)
+        all_actions = []
+        collided = False
+        for t in range(1, cfg.horizon + 1):
+            step(state, cfg)
+            all_actions.append(state.last_actions.copy())
+            acts = np.stack(all_actions)  # [t, R, M]
+            for r in range(r_n):
+                want = np.bincount(acts[:, r].ravel(), minlength=k)
+                assert np.array_equal(state.total_count[r], want)
+                collided |= t > k and len(set(state.last_actions[r])) < m
+                for p in range(m):
+                    a = state.last_actions[r, p]
+                    pulls[r, p, a] += 1
+                    wins[r, p, a] += streams[r][p].random() < cfg.arm_model.means[a]
+            assert np.array_equal(state.total_sum, merged_sum + wins.sum(axis=1))
+            if schedule.is_comm_round(t):
+                merged_sum = state.total_sum.copy()
+                pulls[:] = 0
+                wins[:] = 0
+                assert np.array_equal(state.known_count, np.repeat(state.total_count[:, None], m, 1))
+                assert np.array_equal(state.known_sum, np.repeat(state.total_sum[:, None], m, 1))
+            else:
+                assert np.array_equal(state.known_count, state.snapshot_count + pulls)
+                assert np.array_equal(state.known_sum, merged_sum[:, None] + wins)
+            assert np.array_equal(state.snapshot_count, state.known_count - pulls)
+        assert collided
 
     def test_merge_is_idempotent(self):
         cfg = make_cfg(schedule=CS.none(), horizon=20, checkpoints=(20,))
