@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
 Parses a config file (or the bundled figure-1 preset), runs the Monte Carlo
-simulation for every strategy on common random numbers, and writes one CSV per
-strategy plus a combined long-format CSV for log-x plotting. Exit codes:
+simulation for every strategy on common random numbers (the strategies as one
+batch, see engine.run_strategies), and writes one CSV per strategy plus a
+combined long-format CSV for log-x plotting. Exit codes:
 0 success, 2 configuration error, 3 runtime error.
 """
 
@@ -23,7 +24,7 @@ from .analysis import (
     format_comparison,
 )
 from .config import ConfigError, ExperimentConfig, experiment_runs, figure1_preset, parse_config
-from .engine import RunAggregate, RunConfig, run_monte_carlo
+from .engine import RunAggregate, RunConfig, run_strategies
 from .policies import DKLUCB
 from .schedule import EXPLICIT, ONESHOT
 
@@ -146,18 +147,26 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = cfg.out or "."
-    name = None  # the strategy being run or reported, for error messages
+    where = ""  # the strategies being run or reported, for error messages
     try:
         os.makedirs(out_dir, exist_ok=True)
         runs = experiment_runs(cfg)
-        results = []
-        for name, run_cfg in runs:
-            agg = run_monte_carlo(run_cfg)
-            results.append((name, run_cfg, agg))
+        names = [name for name, _ in runs]
+        try:
+            aggs = run_strategies([run_cfg for _, run_cfg in runs])
+        except Exception as exc:
+            failed = getattr(exc, "strategy", None)
+            failed = [failed] if failed is not None else getattr(exc, "strategies", ())
+            if failed:
+                where = "[" + ",".join(names[i] for i in failed) + "] "
+            raise
+        results = [(name, run_cfg, agg) for (name, run_cfg), agg in zip(runs, aggs)]
+        for name, run_cfg, agg in results:
+            where = f"[{name}] "
             path = os.path.join(out_dir, f"{name}.csv")
             _write_csv(path, _STRATEGY_HEADER, _aggregate_rows(None, run_cfg, agg))
             print(f"wrote {path}")
-        name = None
+        where = ""
         combined = os.path.join(out_dir, "combined.csv")
         _write_csv(
             combined,
@@ -171,13 +180,13 @@ def main(argv=None) -> int:
         print(f"wrote {combined}")
         if cfg.bounds:
             for name, run_cfg, agg in results:
+                where = f"[{name}] "
                 _print_bounds(name, run_cfg, agg)
     except OSError as exc:
         target = getattr(exc, "filename", None) or out_dir
         print(f"error writing {target}: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # simulation failures (invariants, memory, ...)
-        where = f"[{name}] " if name is not None else ""
         # imported only here: at module level it adds about 0.5 MB of
         # resident memory to every run, failed or not
         import logging

@@ -19,11 +19,11 @@ replication order and of how replications are batched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import BernoulliArmModel, dklucb_scale
+from .core import LN2T, BernoulliArmModel, dklucb_scale
 from .policies import DKLUCB, PlayerView, PolicySpec, exploration_budget, select_batch
 from .schedule import CommunicationSchedule
 
@@ -32,7 +32,16 @@ _BLOCK_BYTES = 1 << 27
 
 
 class InvariantViolation(RuntimeError):
-    """A state invariant that must hold on every reachable trace was broken."""
+    """A state invariant that must hold on every reachable trace was broken.
+
+    strategy is the index of the config whose trace broke it: within the
+    batch where the check raises, and among the configs passed to
+    run_strategies once it leaves that call; None when unknown.
+    """
+
+    def __init__(self, message: str, strategy: int | None = None):
+        super().__init__(message)
+        self.strategy = strategy
 
 
 def _default_checkpoints(horizon: int) -> tuple[int, ...]:
@@ -73,29 +82,36 @@ class RunConfig:
 
 @dataclass
 class WorldState:
-    """Mutable per-batch simulation state; axis order is (replication, player, arm)."""
+    """Mutable per-batch simulation state; axis order is (slot, player, arm).
+
+    Slot s*R + r runs replication r of strategy s; a single-strategy batch
+    (S = 1) has one slot per replication.
+    """
 
     t: int
-    known_count: np.ndarray  # int64 [R, M, K]
-    known_sum: np.ndarray  # int64 [R, M, K]
-    snapshot_count: np.ndarray  # int64 [R, M, K]
-    total_count: np.ndarray  # int64 [R, K]
-    total_sum: np.ndarray  # int64 [R, K]
-    last_merge: int
-    streams: list
+    known_count: np.ndarray  # int64 [S*R, M, K]
+    known_sum: np.ndarray  # int64 [S*R, M, K]
+    snapshot_count: np.ndarray  # int64 [S*R, M, K]
+    total_count: np.ndarray  # int64 [S*R, K]
+    total_sum: np.ndarray  # int64 [S*R, K]
+    last_merge: list[int]  # [S]; each strategy's last communication round (0: none yet)
+    streams: list  # R*M, shared by the strategies
     means: np.ndarray  # float64 [K]
-    replication_indices: tuple[int, ...]  # the replication each batch slot runs
-    comm_mask: np.ndarray  # bool [horizon+1]; entry t: is round t a communication round
-    view_offset: np.ndarray  # int64 [R, M]; (r*M + p)*K, view (r, p)'s arm 0 in the flat views
-    total_offset: np.ndarray  # int64 [R, 1]; r*K, replication r's arm 0 in the flat totals
+    replication_indices: tuple[int, ...]  # the replication each slot runs
+    comm_mask: np.ndarray  # bool [horizon+1, S]; [t, s]: does strategy s communicate at round t
+    view_offset: np.ndarray  # int64 [S*R, M]; (slot*M + p)*K, view (slot, p)'s arm 0 in the flat views
+    total_offset: np.ndarray  # int64 [S*R, 1]; slot*K, the slot's arm 0 in the flat totals
     last_actions: np.ndarray | None = None
     _block: np.ndarray | None = field(default=None, repr=False)
     _pos: int = 0
 
 
-def init_state(cfg: RunConfig, replication_indices) -> WorldState:
+def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldState:
+    """The batch before round 1: one strategy per schedule, stacked
+    strategy-major over the replications (by default cfg.schedule alone)."""
+    schedules = (cfg.schedule,) if schedules is None else tuple(schedules)
     reps = [int(r) for r in replication_indices]
-    r_n, m, k = len(reps), cfg.players, cfg.arm_model.k
+    n, m, k = len(schedules) * len(reps), cfg.players, cfg.arm_model.k
     streams = [
         np.random.Generator(
             np.random.Philox(np.random.SeedSequence((cfg.seed, rep, p)))
@@ -105,30 +121,33 @@ def init_state(cfg: RunConfig, replication_indices) -> WorldState:
     ]
     return WorldState(
         t=0,
-        known_count=np.zeros((r_n, m, k), dtype=np.int64),
-        known_sum=np.zeros((r_n, m, k), dtype=np.int64),
-        snapshot_count=np.zeros((r_n, m, k), dtype=np.int64),
-        total_count=np.zeros((r_n, k), dtype=np.int64),
-        total_sum=np.zeros((r_n, k), dtype=np.int64),
-        last_merge=0,
+        known_count=np.zeros((n, m, k), dtype=np.int64),
+        known_sum=np.zeros((n, m, k), dtype=np.int64),
+        snapshot_count=np.zeros((n, m, k), dtype=np.int64),
+        total_count=np.zeros((n, k), dtype=np.int64),
+        total_sum=np.zeros((n, k), dtype=np.int64),
+        last_merge=[0] * len(schedules),
         streams=streams,
         means=np.asarray(cfg.arm_model.means, dtype=np.float64),
-        replication_indices=tuple(reps),
-        comm_mask=cfg.schedule.comm_mask(cfg.horizon),
-        view_offset=np.arange(r_n * m, dtype=np.int64).reshape(r_n, m) * k,
-        total_offset=np.arange(r_n, dtype=np.int64)[:, None] * k,
+        replication_indices=tuple(reps) * len(schedules),
+        comm_mask=np.stack([s.comm_mask(cfg.horizon) for s in schedules], axis=1),
+        view_offset=np.arange(n * m, dtype=np.int64).reshape(n, m) * k,
+        total_offset=np.arange(n, dtype=np.int64)[:, None] * k,
     )
 
 
-def merge_views(state: WorldState) -> WorldState:
-    """Give every player the full global history and refresh the snapshots.
+def merge_views(state: WorldState, slots: slice = slice(None)) -> WorldState:
+    """Give every player of the given slots (all by default) the full global
+    history and refresh the snapshots.
 
     Idempotent; the caller is responsible for updating last_merge when this
     happens as part of a communication round.
     """
-    state.known_count[:] = state.total_count[:, None, :]
-    state.known_sum[:] = state.total_sum[:, None, :]
-    state.snapshot_count[:] = state.total_count[:, None, :]
+    known_count = state.known_count[slots]
+    known_count[...] = state.total_count[slots, None, :]
+    state.known_sum[slots] = state.total_sum[slots, None, :]
+    # after the merge the snapshot is the view: a plain copy, not a third broadcast
+    np.copyto(state.snapshot_count[slots], known_count)
     return state
 
 
@@ -142,16 +161,19 @@ def view_of(state: WorldState, rep_slot: int, player: int) -> PlayerView:
 
 
 def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
+    """The [R, M] uniforms of the next round, one per stream; the strategies of
+    a batch share them."""
     block = state._block
     if block is None or state._pos == block.shape[2]:
-        r_n, m, _ = state.known_count.shape
+        m = state.known_count.shape[1]
+        r_n = len(state.streams) // m
         length = int(_BLOCK_BYTES // (8 * r_n * m))
         length = min(max(64, min(4096, length)), rounds_left)
         block = np.empty((r_n, m, length))
         i = 0
         for r in range(r_n):
             for p in range(m):
-                block[r, p] = state.streams[i].random(length)
+                state.streams[i].random(out=block[r, p])
                 i += 1
         state._block = block
         state._pos = 0
@@ -163,6 +185,7 @@ def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
 def _check_claims(state: WorldState, n_prime: np.ndarray, cfg: RunConfig) -> None:
     m, alpha = cfg.players, cfg.policy.alpha
     t = state.t + 1
+    r_n = len(state.streams) // m
     bound = dklucb_scale(m, alpha) * state.known_count
     over = n_prime > bound + 1e-9
     if over.any():
@@ -170,7 +193,8 @@ def _check_claims(state: WorldState, n_prime: np.ndarray, cfg: RunConfig) -> Non
         raise InvariantViolation(
             f"count prediction exceeded its per-player bound at round {t}: "
             f"replication {state.replication_indices[r]}, player {p}, arm {a}, "
-            f"N' = {n_prime[r, p, a]} > {bound[r, p, a]}"
+            f"N' = {n_prime[r, p, a]} > {bound[r, p, a]}",
+            strategy=int(r) // r_n,
         )
     summed = n_prime.sum(axis=1)
     bound = m * state.total_count
@@ -180,7 +204,8 @@ def _check_claims(state: WorldState, n_prime: np.ndarray, cfg: RunConfig) -> Non
         raise InvariantViolation(
             f"summed count predictions exceeded M times the global count at round {t}: "
             f"replication {state.replication_indices[r]}, arm {a}, "
-            f"sum of N' = {summed[r, a]} > {bound[r, a]}"
+            f"sum of N' = {summed[r, a]} > {bound[r, a]}",
+            strategy=int(r) // r_n,
         )
 
 
@@ -189,49 +214,66 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
     if state.t >= cfg.horizon:
         raise ValueError(f"horizon {cfg.horizon} already reached")
     t = state.t + 1
-    r_n, m, k = state.known_count.shape
+    n, m, k = state.known_count.shape
+    r_n = len(state.streams) // m
     if t <= k:
         # some arm is still unsampled, identically across the batch: the
         # unpulled-arm rule forces arm t-1 for every player
-        actions = np.full((r_n, m), t - 1, dtype=np.int64)
+        actions = np.full((n, m), t - 1, dtype=np.int64)
     else:
-        total_known = (t - 1) + (m - 1) * state.last_merge
-        f = exploration_budget(cfg.policy, m, t, total_known)
+        if cfg.policy.exploration.variant == LN2T:
+            # evaluated at the round index, so one value serves every strategy
+            f = exploration_budget(cfg.policy, m, t, None)
+        else:
+            # the sample count a player holds depends on its strategy's merges
+            f = [
+                exploration_budget(cfg.policy, m, t, (t - 1) + (m - 1) * last)
+                for last in state.last_merge
+            ]
+            f = f[0] if len(f) == 1 else np.repeat(f, r_n)[:, None, None]
         actions, denom = select_batch(
             cfg.policy, m, f, state.known_count, state.known_sum, state.snapshot_count
         )
         if cfg.policy.rule == DKLUCB:
             _check_claims(state, denom, cfg)
     u = _next_uniforms(state, cfg.horizon - state.t)
-    rewards = u < state.means[actions]
+    # every strategy reads the same [R, M] uniforms
+    rewards = (u < state.means[actions].reshape(-1, r_n, m)).reshape(n, m)
     # players of one replication may pick the same arm, so the flat indices
     # into the totals can repeat: count them with bincount
     slot = state.total_offset + actions
-    state.total_count += np.bincount(slot.ravel(), minlength=r_n * k).reshape(r_n, k)
-    state.total_sum += np.bincount(slot[rewards], minlength=r_n * k).reshape(r_n, k)
+    state.total_count += np.bincount(slot.ravel(), minlength=n * k).reshape(n, k)
+    state.total_sum += np.bincount(slot[rewards], minlength=n * k).reshape(n, k)
     state.last_actions = actions
-    if state.comm_mask[t]:
+    merging = [s for s, on in enumerate(state.comm_mask[t].tolist()) if on]
+    if len(merging) == len(state.last_merge):
         merge_views(state)
-        state.last_merge = t
     else:
-        # each (replication, player) owns one [K] row, so these never repeat
+        # each (slot, player) owns one [K] row, so these never repeat
         slot = state.view_offset + actions
         state.known_count.reshape(-1)[slot] += 1
         state.known_sum.reshape(-1)[slot] += rewards
+        for s in merging:
+            merge_views(state, slice(s * r_n, (s + 1) * r_n))
+    for s in merging:
+        state.last_merge[s] = t
     state.t = t
     return state
 
 
-def _simulate(cfg: RunConfig, replication_indices, record_actions: bool = False):
-    """The round loop for one batch of replications: the int64 global counts
-    at cfg.checkpoints, [C, R, K], and the selected arms, [horizon, R, M] (None
-    without record_actions). init_state and step are called through the module
-    globals, so rebinding them (as timing shims do) reaches this loop."""
-    state = init_state(cfg, replication_indices)
-    r_n, m, k = state.known_count.shape
+def _simulate(cfgs, replication_indices, record_actions: bool = False):
+    """The round loop for one batch: the configs, equal but for their
+    schedules, are stacked strategy-major over the replications. Returns the
+    int64 global counts at the checkpoints, [C, S*R, K], and the selected
+    arms, [horizon, S*R, M] (None without record_actions). init_state and
+    step are called through the module globals, so rebinding them (as timing
+    shims do) reaches this loop."""
+    cfg = cfgs[0]
+    state = init_state(cfg, replication_indices, schedules=[c.schedule for c in cfgs])
+    n, m, k = state.known_count.shape
     cp_slot = {t: i for i, t in enumerate(cfg.checkpoints)}
-    counts = np.zeros((len(cfg.checkpoints), r_n, k), dtype=np.int64)
-    actions = np.zeros((cfg.horizon, r_n, m), np.int64) if record_actions else None
+    counts = np.zeros((len(cfg.checkpoints), n, k), dtype=np.int64)
+    actions = np.zeros((cfg.horizon, n, m), np.int64) if record_actions else None
     for t in range(1, cfg.horizon + 1):
         step(state, cfg)
         if actions is not None:
@@ -249,7 +291,7 @@ def run_once(cfg: RunConfig, replication_index: int, record_actions: bool = Fals
     shape (len(checkpoints), K); with record_actions also the (horizon, M)
     array of selected arms.
     """
-    counts, actions = _simulate(cfg, [replication_index], record_actions)
+    counts, actions = _simulate([cfg], [replication_index], record_actions)
     if record_actions:
         return counts[:, 0], actions[:, 0]
     return counts[:, 0]
@@ -298,9 +340,39 @@ def _aggregate(counts: np.ndarray, cfg: RunConfig) -> RunAggregate:
     )
 
 
+def run_strategies(cfgs) -> list[RunAggregate]:
+    """Aggregate cfg.replications independent runs of every config, in input
+    order.
+
+    Configs equal in every field but the schedule run as one batch, one round
+    loop for all of them on their shared streams; each aggregate is the one
+    the config gives alone. An exception raised by a batch carries the input
+    indices of its configs as `strategies`, or, for an InvariantViolation
+    that names one, the failing config's input index as `strategy`.
+    """
+    cfgs = list(cfgs)
+    batches: dict[RunConfig, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        batches.setdefault(replace(cfg, schedule=None), []).append(i)
+    aggregates = [None] * len(cfgs)
+    for members in batches.values():
+        r_n = cfgs[members[0]].replications
+        try:
+            counts = _simulate([cfgs[i] for i in members], range(r_n))[0]
+        except Exception as exc:
+            if isinstance(exc, InvariantViolation) and exc.strategy is not None:
+                exc.strategy = members[exc.strategy]
+            else:
+                exc.strategies = tuple(members)
+            raise
+        for s, i in enumerate(members):
+            aggregates[i] = _aggregate(counts[:, s * r_n : (s + 1) * r_n], cfgs[i])
+    return aggregates
+
+
 def run_monte_carlo(cfg: RunConfig) -> RunAggregate:
     """Aggregate cfg.replications independent runs of the configured process."""
-    return _aggregate(_simulate(cfg, range(cfg.replications))[0], cfg)
+    return run_strategies([cfg])[0]
 
 
 def regret(aggregate: RunAggregate, arm_model: BernoulliArmModel, t: int) -> float:

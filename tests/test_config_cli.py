@@ -382,16 +382,10 @@ class TestCliErrors:
         assert "error" in capsys.readouterr().err
 
     def test_runtime_error_names_the_failing_strategy(self, tmp_path, monkeypatch, capsys):
-        real = cli.run_monte_carlo
-        seen = []
+        def fail_on_second(run_cfgs):
+            raise InvariantViolation("count prediction exceeded its bound", strategy=1)
 
-        def fail_on_second(run_cfg):
-            seen.append(run_cfg)
-            if len(seen) == 2:
-                raise InvariantViolation("count prediction exceeded its bound")
-            return real(run_cfg)
-
-        monkeypatch.setattr("distbandit.cli.run_monte_carlo", fail_on_second)
+        monkeypatch.setattr("distbandit.cli.run_strategies", fail_on_second)
         code = main(["--config", write_config(tmp_path, SMALL), "--out", str(tmp_path)])
         assert code == 3
         assert capsys.readouterr().err == (
@@ -401,10 +395,10 @@ class TestCliErrors:
     def test_runtime_error_traceback_is_logged_at_debug(
         self, tmp_path, monkeypatch, caplog, capsys
     ):
-        def fail(run_cfg):
-            raise InvariantViolation("count prediction exceeded its bound")
+        def fail(run_cfgs):
+            raise InvariantViolation("count prediction exceeded its bound", strategy=0)
 
-        monkeypatch.setattr("distbandit.cli.run_monte_carlo", fail)
+        monkeypatch.setattr("distbandit.cli.run_strategies", fail)
         with caplog.at_level(logging.DEBUG, logger="distbandit.cli"):
             code = main(["--config", write_config(tmp_path, SMALL), "--out", str(tmp_path)])
         assert code == 3

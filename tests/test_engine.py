@@ -17,11 +17,13 @@ from distbandit.engine import (
     RunConfig,
     _aggregate,
     _check_claims,
+    _simulate,
     init_state,
     merge_views,
     regret,
     run_monte_carlo,
     run_once,
+    run_strategies,
     step,
     view_of,
 )
@@ -478,6 +480,142 @@ class TestClaims:
             "summed count predictions exceeded M times the global count at round 7: "
             f"replication 9, arm 1, sum of N' = {summed} > 0"
         )
+
+
+FUSED_SCHEDULES = (
+    CS.none(),
+    CS.full(),
+    CS.explicit([3, 17]),
+    CS.linear(5),
+    CS.double_exponential(2.0, 1.0),
+)
+
+
+class TestFusedStrategies:
+    """Configs that differ only in their schedule run as one strategy-major
+    batch on shared streams; each strategy's trajectory must be the one it
+    has alone."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            PolicySpec(UCB, ExplorationFunction.ln2t()),
+            PolicySpec(UCB, ExplorationFunction.standard()),
+            PolicySpec(KLUCB),
+            PolicySpec(DKLUCB, alpha=0.5),
+        ],
+        ids=["ucb-ln2t", "ucb-standard", "klucb", "dklucb"],
+    )
+    def test_each_strategy_equals_its_solo_run(self, policy):
+        r_n = 3
+        cfgs = [
+            make_cfg(
+                schedule=schedule,
+                policy=policy,
+                horizon=60,
+                checkpoints=(2, 17, 40, 60),
+                replications=r_n,
+            )
+            for schedule in FUSED_SCHEDULES
+        ]
+        fused = run_strategies(cfgs)
+        counts, actions = _simulate(cfgs, range(r_n), record_actions=True)
+        assert counts.shape == (4, len(cfgs) * r_n, 2)
+        for s, cfg in enumerate(cfgs):
+            solo = run_monte_carlo(cfg)
+            assert np.array_equal(fused[s].mean_counts, solo.mean_counts)
+            assert np.array_equal(fused[s].stderr, solo.stderr)
+            assert np.array_equal(fused[s].regret, solo.regret)
+            for r in range(r_n):
+                solo_counts, solo_actions = run_once(cfg, r, record_actions=True)
+                assert np.array_equal(counts[:, s * r_n + r], solo_counts)
+                assert np.array_equal(actions[:, s * r_n + r], solo_actions)
+
+    def test_configs_differing_beyond_the_schedule_run_apart_in_input_order(
+        self, monkeypatch
+    ):
+        from distbandit import engine
+
+        cfgs = [
+            make_cfg(schedule=CS.full(), policy=PolicySpec(DKLUCB, alpha=0.5), replications=2),
+            make_cfg(schedule=CS.none(), policy=PolicySpec(UCB), replications=2),
+            make_cfg(schedule=CS.linear(5), policy=PolicySpec(DKLUCB, alpha=0.25), replications=2),
+            make_cfg(schedule=CS.none(), policy=PolicySpec(DKLUCB, alpha=0.5), replications=2),
+        ]
+        batches = []
+        real = engine._simulate
+
+        def recording(batch, replication_indices, record_actions=False):
+            batches.append([cfgs.index(c) for c in batch])
+            return real(batch, replication_indices, record_actions)
+
+        monkeypatch.setattr(engine, "_simulate", recording)
+        aggregates = run_strategies(cfgs)
+        assert batches == [[0, 3], [1], [2]]
+        monkeypatch.undo()
+        for cfg, agg in zip(cfgs, aggregates):
+            solo = run_monte_carlo(cfg)
+            assert np.array_equal(agg.mean_counts, solo.mean_counts)
+            assert np.array_equal(agg.stderr, solo.stderr)
+        assert run_strategies([]) == []
+
+    def test_uniforms_are_drawn_once_for_all_strategies(self):
+        cfg = make_cfg(horizon=30, checkpoints=(30,), replications=2)
+        state = init_state(cfg, [5, 8], schedules=FUSED_SCHEDULES)
+        step(state, cfg)
+        assert len(state.streams) == 2 * cfg.players
+        assert state._block.shape == (2, cfg.players, 30)
+        assert state.known_count.shape == (len(FUSED_SCHEDULES) * 2, cfg.players, 2)
+        assert state.replication_indices == (5, 8) * len(FUSED_SCHEDULES)
+        assert state.comm_mask.shape == (31, len(FUSED_SCHEDULES))
+
+    def test_claim_breach_names_the_strategy_and_replication(self):
+        cfg = make_cfg(
+            players=2, policy=PolicySpec(DKLUCB, alpha=0.5),
+            horizon=10, checkpoints=(10,),
+        )
+        state = init_state(cfg, [4, 9], schedules=[CS.none(), CS.full(), CS.linear(3)])
+        for _ in range(6):
+            step(state, cfg)
+        doctored = state.known_count.astype(float)
+        doctored[2 * 2 + 1, 0, 1] *= 10.0  # strategy 2, replication 9
+        n, bound = doctored[5, 0, 1], 2 / 1.5 * state.known_count[5, 0, 1]
+        with pytest.raises(InvariantViolation) as err:
+            _check_claims(state, doctored, cfg)
+        assert err.value.strategy == 2
+        assert str(err.value) == (
+            "count prediction exceeded its per-player bound at round 7: "
+            f"replication 9, player 0, arm 1, N' = {n} > {bound}"
+        )
+        state.total_count[2] = 0  # strategy 1, replication 4
+        with pytest.raises(InvariantViolation, match="replication 4, arm 0") as err:
+            _check_claims(state, state.known_count.astype(float), cfg)
+        assert err.value.strategy == 1
+
+    def test_run_strategies_reports_the_failing_input_index(self, monkeypatch):
+        from distbandit import engine
+
+        dklucb = PolicySpec(DKLUCB, alpha=0.5)
+        cfgs = [
+            make_cfg(schedule=CS.none(), policy=PolicySpec(UCB)),
+            make_cfg(schedule=CS.full(), policy=dklucb),
+            make_cfg(schedule=CS.linear(5), policy=dklucb),
+        ]
+
+        def breach(state, n_prime, cfg):
+            raise InvariantViolation("breach", strategy=1)
+
+        def fail(state, cfg):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(engine, "_check_claims", breach)
+        with pytest.raises(InvariantViolation) as err:
+            run_strategies(cfgs)
+        assert err.value.strategy == 2  # the second of the batch [1, 2]
+        monkeypatch.setattr(engine, "step", fail)
+        with pytest.raises(MemoryError) as err:
+            run_strategies(cfgs)
+        assert err.value.strategies == (0,)
 
 
 class TestAggregation:
