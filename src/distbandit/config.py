@@ -30,12 +30,10 @@ import configparser
 import re
 from dataclasses import dataclass
 
-from .core import LN2T, STANDARD, BernoulliArmModel, ExplorationFunction
+from .core import LN2T, STANDARD, VARIANTS, BernoulliArmModel, ExplorationFunction
 from .engine import RunConfig
 from .policies import DKLUCB, RULES, UCB, PolicySpec
-from .schedule import CommunicationSchedule, parse_schedule
-
-_EXPLORATIONS = (STANDARD, LN2T)
+from .schedule import ONESHOT, CommunicationSchedule, parse_schedule
 
 _EXPERIMENT_KEYS = frozenset(
     {
@@ -53,17 +51,6 @@ _EXPERIMENT_KEYS = frozenset(
     }
 )
 _STRATEGY_KEYS = frozenset({"schedule"})
-
-_BOOLEANS = {
-    "1": True,
-    "yes": True,
-    "true": True,
-    "on": True,
-    "0": False,
-    "no": False,
-    "false": False,
-    "off": False,
-}
 
 
 class ConfigError(ValueError):
@@ -207,10 +194,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     exploration_name = exp.get("exploration", STANDARD)
     exploration = ExplorationFunction.standard()
-    if exploration_name not in _EXPLORATIONS:
+    if exploration_name not in VARIANTS:
         errors.append(
             f"[experiment] exploration: unknown variant {exploration_name!r}; "
-            f"expected one of {_EXPLORATIONS}"
+            f"expected one of {VARIANTS}"
         )
     elif exploration_name == LN2T:
         if policy == DKLUCB:
@@ -257,7 +244,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     bounds = False
     if "bounds" in exp:
-        flag = _BOOLEANS.get(exp["bounds"].strip().lower())
+        flag = parser.BOOLEAN_STATES.get(exp["bounds"].strip().lower())
         if flag is None:
             errors.append(f"[experiment] bounds: {exp['bounds']!r} is not a boolean")
         else:
@@ -294,7 +281,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if (
             policy == DKLUCB
             and alpha is None
-            and (schedule.density_is_estimate or schedule.kind == "oneshot")
+            and (schedule.density_is_estimate or schedule.kind == ONESHOT)
         ):
             errors.append(
                 f"[{section}]: dklucb needs an explicit [experiment] alpha for "

@@ -60,9 +60,8 @@ def d_inf_bernoulli(mu_a: float, mu_star: float) -> float:
 
 STANDARD = "standard"
 LN2T = "ln2t"
-DKLUCB = "dklucb"
 
-_VARIANTS = (STANDARD, LN2T, DKLUCB)
+VARIANTS = (STANDARD, LN2T)
 
 
 def dklucb_scale(m: int, alpha: float) -> float:
@@ -78,23 +77,17 @@ class ExplorationFunction:
       standard  F(t) = ln(t) + 3 ln(ln(t))
       ln2t      F(t) = ln(2t), a small-horizon approximation of `standard`
                 (evaluated at the round index; see engine)
-      dklucb    F(t) = M (ln(t) + 3 ln(ln(t))) / (1 + (M-1) alpha)
 
     Values are clamped below at 0 so indices stay well defined from the first
-    round, where ln(ln(t)) is negative or undefined.
+    round, where ln(ln(t)) is negative or undefined. This is the form only:
+    DKLUCB's scaling by the run's player count is policies.exploration_budget's.
     """
 
     variant: str
-    m: int = 1
-    alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown exploration variant {self.variant!r}")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
 
     @classmethod
     def standard(cls) -> "ExplorationFunction":
@@ -103,17 +96,6 @@ class ExplorationFunction:
     @classmethod
     def ln2t(cls) -> "ExplorationFunction":
         return cls(LN2T)
-
-    @classmethod
-    def dklucb(cls, m: int, alpha: float) -> "ExplorationFunction":
-        return cls(DKLUCB, m=m, alpha=alpha)
-
-    @property
-    def scale(self) -> float:
-        """Multiplier applied to the standard form (1 except for dklucb)."""
-        if self.variant == DKLUCB:
-            return dklucb_scale(self.m, self.alpha)
-        return 1.0
 
 
 def exploration_value(f: ExplorationFunction, t: int) -> float:
@@ -125,8 +107,7 @@ def exploration_value(f: ExplorationFunction, t: int) -> float:
     if t == 1:
         return 0.0
     log_t = math.log(t)
-    value = log_t + 3.0 * math.log(log_t)
-    return max(f.scale * value, 0.0)
+    return max(log_t + 3.0 * math.log(log_t), 0.0)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ DKLUCB count-prediction policy.
 
 The selection rule is written once, as select_batch over a [..., K] batch of
 sufficient statistics; the engine calls it on its whole (replication, player)
-batch and select_arm on one view. The independent reference the engine's
+batch and select_arm on one view. The exploration budget is written once too,
+as exploration_budget: core's exploration form, times DKLUCB's
+M / (1 + (M-1) alpha) for that rule. The independent reference the engine's
 traces are checked against is the scalar simulator in tests/oracle_sim.py.
 
 Inverting the Bernoulli KL divergence is the only nontrivial numerics. The
@@ -19,11 +21,10 @@ tolerance the indices are specified at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .core import LN2T, STANDARD, ExplorationFunction, exploration_value
+from .core import LN2T, STANDARD, ExplorationFunction, dklucb_scale, exploration_value
 
 UCB = "ucb"
 KLUCB = "klucb"
@@ -79,9 +80,10 @@ class PolicySpec:
     """Which index rule to run, with its exploration function.
 
     The dklucb rule scales the standard exploration form by
-    M / (1 + (M-1) alpha) internally, so its `exploration` field must be the
-    standard variant; pairing dklucb with ln2t is rejected rather than
-    silently ignored.
+    M / (1 + (M-1) alpha), with M the run's player count (see
+    exploration_budget), so its `exploration` field must be the standard
+    variant; pairing dklucb with ln2t is rejected rather than silently
+    ignored.
     """
 
     rule: str
@@ -239,28 +241,25 @@ def count_prediction(view: PlayerView, a: int, m: int, alpha: float) -> float:
     )
 
 
-@lru_cache(maxsize=16)
-def _dklucb_exploration(m: int, alpha: float) -> ExplorationFunction:
-    # built and validated once per (M, alpha) instead of every round
-    return ExplorationFunction.dklucb(m, alpha)
-
-
 def exploration_budget(
     spec: PolicySpec, m: int, t: int | None, total_known: int
 ) -> float:
-    """The exploration value f a player's indices use at round t.
+    """The exploration value f a player's indices use at round t of a run of
+    m players.
 
-    dklucb scales the standard form by M / (1 + (M-1) alpha); the ln2t variant
-    is evaluated at the round index t (required then); every other variant at
-    the player's total sample count.
+    The ln2t variant is evaluated at the round index t (required then), the
+    standard one at the player's total sample count. dklucb scales the
+    standard value by M / (1 + (M-1) alpha), with M = m and alpha =
+    spec.alpha; this is the only place that scale is applied.
     """
-    if spec.rule == DKLUCB:
-        return exploration_value(_dklucb_exploration(m, spec.alpha), total_known)
     if spec.exploration.variant == LN2T:
         if t is None:
             raise ValueError("ln2t exploration is evaluated at the round index")
         return exploration_value(spec.exploration, t)
-    return exploration_value(spec.exploration, total_known)
+    f = exploration_value(spec.exploration, total_known)
+    if spec.rule == DKLUCB:
+        return dklucb_scale(m, spec.alpha) * f
+    return f
 
 
 def select_batch(
@@ -288,10 +287,12 @@ def select_arm(
     """Pick the next arm for one player.
 
     Any arm with zero samples is served first, lowest index winning; otherwise
-    select_batch runs on this single view. The ln2t exploration variant is
-    evaluated at round_index (required then); the other variants use the
-    player's total sample count.
+    select_batch runs on this single view, for a run of m >= 1 players. The
+    ln2t exploration variant is evaluated at round_index (required then); the
+    standard one uses the player's total sample count.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     counts = view.known_count
     if counts.size == 0:
         raise ValueError("policy needs at least one arm")

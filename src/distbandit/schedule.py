@@ -24,6 +24,20 @@ EXPLICIT = "explicit"
 
 _KINDS = (NONE, FULL, ONESHOT, LINEAR, EXP, DOUBLEEXP, EXPLICIT)
 
+# Least growth q - 1 and eps of a grid. Generation loops over every grid
+# index up to the horizon: about ln(T) / ln(q) for exp, ln(ln(T) / ln(q)) / eps
+# for doubleexp. At this floor and T = 2^16 that takes seconds; far below it
+# 1 + eps rounds to 1 and the loop never ends.
+_MIN_GROWTH = 1e-6
+
+
+def _check_growth(name: str, value: float, base: float) -> None:
+    """Reject a non-finite grid parameter, or one below base + _MIN_GROWTH."""
+    if not (math.isfinite(value) and value >= base + _MIN_GROWTH):
+        raise ValueError(
+            f"{name} must be finite and >= {base + _MIN_GROWTH!r}, got {value!r}"
+        )
+
 
 @dataclass(frozen=True)
 class CommunicationSchedule:
@@ -60,16 +74,13 @@ class CommunicationSchedule:
 
     @classmethod
     def exponential(cls, q: float) -> "CommunicationSchedule":
-        if not q > 1.0:
-            raise ValueError(f"exponential grid base must be > 1, got {q!r}")
+        _check_growth("exponential grid base", q, 1.0)
         return cls(EXP, (float(q),))
 
     @classmethod
     def double_exponential(cls, q: float, eps: float) -> "CommunicationSchedule":
-        if not q > 1.0:
-            raise ValueError(f"double-exponential base must be > 1, got {q!r}")
-        if not eps > 0.0:
-            raise ValueError(f"double-exponential eps must be > 0, got {eps!r}")
+        _check_growth("double-exponential base", q, 1.0)
+        _check_growth("double-exponential eps", eps, 0.0)
         return cls(DOUBLEEXP, (float(q), float(eps)))
 
     @classmethod

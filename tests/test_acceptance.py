@@ -1,7 +1,7 @@
 """Acceptance gate: one test per acceptance criterion, at the stated tolerance.
 
 Criteria 1-2 share a module-scoped Monte Carlo run of the bundled preset at
-1000 replications (a few minutes); everything else is fast. Run with -v to get
+1000 replications (under a minute); everything else is fast. Run with -v to get
 one pass/fail line per criterion.
 """
 
@@ -30,6 +30,7 @@ from distbandit.engine import (
     merge_views,
     run_monte_carlo,
     run_once,
+    run_strategies,
     step,
 )
 from distbandit.policies import (
@@ -58,11 +59,9 @@ def preset_results():
     """Means/stderrs of the suboptimal arm's global count for all five preset
     strategies at 1000 replications (shared by criteria 1 and 2)."""
     cfg = figure1_preset(replications=1000)
-    out = {}
-    for name, run_cfg in experiment_runs(cfg):
-        agg = run_monte_carlo(run_cfg)
-        out[name] = agg
-    return cfg, out
+    runs = experiment_runs(cfg)
+    aggs = run_strategies([run_cfg for _, run_cfg in runs])
+    return cfg, {name: agg for (name, _), agg in zip(runs, aggs)}
 
 
 @pytest.mark.slow

@@ -366,6 +366,16 @@ class TestCliErrors:
         assert main(["--config", cfg, "--replications", "0"]) == 2
         assert main(["--config", cfg, "--seed", "-1"]) == 2
 
+    def test_ungenerable_grids_are_exit_2(self, tmp_path, capsys):
+        doc = SMALL.replace("schedule = full", "schedule = exp:inf")
+        doc = doc.replace("schedule = none", "schedule = doubleexp:2,inf")
+        doc = doc.replace("schedule = explicit:8,32", "schedule = doubleexp:2,1e-300")
+        assert main(["--config", write_config(tmp_path, doc), "--bounds"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        for line, section in zip(err, ("full", "quiet", "burst")):
+            assert line.startswith(f"config error: [strategy {section}] schedule:")
+
     def test_source_flags_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["--config", "x", "--preset", "figure1"])

@@ -124,47 +124,20 @@ class TestExplorationFunction:
         np.testing.assert_allclose(exploration_value(f, 8), LN_16, rtol=1e-13)
         np.testing.assert_allclose(exploration_value(f, 1), math.log(2), rtol=1e-15)
 
-    def test_dklucb_scale(self):
-        base = ExplorationFunction.standard()
-        collapsed = ExplorationFunction.dklucb(2, 1.0)
-        doubled = ExplorationFunction.dklucb(2, 0.0)
-        for t in (3, 10, 100, 5000):
-            np.testing.assert_allclose(
-                exploration_value(collapsed, t), exploration_value(base, t), rtol=1e-15
-            )
-            np.testing.assert_allclose(
-                exploration_value(doubled, t), 2 * exploration_value(base, t), rtol=1e-15
-            )
-
-    @given(t=st.integers(min_value=1, max_value=10**6), alpha=st.floats(0.0, 1.0))
-    def test_single_player_collapses_to_standard(self, t, alpha):
-        f = ExplorationFunction.dklucb(1, alpha)
-        assert exploration_value(f, t) == exploration_value(
-            ExplorationFunction.standard(), t
-        )
-
     def test_nondecreasing_from_three(self):
-        for f in (
-            ExplorationFunction.standard(),
-            ExplorationFunction.ln2t(),
-            ExplorationFunction.dklucb(3, 0.25),
-        ):
+        for f in (ExplorationFunction.standard(), ExplorationFunction.ln2t()):
             values = [exploration_value(f, t) for t in range(3, 3000)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_nonnegative_everywhere(self):
-        for f in (ExplorationFunction.standard(), ExplorationFunction.dklucb(4, 0.5)):
-            assert all(exploration_value(f, t) >= 0.0 for t in range(1, 50))
+        f = ExplorationFunction.standard()
+        assert all(exploration_value(f, t) >= 0.0 for t in range(1, 50))
 
     def test_domain_and_construction_errors(self):
         with pytest.raises(ValueError):
             exploration_value(ExplorationFunction.standard(), 0)
         with pytest.raises(ValueError):
             ExplorationFunction("wild")
-        with pytest.raises(ValueError):
-            ExplorationFunction.dklucb(0, 0.5)
-        with pytest.raises(ValueError):
-            ExplorationFunction.dklucb(2, 1.5)
 
 
 class TestBernoulliArmModel:

@@ -19,6 +19,7 @@ from distbandit.policies import (
     PolicySpec,
     _klucb_bisect,
     count_prediction,
+    exploration_budget,
     klucb_index,
     klucb_index_batch,
     klucb_lower_batch,
@@ -262,6 +263,42 @@ class TestCountPrediction:
         assert count_prediction(merged, 0, 2, tiny) == 18.0  # local (4) wins
 
 
+class TestExplorationBudget:
+    """DKLUCB's budget: the standard form at the player's sample count, scaled
+    by M / (1 + (M-1) alpha) with M the run's player count."""
+
+    def test_dklucb_scale(self):
+        for t in (3, 10, 100, 5000):
+            base = exploration_budget(PolicySpec(KLUCB), 2, None, t)
+            collapsed = exploration_budget(PolicySpec(DKLUCB, alpha=1.0), 2, None, t)
+            doubled = exploration_budget(PolicySpec(DKLUCB, alpha=0.0), 2, None, t)
+            np.testing.assert_allclose(collapsed, base, rtol=1e-15)
+            np.testing.assert_allclose(doubled, 2 * base, rtol=1e-15)
+
+    @given(t=st.integers(min_value=1, max_value=10**6), alpha=st.floats(0.0, 1.0))
+    def test_single_player_collapses_to_standard(self, t, alpha):
+        assert exploration_budget(
+            PolicySpec(DKLUCB, alpha=alpha), 1, None, t
+        ) == exploration_value(ExplorationFunction.standard(), t)
+
+    def test_dklucb_nondecreasing_from_three_and_nonnegative(self):
+        spec = PolicySpec(DKLUCB, alpha=0.25)
+        values = [exploration_budget(spec, 3, None, t) for t in range(3, 3000)]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        spec = PolicySpec(DKLUCB, alpha=0.5)
+        assert all(exploration_budget(spec, 4, None, t) >= 0.0 for t in range(1, 50))
+
+    def test_klucb_is_never_scaled(self):
+        # the scale comes from the rule alone: the exploration form has no
+        # player count or alpha of its own
+        with pytest.raises(ValueError):
+            ExplorationFunction(DKLUCB)
+        for m in (1, 2, 4):
+            assert exploration_budget(PolicySpec(KLUCB), m, None, 100) == (
+                exploration_value(ExplorationFunction.standard(), 100)
+            )
+
+
 class TestSelectArm:
     def test_unpulled_rule(self):
         v = view([0, 0, 0], [0, 0, 0])
@@ -284,6 +321,12 @@ class TestSelectArm:
         with pytest.raises(ValueError):
             select_arm(v, spec, 1)
         assert select_arm(v, spec, 1, round_index=3) in (0, 1)
+
+    def test_needs_a_player(self):
+        v = view([3, 3], [2, 1])
+        for spec in (PolicySpec(UCB), PolicySpec(KLUCB), PolicySpec(DKLUCB, alpha=0.5)):
+            with pytest.raises(ValueError):
+                select_arm(v, spec, 0, round_index=7)
 
     def test_empty_arm_set_rejected(self):
         v = view([], [])

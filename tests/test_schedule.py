@@ -260,3 +260,40 @@ class TestGrammar:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_schedule(text)
+
+
+class TestGridParameterFloor:
+    """A grid whose points cannot be generated is rejected when it is built:
+    non-finite parameters, and growth q - 1 or eps below 1e-6."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "exp:inf",  # overflows when the grid is generated
+            "exp:nan",
+            "exp:1.0000001",
+            "doubleexp:inf,1",  # never communicates, density 0.5
+            "doubleexp:2,inf",  # never communicates, density 0
+            "doubleexp:2,nan",
+            "doubleexp:2,1e-300",  # 1 + eps == 1: generation never ends
+            "doubleexp:2,1e-7",
+            "doubleexp:1.0000001,1",
+        ],
+    )
+    def test_rejected(self, text):
+        with pytest.raises(ValueError, match="finite and >="):
+            parse_schedule(text)
+
+    def test_constructors_reject(self):
+        with pytest.raises(ValueError):
+            S.exponential(math.inf)
+        with pytest.raises(ValueError):
+            S.double_exponential(2.0, -math.inf)
+        with pytest.raises(ValueError):
+            S.double_exponential(math.nan, 1.0)
+
+    def test_floor_is_accepted(self):
+        assert parse_schedule("exp:1.000001") == S.exponential(1.000001)
+        assert S.double_exponential(2.0, 1e-6).density() == 1.0 / (1.0 + 1e-6)
+        # round(q^(2^k)) for k >= 1, deduplicated
+        assert S.double_exponential(1.000001, 1.0).elements_up_to(64) == [1, 2, 3, 8]
