@@ -58,39 +58,61 @@ TRAJECTORY_SHA256 = {
     "dklucb-0.5": "cfc36a48c3160d2d19f4c577eb3de2db7c05b190cae267b40c47d30de920507f",
 }
 
+# sha256 as above over M in {1, 3} and K in {2, 10}, for full alone and for
+# full fused with linear:1: every strategy of the batch merges on every round,
+# which the fused grid above never does
+MERGING_SCHEDULES = ((CS.full(),), (CS.full(), CS.linear(1)))
+MERGING_SHA256 = {
+    "ucb-ln2t": "bfc3174578d8d5662a59936c80635e2494d4bd8a9d6ed07f1143019ccfd22045",
+    "ucb-standard": "de9b050dcda2b451ed86631d7fa413bad944772f9ce708b56680dc6125b6b9f3",
+    "klucb": "2e9213a6f2a48932bc0996f013e51f07444861f8253f5856ef8919f1ec4a9920",
+    "dklucb-0": "67446470e65624338dc72a702a108517083c8d5554122224eb19a551b06786ea",
+    "dklucb-0.5": "1eb4b99762caeae679efa478293b8750013e82ef870e14e37baead7f95fb6b1d",
+}
+
 FIGURE1_COMBINED_SHA256 = (
     "cf81a8c8438fe995187de6d20232ef2a5a72277138d4bd012a5481b084d158e4"
 )
 
 
-def _policy_digest(policy):
+def _policy_digest(policy, arm_sets=MEANS, groups=(SCHEDULES,)):
+    """sha256 over (M, arm set, group of fused schedules) in grid order."""
     digest = hashlib.sha256()
     for players in (1, 3):
-        for means in MEANS:
-            cfgs = [
-                RunConfig(
-                    arm_model=BernoulliArmModel(means),
-                    players=players,
-                    horizon=HORIZON,
-                    schedule=schedule,
-                    policy=policy,
-                    seed=7,
-                    checkpoints=CHECKPOINTS,
-                    replications=REPLICATIONS,
-                )
-                for schedule in SCHEDULES
-            ]
-            for agg in run_strategies(cfgs):
-                # the means are exact quarters of int64 totals
-                totals = agg.mean_counts * REPLICATIONS
-                assert np.array_equal(totals, np.round(totals))
-                digest.update(totals.astype("<i8").tobytes())
+        for means in arm_sets:
+            for schedules in groups:
+                cfgs = [
+                    RunConfig(
+                        arm_model=BernoulliArmModel(means),
+                        players=players,
+                        horizon=HORIZON,
+                        schedule=schedule,
+                        policy=policy,
+                        seed=7,
+                        checkpoints=CHECKPOINTS,
+                        replications=REPLICATIONS,
+                    )
+                    for schedule in schedules
+                ]
+                for agg in run_strategies(cfgs):
+                    # the means are exact quarters of int64 totals
+                    totals = agg.mean_counts * REPLICATIONS
+                    assert np.array_equal(totals, np.round(totals))
+                    digest.update(totals.astype("<i8").tobytes())
     return digest.hexdigest()
 
 
 def test_trajectory_checksums():
     got = {name: _policy_digest(policy) for name, policy in POLICIES.items()}
     assert got == TRAJECTORY_SHA256
+
+
+def test_merge_every_round_checksums():
+    got = {
+        name: _policy_digest(policy, (MEANS[0], MEANS[2]), MERGING_SCHEDULES)
+        for name, policy in POLICIES.items()
+    }
+    assert got == MERGING_SHA256
 
 
 def test_figure1_combined_csv_checksum(tmp_path):
