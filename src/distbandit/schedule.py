@@ -24,10 +24,11 @@ EXPLICIT = "explicit"
 
 _KINDS = (NONE, FULL, ONESHOT, LINEAR, EXP, DOUBLEEXP, EXPLICIT)
 
-# Least growth q - 1 and eps of a grid. Generation loops over every grid
-# index up to the horizon: about ln(T) / ln(q) for exp, ln(ln(T) / ln(q)) / eps
-# for doubleexp. At this floor and T = 2^16 that takes seconds; far below it
-# 1 + eps rounds to 1 and the loop never ends.
+# Least growth q - 1 and eps of a grid. exp generation loops over every grid
+# index up to the horizon, about ln(T) / ln(q) of them, which takes seconds at
+# this floor and T = 2^16; doubleexp skips the indices that round to a point
+# it already has. Far below the floor 1 + eps rounds to 1 and the loop never
+# ends.
 _MIN_GROWTH = 1e-6
 
 
@@ -123,15 +124,21 @@ class CommunicationSchedule:
                 k += 1
         else:  # DOUBLEEXP: points q**((1+eps)**k) for k >= 1
             q, eps = self.params
+            base, log_q = 1.0 + eps, math.log(q)
             k = 1
             log_n = math.log(n + 0.5)
             while True:
-                e = (1.0 + eps) ** k
-                if e * math.log(q) > log_n:
+                e = base**k
+                if e * log_q > log_n:
                     break
                 v = math.floor(q**e + 0.5)
                 if v <= n and (not out or v > out[-1]):
                     out.append(v)
+                    # the points never decrease, and none rounds above v
+                    # before q**e reaches v + 0.5: skip to one index short of
+                    # that, a margin far above the logs' rounding error
+                    x = math.log(math.log(v + 0.5) / log_q) / math.log(base)
+                    k = max(k, math.floor(x) - 1)
                 k += 1
         return out
 

@@ -119,10 +119,49 @@ class TestCountingFunction:
             assert s.counting_function(elem) == rank
 
 
+def _double_exponential_per_index(q, eps, n):
+    """The doubleexp grid generated one index k at a time, the reference for
+    the generator, which skips the indices that add no point."""
+    out = []
+    k = 1
+    log_n = math.log(n + 0.5)
+    while True:
+        e = (1.0 + eps) ** k
+        if e * math.log(q) > log_n:
+            break
+        v = math.floor(q**e + 0.5)
+        if v <= n and (not out or v > out[-1]):
+            out.append(v)
+        k += 1
+    return out
+
+
+def _per_index_steps(q, eps, n):
+    """About how many indices the reference loop visits."""
+    return max(0.0, math.log(math.log(n + 0.5) / math.log(q))) / math.log1p(eps)
+
+
 class TestGridGeneration:
     def test_double_exponential_elements(self):
         s = S.double_exponential(2.0, 1.0)
         assert s.elements_up_to(10**6) == [4, 16, 256, 65536]
+
+    def test_double_exponential_equals_per_index_loop(self):
+        # q and eps each at the 1e-6 floor; pairs whose reference loop would
+        # visit over 2e5 indices are left out (both floors at once take ~1e7)
+        floor = 1.0 + 1e-6
+        cases = [
+            (q, eps, n)
+            for q in (floor, 1.001, 1.5, 2.0, 10.0, 1000.0)
+            for eps in (1e-6, 1e-3, 0.1, 1.0, 3.0)
+            for n in (1, 2, 3, 10, 100, 1001, 4097, 2**16)
+            if _per_index_steps(q, eps, n) <= 2e5
+        ]
+        assert any(q == floor for q, _, _ in cases)
+        assert any(eps == 1e-6 and n > 1000 for _, eps, n in cases)
+        for q, eps, n in cases:
+            got = S.double_exponential(q, eps).elements_up_to(n)
+            assert got == _double_exponential_per_index(q, eps, n), (q, eps, n)
 
     def test_exponential_rounds_and_dedupes(self):
         s = S.exponential(1.5)
