@@ -19,16 +19,25 @@ replication order and of how replications are batched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .core import LN2T, BernoulliArmModel, dklucb_scale
-from .policies import DKLUCB, PlayerView, PolicySpec, exploration_budget, select_batch
+from .policies import (
+    DKLUCB,
+    PlayerView,
+    PolicySpec,
+    SelectionBuffers,
+    exploration_budget,
+    select_batch,
+)
 from .schedule import CommunicationSchedule
 
 # uniform prefetch budget per block (128 MiB); a block also ends at the horizon
 _BLOCK_BYTES = 1 << 27
+# rounds of the block copied out replications-innermost at a time
+_CHUNK_ROUNDS = 16
 
 
 class InvariantViolation(RuntimeError):
@@ -70,6 +79,12 @@ class RunConfig:
             raise ValueError("replications must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if self.horizon * self.players >= 2**53:
+            # a view holds up to horizon * players samples, in float64
+            raise ValueError(
+                "horizon * players must be below 2**53, where float64 view counts "
+                f"stop being exact; got horizon={self.horizon}, players={self.players}"
+            )
         cps = tuple(int(t) for t in self.checkpoints)
         if not cps:
             cps = _default_checkpoints(self.horizon)
@@ -81,29 +96,89 @@ class RunConfig:
 
 
 @dataclass
+class _RoundBuffers:
+    """Arrays and views step reuses every round, allocated once per batch."""
+
+    select: tuple  # select_batch's (counts, sums, snapshots, out) for every player, and for player 0
+    p: np.ndarray  # float64 [M, S*R]; the means of the selected arms
+    p3: np.ndarray  # p as [M, S, R]
+    rewards: np.ndarray  # bool [M, S*R]
+    rewards3: np.ndarray  # rewards as [M, S, R]
+    pulled: np.ndarray  # bool [2, K, M, S*R]; [0]: (player, slot) pulled arm a, [1]: and won
+    rows: tuple  # per player, its [2, K, S*R] rows of pulled
+    arm_ids: np.ndarray  # int64 [K, 1, 1]
+    slot_ids: np.ndarray  # int64 [S*R]
+    flat: np.ndarray  # int64 [S*R]
+    winners: np.ndarray  # int64 [S*R]
+
+
+@dataclass
 class WorldState:
-    """Mutable per-batch simulation state; axis order is (slot, player, arm).
+    """Mutable per-batch simulation state.
 
     Slot s*R + r runs replication r of strategy s; a single-strategy batch
-    (S = 1) has one slot per replication.
+    (S = 1) has one slot per replication. The arrays are stored arm-major,
+    with the slot axis last and contiguous, so every per-arm operation runs
+    over one long contiguous row. known_count, known_sum, snapshot_count,
+    total_count, total_sum and last_actions present them in (slot, player,
+    arm) order as transposed or broadcast views.
+
+    The view counts and sums are float64, exact because RunConfig keeps
+    horizon * players below 2**53; the global totals are int64. A merge of
+    the whole batch writes player 0's view only and marks the others stale;
+    they are copied from it when they are next read or updated.
     """
 
     t: int
-    known_count: np.ndarray  # int64 [S*R, M, K]
-    known_sum: np.ndarray  # int64 [S*R, M, K]
-    snapshot_count: np.ndarray  # int64 [S*R, M, K]
-    total_count: np.ndarray  # int64 [S*R, K]
-    total_sum: np.ndarray  # int64 [S*R, K]
+    views: np.ndarray  # float64 [2, K, M, S*R]; [0]: the view counts, [1]: their reward sums
+    snapshot: np.ndarray  # float64 [K, S*R]; the same for every player of a slot
+    totals: np.ndarray  # int64 [2, K, S*R]; [0]: the global counts, [1]: their reward sums
+    arms: np.ndarray  # int64 [M, S*R]; the arms selected in round t
     last_merge: list[int]  # [S]; each strategy's last communication round (0: none yet)
     streams: list  # R*M, shared by the strategies
     means: np.ndarray  # float64 [K]
     replication_indices: tuple[int, ...]  # the replication each slot runs
     comm_mask: np.ndarray  # bool [horizon+1, S]; [t, s]: does strategy s communicate at round t
-    view_offset: np.ndarray  # int64 [S*R, M]; (slot*M + p)*K, view (slot, p)'s arm 0 in the flat views
-    total_offset: np.ndarray  # int64 [S*R, 1]; slot*K, the slot's arm 0 in the flat totals
-    last_actions: np.ndarray | None = None
-    _block: np.ndarray | None = field(default=None, repr=False)
+    merge_all: list[bool]  # [horizon+1]; does every strategy communicate at round t
+    _buf: _RoundBuffers | None = field(default=None, repr=False)
+    _stale: bool = False  # players 1.. of every slot are to hold player 0's view
+    _block: np.ndarray | None = field(default=None, repr=False)  # float64 [R, M, L]
+    _chunk: np.ndarray | None = field(default=None, repr=False)  # float64 [_CHUNK_ROUNDS, M, R]
     _pos: int = 0
+
+    def _sync_views(self) -> None:
+        if self._stale:
+            np.copyto(self.views[:, :, 1:], self.views[:, :, :1])
+            self._stale = False
+
+    @property
+    def known_count(self) -> np.ndarray:
+        self._sync_views()
+        return self.views[0].T
+
+    @property
+    def known_sum(self) -> np.ndarray:
+        self._sync_views()
+        return self.views[1].T
+
+    @property
+    def snapshot_count(self) -> np.ndarray:
+        _, k, m, n = self.views.shape
+        return np.broadcast_to(self.snapshot.T[:, None, :], (n, m, k))
+
+    @property
+    def total_count(self) -> np.ndarray:
+        return self.totals[0].T
+
+    @property
+    def total_sum(self) -> np.ndarray:
+        return self.totals[1].T
+
+    @property
+    def last_actions(self) -> np.ndarray | None:
+        """The [S*R, M] arms of the last round (None before round 1); a view
+        that the next step overwrites."""
+        return self.arms.T if self.t else None
 
 
 def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldState:
@@ -119,20 +194,48 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
         for rep in reps
         for p in range(m)
     ]
+    comm_mask = np.stack([s.comm_mask(cfg.horizon) for s in schedules], axis=1)
+    views = np.zeros((2, k, m, n))
+    snapshot = np.zeros((k, n))
+    out = SelectionBuffers.arm_major((n, m, k))
+    select = tuple(
+        (
+            views[0, :, :p_n].T,
+            views[1, :, :p_n].T,
+            snapshot.T[:, None, :],
+            SelectionBuffers(*(getattr(out, f.name)[:, :p_n] for f in fields(out))),
+        )
+        for p_n in (m, 1)
+    )
+    p = np.empty((m, n))
+    rewards = np.empty((m, n), dtype=bool)
+    pulled = np.empty((2, k, m, n), dtype=bool)
+    buf = _RoundBuffers(
+        select=select,
+        p=p,
+        p3=p.reshape(m, len(schedules), len(reps)),
+        rewards=rewards,
+        rewards3=rewards.reshape(m, len(schedules), len(reps)),
+        pulled=pulled,
+        rows=tuple(pulled[:, :, i] for i in range(m)),
+        arm_ids=np.arange(k)[:, None, None],
+        slot_ids=np.arange(n),
+        flat=np.empty(n, dtype=np.int64),
+        winners=np.empty(n, dtype=np.int64),
+    )
     return WorldState(
         t=0,
-        known_count=np.zeros((n, m, k), dtype=np.int64),
-        known_sum=np.zeros((n, m, k), dtype=np.int64),
-        snapshot_count=np.zeros((n, m, k), dtype=np.int64),
-        total_count=np.zeros((n, k), dtype=np.int64),
-        total_sum=np.zeros((n, k), dtype=np.int64),
+        views=views,
+        snapshot=snapshot,
+        totals=np.zeros((2, k, n), dtype=np.int64),
+        arms=out.arm.T,
         last_merge=[0] * len(schedules),
         streams=streams,
         means=np.asarray(cfg.arm_model.means, dtype=np.float64),
         replication_indices=tuple(reps) * len(schedules),
-        comm_mask=np.stack([s.comm_mask(cfg.horizon) for s in schedules], axis=1),
-        view_offset=np.arange(n * m, dtype=np.int64).reshape(n, m) * k,
-        total_offset=np.arange(n, dtype=np.int64)[:, None] * k,
+        comm_mask=comm_mask,
+        merge_all=comm_mask.all(axis=1).tolist(),
+        _buf=buf,
     )
 
 
@@ -143,11 +246,12 @@ def merge_views(state: WorldState, slots: slice = slice(None)) -> WorldState:
     Idempotent; the caller is responsible for updating last_merge when this
     happens as part of a communication round.
     """
-    known_count = state.known_count[slots]
-    known_count[...] = state.total_count[slots, None, :]
-    state.known_sum[slots] = state.total_sum[slots, None, :]
-    # after the merge the snapshot is the view: a plain copy, not a third broadcast
-    np.copyto(state.snapshot_count[slots], known_count)
+    # a whole-batch merge writes player 0's view and leaves the rest stale
+    whole = slots == slice(None)
+    players = slice(0, 1) if whole else slice(None)
+    np.copyto(state.views[:, :, players, slots], state.totals[:, :, None, slots])
+    np.copyto(state.snapshot[:, slots], state.totals[0, :, slots])
+    state._stale |= whole
     return state
 
 
@@ -161,11 +265,11 @@ def view_of(state: WorldState, rep_slot: int, player: int) -> PlayerView:
 
 
 def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
-    """The [R, M] uniforms of the next round, one per stream; the strategies of
-    a batch share them."""
+    """The [M, R] uniforms of the next round, one per stream; the strategies of
+    a batch share them. The streams fill the [R, M, L] block row by row."""
     block = state._block
     if block is None or state._pos == block.shape[2]:
-        m = state.known_count.shape[1]
+        m = state.views.shape[2]
         r_n = len(state.streams) // m
         length = int(_BLOCK_BYTES // (8 * r_n * m))
         length = min(max(64, min(4096, length)), rounds_left)
@@ -177,9 +281,17 @@ def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
                 i += 1
         state._block = block
         state._pos = 0
-    u = block[:, :, state._pos]
+    pos = state._pos
+    i = pos % _CHUNK_ROUNDS
+    if i == 0:
+        # one copy reads a run of rounds from every stream's row, where a
+        # round at a time would read one uniform per row
+        if state._chunk is None:
+            state._chunk = np.empty((_CHUNK_ROUNDS,) + block.shape[1::-1])
+        rounds = block[:, :, pos : pos + _CHUNK_ROUNDS]
+        np.copyto(state._chunk[: rounds.shape[2]].T, rounds)
     state._pos += 1
-    return u
+    return state._chunk[i]
 
 
 def _check_claims(state: WorldState, n_prime: np.ndarray, cfg: RunConfig) -> None:
@@ -214,12 +326,16 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
     if state.t >= cfg.horizon:
         raise ValueError(f"horizon {cfg.horizon} already reached")
     t = state.t + 1
-    n, m, k = state.known_count.shape
+    _, k, m, n = state.views.shape
     r_n = len(state.streams) // m
+    arms, buf = state.arms, state._buf
+    # after a merge of the whole batch the players of a slot hold the same
+    # view, snapshot and f, hence the same indices: player 0 selects for all
+    shared = state.merge_all[t - 1]
     if t <= k:
         # some arm is still unsampled, identically across the batch: the
         # unpulled-arm rule forces arm t-1 for every player
-        actions = np.full((n, m), t - 1, dtype=np.int64)
+        arms.fill(t - 1)
     else:
         if cfg.policy.exploration.variant == LN2T:
             # evaluated at the round index, so one value serves every strategy
@@ -231,28 +347,38 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
                 for last in state.last_merge
             ]
             f = f[0] if len(f) == 1 else np.repeat(f, r_n)[:, None, None]
-        actions, denom = select_batch(
-            cfg.policy, m, f, state.known_count, state.known_sum, state.snapshot_count
-        )
+        if not shared:
+            state._sync_views()
+        count, total, snap, out = buf.select[shared]
+        _, denom = select_batch(cfg.policy, m, f, count, total, snap, out=out)
+        if shared and m > 1:
+            arms[1:] = arms[0]
         if cfg.policy.rule == DKLUCB:
-            _check_claims(state, denom, cfg)
+            _check_claims(state, np.broadcast_to(denom, (n, m, k)) if shared else denom, cfg)
     u = _next_uniforms(state, cfg.horizon - state.t)
-    # every strategy reads the same [R, M] uniforms
-    rewards = (u < state.means[actions].reshape(-1, r_n, m)).reshape(n, m)
-    # players of one replication may pick the same arm, so the flat indices
-    # into the totals can repeat: count them with bincount
-    slot = state.total_offset + actions
-    state.total_count += np.bincount(slot.ravel(), minlength=n * k).reshape(n, k)
-    state.total_sum += np.bincount(slot[rewards], minlength=n * k).reshape(n, k)
-    state.last_actions = actions
+    # every strategy reads the same [M, R] uniforms
+    state.means.take(arms, out=buf.p, mode="clip")
+    np.less(u[:, None, :], buf.p3, out=buf.rewards3)
     merging = [s for s, on in enumerate(state.comm_mask[t].tolist()) if on]
-    if len(merging) == len(state.last_merge):
+    if shared and state.merge_all[t]:
+        # the players of a slot pulled its one arm and the views are about to
+        # be overwritten: add the slot's M pulls and its winners at once
+        np.multiply(arms[0], n, out=buf.flat)
+        buf.flat += buf.slot_ids
+        np.add.reduce(buf.rewards, axis=0, out=buf.winners)
+        state.totals[0].reshape(-1)[buf.flat] += m
+        state.totals[1].reshape(-1)[buf.flat] += buf.winners
+    else:
+        np.equal(arms, buf.arm_ids, out=buf.pulled[0])
+        np.logical_and(buf.pulled[0], buf.rewards, out=buf.pulled[1])
+        # players of one slot may pick the same arm: add one player at a time
+        for row in buf.rows:
+            state.totals += row
+    if state.merge_all[t]:
         merge_views(state)
     else:
-        # each (slot, player) owns one [K] row, so these never repeat
-        slot = state.view_offset + actions
-        state.known_count.reshape(-1)[slot] += 1
-        state.known_sum.reshape(-1)[slot] += rewards
+        state._sync_views()
+        state.views += buf.pulled
         for s in merging:
             merge_views(state, slice(s * r_n, (s + 1) * r_n))
     for s in merging:

@@ -2,8 +2,8 @@
 DKLUCB count-prediction policy.
 
 The selection rule is written once, as select_batch over a [..., K] batch of
-sufficient statistics; the engine calls it on its whole (replication, player)
-batch and select_arm on one view. The exploration budget is written once too,
+sufficient statistics; the engine calls it on its (slot, player) batch, held
+arm-major and seen through transposed views, and select_arm on one view. The exploration budget is written once too,
 as exploration_budget: core's exploration form, times DKLUCB's
 M / (1 + (M-1) alpha) for that rule. The independent reference the engine's
 traces are checked against is the scalar simulator in tests/oracle_sim.py.
@@ -182,9 +182,13 @@ def klucb_lower_batch(mu_hat, budget) -> np.ndarray:
     return _klucb_bisect(p, b, upper=False)
 
 
-def ucb_index_batch(mu_hat, counts, f_value) -> np.ndarray:
-    """Elementwise mu_hat + sqrt(f_value / (2 counts)) over arrays or scalars."""
-    return mu_hat + np.sqrt(f_value / (2.0 * counts))
+def ucb_index_batch(mu_hat, counts, f_value, out=None) -> np.ndarray:
+    """Elementwise mu_hat + sqrt(f_value / (2 counts)) over arrays or scalars,
+    written into out when it is given."""
+    bonus = np.multiply(2.0, counts, out=out)
+    bonus = np.divide(f_value, bonus, out=out)
+    bonus = np.sqrt(bonus, out=out)
+    return np.add(mu_hat, bonus, out=out)
 
 
 def count_prediction_batch(known_count, snapshot_count, m: int, alpha: float) -> np.ndarray:
@@ -262,23 +266,90 @@ def exploration_budget(
     return f
 
 
+@dataclass(frozen=True)
+class SelectionBuffers:
+    """The arrays select_batch writes into for one [..., K] batch: the
+    empirical means and indices [..., K], and the running maximum, the arm
+    and a scratch row [...]. Any memory order works; the arm scan reads
+    one [...] slice per arm, so it is fastest with the arm axis outermost."""
+
+    mean: np.ndarray  # float64
+    index: np.ndarray  # float64
+    best: np.ndarray  # float64
+    arm: np.ndarray  # int64
+    scratch: np.ndarray  # int64
+
+    @classmethod
+    def arm_major(cls, shape) -> SelectionBuffers:
+        """Buffers for a batch of this [..., K] shape, stored in reversed axis
+        order (arm outermost, the first batch axis innermost); each field is
+        the transposed view, so it indexes in [..., K] order."""
+        rev = tuple(reversed(shape))
+        return cls(
+            mean=np.empty(rev).T,
+            index=np.empty(rev).T,
+            best=np.empty(rev[1:]).T,
+            arm=np.zeros(rev[1:], dtype=np.int64).T,
+            scratch=np.empty(rev[1:], dtype=np.int64).T,
+        )
+
+
+def _first_argmax(index: np.ndarray, out: SelectionBuffers) -> np.ndarray:
+    """The scan select_batch documents, over the last axis, into out.arm;
+    branch-free: the arm only grows, so max(arm, a * beats) selects it."""
+    k = index.shape[-1]
+    arm = out.arm
+    if k == 1:
+        arm.fill(0)
+        return arm
+    np.greater(index[..., 1], index[..., 0], out=arm)
+    if k > 2:
+        best, beats = out.best, out.scratch
+        np.maximum(index[..., 0], index[..., 1], out=best)
+        for a in range(2, k):
+            np.greater(index[..., a], best, out=beats)
+            np.multiply(beats, a, out=beats)
+            np.maximum(arm, beats, out=arm)
+            if a < k - 1:
+                np.maximum(best, index[..., a], out=best)
+    return arm
+
+
 def select_batch(
-    spec: PolicySpec, m: int, f: float, known_count, known_sum, snapshot_count
+    spec: PolicySpec, m: int, f, known_count, known_sum, snapshot_count, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The index rule over a [..., K] batch of views whose counts are all >= 1.
 
-    Returns the argmax over the last axis (ties broken by lowest arm index)
-    and the sample-count denominator the indices used: the count prediction
-    N' for dklucb, the float counts otherwise.
+    Returns the arm of the largest index over the last axis and the
+    sample-count denominator the indices used: the count prediction N' for
+    dklucb, the float counts otherwise. f is a scalar or broadcasts against
+    the batch, and snapshot_count need only broadcast against known_count.
+    The means, UCB indices and arms are written into out, a SelectionBuffers
+    for this batch shape (fresh ones by default); the arms returned are
+    out.arm.
+
+    The arm is found by a scan from arm 0 that moves to arm a only when its
+    index is strictly greater than the running maximum, so the lowest of
+    tied arms wins, as with np.argmax. A nan index ends the scan: nan
+    compares false and makes the running maximum nan, so the result is the
+    first maximum of the arms before the first nan, or arm 0 when its index
+    is nan (np.argmax would take the first nan). Counts of at least 1 give
+    no nan.
     """
-    counts = known_count.astype(np.float64)
-    mu_hat = known_sum / counts
+    if out is None:
+        out = SelectionBuffers.arm_major(np.shape(known_count))
+    counts = np.asarray(known_count, dtype=np.float64)
+    mu_hat = np.divide(known_sum, counts, out=out.mean)
     if spec.rule == UCB:
-        return np.argmax(ucb_index_batch(mu_hat, counts, f), axis=-1), counts
+        index = ucb_index_batch(mu_hat, counts, f, out=out.index)
+        return _first_argmax(index, out), counts
     denom = counts
     if spec.rule == DKLUCB:
         denom = count_prediction_batch(known_count, snapshot_count, m, spec.alpha)
-    return np.argmax(klucb_index_batch(mu_hat, f / denom), axis=-1), denom
+    # elementwise, so it may run on the transposes: C-ordered when the
+    # batch is held arm-major, which makes its many small ufunc calls cheaper
+    index = klucb_index_batch(mu_hat.T, (f / denom).T).T
+    return _first_argmax(index, out), denom
 
 
 def select_arm(

@@ -705,3 +705,11 @@ class TestRunConfig:
             make_cfg(checkpoints=(0, 4))
         with pytest.raises(ValueError):
             make_cfg(horizon=40, checkpoints=(4, 41))
+
+    def test_float_view_counts_stay_exact(self):
+        # a view holds up to horizon * players samples, as float64
+        make_cfg(horizon=2**52 - 1, players=2, checkpoints=(1,))
+        with pytest.raises(ValueError, match=r"horizon=4503599627370496, players=2"):
+            make_cfg(horizon=2**52, players=2, checkpoints=(1,))
+        with pytest.raises(ValueError, match=r"horizon \* players .* 2\*\*53"):
+            make_cfg(horizon=2**40, players=2**13, checkpoints=(1,))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from distbandit import policies
@@ -17,6 +18,7 @@ from distbandit.policies import (
     UCB,
     PlayerView,
     PolicySpec,
+    SelectionBuffers,
     _klucb_bisect,
     count_prediction,
     exploration_budget,
@@ -25,6 +27,7 @@ from distbandit.policies import (
     klucb_lower_batch,
     klucb_lower_index,
     select_arm,
+    select_batch,
     ucb_index,
 )
 
@@ -359,6 +362,69 @@ class TestSelectArm:
         assert select_arm(v, PolicySpec(DKLUCB, alpha=alpha), 1) == select_arm(
             v, PolicySpec(KLUCB), 1
         )
+
+
+def _select_on(values, arm_major=False):
+    """select_batch's arms for a batch whose indices are `values`: UCB with
+    f = 0 on single samples makes each index its sample exactly."""
+    values = np.asarray(values, dtype=np.float64)
+    ones, zeros = np.ones_like(values), np.zeros_like(values)
+    if not arm_major:
+        return select_batch(PolicySpec(UCB), 1, 0.0, ones, values, zeros)[0]
+    # stored with the arm axis outermost, as the engine holds its batch
+    values = np.ascontiguousarray(values.T).T
+    out = SelectionBuffers.arm_major(values.shape)
+    return select_batch(PolicySpec(UCB), 1, 0.0, ones, values, zeros, out=out)[0]
+
+
+class TestSelectBatch:
+    @settings(max_examples=200)
+    @given(
+        data=st.data(),
+        batch=st.lists(st.integers(1, 4), max_size=2),
+        k=st.integers(1, 12),
+    )
+    def test_arms_equal_argmax(self, data, batch, k):
+        # a small pool of values makes exact ties between arms common
+        value = st.one_of(
+            st.sampled_from([0.0, -0.0, 0.25, 1.0, -3.0]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        values = data.draw(arrays(np.float64, (*batch, k), elements=value))
+        want = np.argmax(values, axis=-1)
+        assert np.array_equal(_select_on(values), want)
+        assert np.array_equal(_select_on(values, arm_major=True), want)
+
+    @pytest.mark.parametrize(
+        "values, arm",
+        [
+            ([math.nan], 0),
+            ([math.nan, 1.0], 0),
+            ([1.0, math.nan], 0),
+            ([math.nan, 2.0, 3.0], 0),
+            ([1.0, math.nan, 2.0], 0),
+            ([1.0, 3.0, math.nan, 5.0], 1),  # np.argmax gives 2
+            ([2.0, 2.0, 1.0, math.nan], 0),
+        ],
+    )
+    def test_nan_ends_the_scan(self, values, arm):
+        # the result is the first maximum of the arms before the first nan
+        assert _select_on(values) == arm
+        assert _select_on([values, values], arm_major=True).tolist() == [arm, arm]
+
+    def test_ucb_and_kl_indices_match_argmax(self):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(1, 4, size=(6, 3, 7))
+        sums = rng.integers(0, counts + 1)
+        f = 2.0
+        mu = sums / counts
+        for spec, index in (
+            (PolicySpec(UCB), mu + np.sqrt(f / (2.0 * counts))),
+            (PolicySpec(KLUCB), klucb_index_batch(mu, f / counts)),
+        ):
+            arms, denom = select_batch(spec, 1, f, counts, sums, np.zeros_like(counts))
+            assert np.array_equal(arms, np.argmax(index, axis=-1))
+            assert np.array_equal(denom, counts)
 
 
 class TestPolicySpec:
