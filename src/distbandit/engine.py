@@ -13,6 +13,16 @@ batched run and ``run_once`` of a single replication produce bit-identical
 trajectories, and two configs sharing a seed share reward randomness round for
 round.
 
+The batch is stored arm-major with the slot axis innermost: views [2, K, M,
+S*R] (counts and reward sums, float64), snapshots [K, S*R] (one per slot, as
+only a merge writes them), global totals [2, K, S*R] (int64) and the round's
+arms [M, S*R]. Every per-arm step is then a ufunc over contiguous rows, and
+selection is a compare over K such rows; WorldState presents the arrays in
+(slot, player, arm) order as views. A round that follows a merge of every
+strategy of the batch selects once per slot: the players of a slot then hold
+the same view, snapshot and exploration value, so player 0's indices are
+theirs, float for float, and its arms are given to all M players.
+
 Aggregation works on exact integer totals, so it is independent of
 replication order and of how replications are batched.
 """
@@ -354,7 +364,8 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
         if shared and m > 1:
             arms[1:] = arms[0]
         if cfg.policy.rule == DKLUCB:
-            _check_claims(state, np.broadcast_to(denom, (n, m, k)) if shared else denom, cfg)
+            # the claims are checked for every player, shared or not
+            _check_claims(state, np.repeat(denom, m, axis=1) if shared else denom, cfg)
     u = _next_uniforms(state, cfg.horizon - state.t)
     # every strategy reads the same [M, R] uniforms
     state.means.take(arms, out=buf.p, mode="clip")

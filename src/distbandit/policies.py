@@ -346,9 +346,9 @@ def select_batch(
     denom = counts
     if spec.rule == DKLUCB:
         denom = count_prediction_batch(known_count, snapshot_count, m, spec.alpha)
-    # elementwise, so it may run on the transposes: C-ordered when the
-    # batch is held arm-major, which makes its many small ufunc calls cheaper
-    index = klucb_index_batch(mu_hat.T, (f / denom).T).T
+    # elementwise, so it may run on the transposes: C-contiguous when the
+    # batch is held arm-major, which its many small ufunc calls run fastest on
+    index = klucb_index_batch(np.ascontiguousarray(mu_hat.T), (f / denom).T).T
     return _first_argmax(index, out), denom
 
 
