@@ -3,10 +3,11 @@ DKLUCB count-prediction policy.
 
 The selection rule is written once, as select_batch over a [..., K] batch of
 sufficient statistics; the engine calls it on its (slot, player) batch, held
-arm-major and seen through transposed views, and select_arm on one view. The exploration budget is written once too,
-as exploration_budget: core's exploration form, times DKLUCB's
-M / (1 + (M-1) alpha) for that rule. The independent reference the engine's
-traces are checked against is the scalar simulator in tests/oracle_sim.py.
+arm-major and seen through transposed views, and select_arm on one view. The
+exploration budget is written once too, as exploration_budget: core's
+exploration form, times DKLUCB's M / (1 + (M-1) alpha) for that rule. The
+independent reference the engine's traces are checked against is the scalar
+simulator in tests/oracle_sim.py.
 
 Inverting the Bernoulli KL divergence is the only nontrivial numerics. The
 KL-UCB upper index runs a fixed number of Newton steps in y = -ln(1-q), where

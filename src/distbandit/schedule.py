@@ -24,11 +24,9 @@ EXPLICIT = "explicit"
 
 _KINDS = (NONE, FULL, ONESHOT, LINEAR, EXP, DOUBLEEXP, EXPLICIT)
 
-# Least growth q - 1 and eps of a grid. exp generation loops over every grid
-# index up to the horizon, about ln(T) / ln(q) of them, which takes seconds at
-# this floor and T = 2^16; doubleexp skips the indices that round to a point
-# it already has. Far below the floor 1 + eps rounds to 1 and the loop never
-# ends.
+# Least growth q - 1 and eps of a grid. Generation skips the grid indices
+# that round to a point it already has, so it takes time in proportion to the
+# points; far below this floor 1 + eps rounds to 1 and the grid never grows.
 _MIN_GROWTH = 1e-6
 
 
@@ -112,8 +110,12 @@ class CommunicationSchedule:
         if self.kind == EXPLICIT:
             return list(self.params[: bisect_right(self.params, n)])
         out: list[int] = []
+        # The points never decrease, and none rounds above the last one, v,
+        # before the grid reaches v + 0.5: after each new point, skip to one
+        # index short of that, a margin far above the logs' rounding error.
         if self.kind == EXP:
             (q,) = self.params
+            log_q = math.log(q)
             k = 1
             while True:
                 v = math.floor(q**k + 0.5)
@@ -121,6 +123,7 @@ class CommunicationSchedule:
                     break
                 if not out or v > out[-1]:
                     out.append(v)
+                    k = max(k, math.floor(math.log(v + 0.5) / log_q) - 1)
                 k += 1
         else:  # DOUBLEEXP: points q**((1+eps)**k) for k >= 1
             q, eps = self.params
@@ -134,9 +137,6 @@ class CommunicationSchedule:
                 v = math.floor(q**e + 0.5)
                 if v <= n and (not out or v > out[-1]):
                     out.append(v)
-                    # the points never decrease, and none rounds above v
-                    # before q**e reaches v + 0.5: skip to one index short of
-                    # that, a margin far above the logs' rounding error
                     x = math.log(math.log(v + 0.5) / log_q) / math.log(base)
                     k = max(k, math.floor(x) - 1)
                 k += 1
