@@ -163,24 +163,33 @@ class TestGridGeneration:
             got = S.double_exponential(q, eps).elements_up_to(n)
             assert got == _double_exponential_per_index(q, eps, n), (q, eps, n)
 
-    @pytest.mark.parametrize(
-        "q, n",
-        [(1.5, 40), (1.0 + 1e-6, 3), (1.001, 2**16), (2.0, 2**16)],
-    )
-    def test_exponential_rounds_and_dedupes(self, q, n):
-        # the reference visits every index k; q at the 1e-6 floor included
+    def test_exponential_rounds_and_dedupes(self):
+        s = S.exponential(1.5)
         expected = []
         k = 1
         while True:
-            v = math.floor(q**k + 0.5)
-            if v > n:
+            v = math.floor(1.5**k + 0.5)
+            if v > 40:
                 break
             if not expected or v > expected[-1]:
                 expected.append(v)
             k += 1
-        assert S.exponential(q).elements_up_to(n) == expected
-        if q == 1.5:
-            assert expected[0] == 2  # 1.5 rounds up
+        assert s.elements_up_to(40) == expected
+        assert expected[0] == 2  # 1.5 rounds up
+
+    def test_exponential_equals_per_index_loop(self):
+        # q at the 1e-6 floor included; the reference visits every index k
+        for q, n in ((1.0 + 1e-6, 3), (1.001, 2**16), (2.0, 2**16)):
+            expected = []
+            k = 1
+            while True:
+                v = math.floor(q**k + 0.5)
+                if v > n:
+                    break
+                if not expected or v > expected[-1]:
+                    expected.append(v)
+                k += 1
+            assert S.exponential(q).elements_up_to(n) == expected, (q, n)
 
     def test_exponential_log_ratios_increase_to_one(self):
         elems = S.exponential(3.0).elements_up_to(3**12)
