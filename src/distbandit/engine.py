@@ -109,7 +109,7 @@ class RunConfig:
 class _RoundBuffers:
     """Arrays and views step reuses every round, allocated once per batch."""
 
-    select: tuple  # select_batch's (counts, sums, snapshots, out) for every player, and for player 0
+    select: tuple  # select_batch's (counts, sums, snapshots, out): [0] all players, [1] player 0
     p: np.ndarray  # float64 [M, S*R]; the means of the selected arms
     p3: np.ndarray  # p as [M, S, R]
     rewards: np.ndarray  # bool [M, S*R]
@@ -149,7 +149,7 @@ class WorldState:
     means: np.ndarray  # float64 [K]
     replication_indices: tuple[int, ...]  # the replication each slot runs
     comm_mask: np.ndarray  # bool [horizon+1, S]; [t, s]: does strategy s communicate at round t
-    merge_all: list[bool]  # [horizon+1]; does every strategy communicate at round t
+    merge_all: bytes  # [horizon+1]; 1 where every strategy communicates at round t
     _buf: _RoundBuffers | None = field(default=None, repr=False)
     _stale: bool = False  # players 1.. of every slot are to hold player 0's view
     _block: np.ndarray | None = field(default=None, repr=False)  # float64 [R, M, L]
@@ -244,7 +244,7 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
         means=np.asarray(cfg.arm_model.means, dtype=np.float64),
         replication_indices=tuple(reps) * len(schedules),
         comm_mask=comm_mask,
-        merge_all=comm_mask.all(axis=1).tolist(),
+        merge_all=comm_mask.all(axis=1).tobytes(),
         _buf=buf,
     )
 
