@@ -21,7 +21,9 @@ selection is a compare over K such rows; WorldState presents the arrays in
 (slot, player, arm) order as views. A round that follows a merge of every
 strategy of the batch selects once per slot: the players of a slot then hold
 the same view, snapshot and exploration value, so player 0's indices are
-theirs, float for float, and its arms are given to all M players.
+theirs, float for float, and its arms are given to all M players. The
+uniforms are read 16 rounds at a time out of the per-stream block into an
+[rounds, M, R] copy, so each round's are one contiguous row.
 
 Aggregation works on exact integer totals, so it is independent of
 replication order and of how replications are batched.
