@@ -141,8 +141,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except ConfigError as exc:
-        for line in exc.errors:
+        # RunConfig's own checks, such as horizon * players < 2**53, are
+        # configuration errors too
+        runs = experiment_runs(cfg)
+    except ValueError as exc:
+        for line in exc.errors if isinstance(exc, ConfigError) else [str(exc)]:
             print(f"config error: {line}", file=sys.stderr)
         return 2
 
@@ -150,7 +153,6 @@ def main(argv=None) -> int:
     where = ""  # the strategies being run or reported, for error messages
     try:
         os.makedirs(out_dir, exist_ok=True)
-        runs = experiment_runs(cfg)
         names = [name for name, _ in runs]
         try:
             aggs = run_strategies([run_cfg for _, run_cfg in runs])

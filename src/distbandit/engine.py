@@ -310,10 +310,14 @@ def _check_claims(state: WorldState, n_prime: np.ndarray, cfg: RunConfig) -> Non
     m, alpha = cfg.players, cfg.policy.alpha
     t = state.t + 1
     r_n = len(state.streams) // m
-    bound = dklucb_scale(m, alpha) * state.known_count
+    # the counts selection read: while the views are stale (after a merge of
+    # the whole batch) player 0's stand for every player's
+    counts = state.views[0, :, :1] if state._stale else state.views[0]
+    bound = dklucb_scale(m, alpha) * counts.T
     over = n_prime > bound + 1e-9
     if over.any():
         r, p, a = np.argwhere(over)[0]
+        bound = np.broadcast_to(bound, n_prime.shape)
         raise InvariantViolation(
             f"count prediction exceeded its per-player bound at round {t}: "
             f"replication {state.replication_indices[r]}, player {p}, arm {a}, "

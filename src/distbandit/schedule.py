@@ -1,9 +1,11 @@
 """Communication schedules: membership and last-round queries, counting, density.
 
 A schedule describes the set of rounds at whose end every player's reward
-history is merged. Grid families are generated lazily by rounding the real
-grid points to integers and deduplicating, so the stored object stays small
-no matter the horizon.
+history is merged. One rule, CommunicationSchedule._rounds(n), gives the
+communication rounds in {1..n} in ascending order; the element list,
+last-round, counting, membership and mask queries all read it. Grid families
+are generated lazily by rounding the real grid points to integers and
+deduplicating, so the stored object stays small no matter the horizon.
 """
 
 from __future__ import annotations
@@ -93,22 +95,19 @@ class CommunicationSchedule:
             raise ValueError("explicit rounds must be strictly increasing")
         return cls(EXPLICIT, rounds)
 
-    # -- element generation ------------------------------------------------
+    # -- the rounds rule and the queries derived from it -------------------
 
-    def elements_up_to(self, n: int) -> list[int]:
-        """All communication rounds in {1..n}, ascending."""
-        if self.kind == NONE:
-            return []
+    def _rounds(self, n: int):
+        """The communication rounds in {1..n}, ascending: a range for full and
+        linear, so its length and last element cost O(1) at any n."""
         if self.kind == FULL:
-            return list(range(1, n + 1))
-        if self.kind == ONESHOT:
-            (r,) = self.params
-            return [r] if r <= n else []
+            return range(1, n + 1)
         if self.kind == LINEAR:
-            (d,) = self.params
-            return list(range(d, n + 1, d))
-        if self.kind == EXPLICIT:
-            return list(self.params[: bisect_right(self.params, n)])
+            return range(self.params[0], n + 1, self.params[0])
+        if self.kind in (ONESHOT, EXPLICIT):
+            return self.params[: bisect_right(self.params, n)]
+        if self.kind == NONE:
+            return ()
         out: list[int] = []
         # The points never decrease, and none rounds above the last one, v,
         # before the grid reaches v + 0.5: after each new point, skip to one
@@ -142,7 +141,9 @@ class CommunicationSchedule:
                 k += 1
         return out
 
-    # -- queries -----------------------------------------------------------
+    def elements_up_to(self, n: int) -> list[int]:
+        """All communication rounds in {1..n}, ascending."""
+        return list(self._rounds(n))
 
     def is_comm_round(self, t: int) -> bool:
         """True iff round t is a communication round."""
@@ -154,50 +155,23 @@ class CommunicationSchedule:
         """Largest communication round <= t, or 0 if there is none."""
         if t < 0:
             raise ValueError(f"round index must be >= 0, got {t!r}")
-        if t == 0 or self.kind == NONE:
-            return 0
-        if self.kind == FULL:
-            return t
-        if self.kind == ONESHOT:
-            (r,) = self.params
-            return r if t >= r else 0
-        if self.kind == LINEAR:
-            (d,) = self.params
-            return (t // d) * d
-        if self.kind == EXPLICIT:
-            i = bisect_right(self.params, t)
-            return self.params[i - 1] if i > 0 else 0
-        elems = self.elements_up_to(t)
-        return elems[-1] if elems else 0
+        rounds = self._rounds(t)
+        return rounds[-1] if rounds else 0
 
     def counting_function(self, n: int) -> int:
         """Number of communication rounds in {1..n}."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n!r}")
-        if self.kind == NONE:
-            return 0
-        if self.kind == FULL:
-            return n
-        if self.kind == ONESHOT:
-            return 1 if n >= self.params[0] else 0
-        if self.kind == LINEAR:
-            return n // self.params[0]
-        if self.kind == EXPLICIT:
-            return bisect_right(self.params, n)
-        return len(self.elements_up_to(n))
+        return len(self._rounds(n))
 
     def comm_mask(self, horizon: int) -> np.ndarray:
         """Boolean array of length horizon+1; entry t is is_comm_round(t)."""
         mask = np.zeros(horizon + 1, dtype=bool)
-        if self.kind == FULL:
-            mask[1:] = True
-        elif self.kind == LINEAR:
-            (d,) = self.params
-            mask[d :: d] = True
-        elif self.kind != NONE:
-            elems = self.elements_up_to(horizon)
-            if elems:
-                mask[np.asarray(elems)] = True
+        rounds = self._rounds(horizon)
+        if isinstance(rounds, range):
+            mask[rounds.start :: rounds.step] = True
+        else:
+            mask[np.asarray(rounds, dtype=np.intp)] = True
         return mask
 
     # -- density -----------------------------------------------------------
@@ -238,13 +212,9 @@ class CommunicationSchedule:
 
     def spec_string(self) -> str:
         """Canonical form under the schedule grammar."""
-        if self.kind in (NONE, FULL):
+        if not self.params:
             return self.kind
-        if self.kind == DOUBLEEXP:
-            return f"{DOUBLEEXP}:{self.params[0]},{self.params[1]}"
-        if self.kind == EXPLICIT:
-            return EXPLICIT + ":" + ",".join(str(r) for r in self.params)
-        return f"{self.kind}:{self.params[0]}"
+        return self.kind + ":" + ",".join(str(p) for p in self.params)
 
     def __str__(self) -> str:
         return self.spec_string()

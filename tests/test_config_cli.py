@@ -376,6 +376,15 @@ class TestCliErrors:
         for line, section in zip(err, ("full", "quiet", "burst")):
             assert line.startswith(f"config error: [strategy {section}] schedule:")
 
+    def test_run_config_rejection_is_exit_2(self, tmp_path, capsys):
+        # parse_config accepts the horizon; RunConfig rejects horizon * players
+        doc = MINIMAL.replace("horizon = 1024", "horizon = 9007199254740992")
+        out = tmp_path / "out"
+        assert main(["--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: horizon * players must be below 2**53")
+        assert not out.exists()
+
     def test_source_flags_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["--config", "x", "--preset", "figure1"])

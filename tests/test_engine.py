@@ -15,6 +15,7 @@ from distbandit.core import BernoulliArmModel, ExplorationFunction
 from distbandit.engine import (
     InvariantViolation,
     RunConfig,
+    WorldState,
     _aggregate,
     _check_claims,
     _simulate,
@@ -445,6 +446,49 @@ class TestClaims:
             assert np.all(
                 predictions.sum(axis=0) <= m * state.total_count[0] + 1e-9
             )
+
+    def test_claim_check_leaves_the_shared_views_stale(self, monkeypatch):
+        # on full every round after the first merge selects on player 0 alone;
+        # checking the claims must not copy its view to the other players
+        copies = []
+        sync = WorldState._sync_views
+
+        def counting_sync(state):
+            copies.append(state._stale)
+            sync(state)
+
+        monkeypatch.setattr(WorldState, "_sync_views", counting_sync)
+        cfg = RunConfig(
+            arm_model=BernoulliArmModel(tuple(np.linspace(0.9, 0.45, 10))),
+            players=4,
+            horizon=512,
+            schedule=CS.full(),
+            policy=PolicySpec(DKLUCB, alpha=0.5),
+            seed=0,
+            checkpoints=(512,),
+            replications=4,
+        )
+        _simulate([cfg], range(cfg.replications))
+        assert copies.count(True) == 0
+
+    def test_claim_breach_after_a_whole_batch_merge_names_the_player(self):
+        cfg = make_cfg(
+            players=2, policy=PolicySpec(DKLUCB, alpha=0.5),
+            horizon=10, checkpoints=(10,),
+        )
+        state = init_state(cfg, [4, 9])
+        for _ in range(6):
+            step(state, cfg)
+        assert state._stale
+        doctored = np.zeros((2, 2, 2))
+        doctored[1, 1, 0] = 1e9
+        with pytest.raises(InvariantViolation) as err:
+            _check_claims(state, doctored, cfg)
+        bound = 2 / 1.5 * state.known_count[1, 1, 0]
+        assert str(err.value) == (
+            "count prediction exceeded its per-player bound at round 7: "
+            f"replication 9, player 1, arm 0, N' = 1000000000.0 > {bound}"
+        )
 
     def test_claim_checker_rejects_doctored_predictions(self):
         cfg = make_cfg(

@@ -68,6 +68,65 @@ class TestMembership:
         assert elems == [t for t in range(1, n + 1) if s.is_comm_round(t)]
 
 
+def _exponential_per_index(q, n):
+    """The exp grid generated one index k at a time."""
+    out = []
+    k = 1
+    while True:
+        v = math.floor(q**k + 0.5)
+        if v > n:
+            return out
+        if not out or v > out[-1]:
+            out.append(v)
+        k += 1
+
+
+def _reference_rounds(s, n):
+    """The communication rounds in {1..n}, written out per kind."""
+    if s.kind == "full":
+        return list(range(1, n + 1))
+    if s.kind == "linear":
+        (d,) = s.params
+        return [t for t in range(1, n + 1) if t % d == 0]
+    if s.kind in ("oneshot", "explicit"):
+        return [r for r in s.params if r <= n]
+    if s.kind == "none":
+        return []
+    if s.kind == "exp":
+        return _exponential_per_index(s.params[0], n)
+    return _double_exponential_per_index(*s.params, n)
+
+
+class TestAgainstReference:
+    @given(s=small_schedules(), n=st.integers(min_value=1, max_value=300))
+    def test_queries_match_reference_rounds(self, s, n):
+        want = _reference_rounds(s, n)
+        assert s.elements_up_to(n) == want
+        assert s.counting_function(n) == len(want)
+        members = set(want)
+        assert s.comm_mask(n).tolist() == [t in members for t in range(n + 1)]
+        last = 0
+        assert s.last_comm_leq(0) == 0
+        for t in range(1, n + 1):
+            last = t if t in members else last
+            assert s.is_comm_round(t) == (t in members)
+            assert s.last_comm_leq(t) == last
+
+    def test_closed_kinds_answer_at_huge_n(self):
+        # answered from a range or the params; a list of the rounds would not fit
+        n = 10**18
+        cases = [
+            (S.full(), n, n, True),
+            (S.linear(7), n // 7, n - n % 7, n % 7 == 0),
+            (S.none(), 0, 0, False),
+            (S.explicit([3, 9, n]), 3, n, True),
+        ]
+        for s, count, last, member in cases:
+            assert s.counting_function(n) == count
+            assert s.last_comm_leq(n) == last
+            assert s.is_comm_round(n) == member
+
+
 class TestLastCommRound:
     def test_examples(self):
         assert S.exponential(2.0).last_comm_leq(7) == 4
