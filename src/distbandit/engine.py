@@ -11,7 +11,10 @@ replication, player) -- ``Generator(Philox(SeedSequence((seed, replication,
 player))))``, consuming exactly one uniform per round in round order -- so a
 batched run and ``run_once`` of a single replication produce bit-identical
 trajectories, and two configs sharing a seed share reward randomness round for
-round.
+round. Philox is counter-based, so a stream is its 128-bit key and a counter:
+the engine hashes every stream's key in one array pass (SeedSequence's hash)
+and draws all streams through one generator, setting its key and counter per
+stream; the uniforms are the ones the per-stream generators give.
 
 The batch is stored arm-major with the slot axis innermost: views [2, K, M,
 S*R] (counts and reward sums, float64), snapshots [K, S*R] (one per slot, as
@@ -31,6 +34,7 @@ replication order and of how replications are batched.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -50,6 +54,16 @@ from .schedule import CommunicationSchedule
 _BLOCK_BYTES = 1 << 27
 # rounds of the block copied out replications-innermost at a time
 _CHUNK_ROUNDS = 16
+
+# numpy's SeedSequence hash: a pool of four uint32 words, mixed with these
+# constants and multipliers (uint32 arithmetic, which the arrays wrap silently)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# Philox4x64 makes four uint64 words per counter value
+_PHILOX_WORDS = 4
 
 
 class InvariantViolation(RuntimeError):
@@ -147,7 +161,7 @@ class WorldState:
     totals: np.ndarray  # int64 [2, K, S*R]; [0]: the global counts, [1]: their reward sums
     arms: np.ndarray  # int64 [M, S*R]; the arms selected in round t
     last_merge: list[int]  # [S]; each strategy's last communication round (0: none yet)
-    streams: list  # R*M, shared by the strategies
+    keys: np.ndarray  # uint64 [R, M, 2]; each contract stream's Philox key, shared by the strategies
     means: np.ndarray  # float64 [K]
     replication_indices: tuple[int, ...]  # the replication each slot runs
     comm_mask: np.ndarray  # bool [horizon+1, S]; [t, s]: does strategy s communicate at round t
@@ -157,6 +171,15 @@ class WorldState:
     _block: np.ndarray | None = field(default=None, repr=False)  # float64 [R, M, L]
     _chunk: np.ndarray | None = field(default=None, repr=False)  # float64 [_CHUNK_ROUNDS, M, R]
     _pos: int = 0
+    # draws every stream, keyed and positioned per stream
+    _rng: np.random.Generator = field(
+        default_factory=lambda: np.random.Generator(np.random.Philox(key=0)), repr=False
+    )
+
+    @property
+    def streams(self) -> ContractStreams:
+        """The R*M contract streams, replication-major, each from its first draw."""
+        return ContractStreams(self.keys.reshape(-1, 2))
 
     def _sync_views(self) -> None:
         if self._stale:
@@ -193,19 +216,99 @@ class WorldState:
         return self.arms.T if self.t else None
 
 
+class ContractStreams(Sequence):
+    """Read-only sequence of contract streams, each built when read: element i
+    is Generator(Philox(key=keys[i])), which draws what the stream seeded by
+    its SeedSequence draws."""
+
+    def __init__(self, keys: np.ndarray):
+        self._keys = keys
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i: int) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self._keys[i]))
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words SeedSequence reads from a nonnegative int, least
+    significant first."""
+    if n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(2, np.uint64) for every row of the
+    uint32 [n, L] entropy words, as uint64 [n, 2]; one array op per hash step."""
+    n, width = entropy.shape
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value *= const
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        result ^= result >> 16
+        return result
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < width else zero) for i in range(_POOL_SIZE)]
+    # every word into every other, then the entropy beyond the pool
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, width):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ const
+        const = const * _MULT_B & _MASK32
+        word *= const
+        word ^= word >> 16
+        state.append(word.astype(np.uint64))
+    # little-endian word pairs
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+def _stream_keys(seed: int, replication_indices, players: int) -> np.ndarray:
+    """The uint64 [R, M, 2] Philox keys of the contract streams: [r, p] is
+    SeedSequence((seed, replication_indices[r], p)).generate_state(2, np.uint64)."""
+    seed_words = _words(seed)
+    rep_words = [_words(int(rep)) for rep in replication_indices]
+    keys = np.empty((len(rep_words), players, 2), dtype=np.uint64)
+    # the entropy is (seed, replication, player) as words, so the hash differs
+    # by a replication's word count; every index below 2**32 is one word
+    for width in {len(w) for w in rep_words}:
+        rows = [i for i, w in enumerate(rep_words) if len(w) == width]
+        entropy = np.empty((len(rows), players, len(seed_words) + width + 1), dtype=np.uint32)
+        entropy[..., : len(seed_words)] = seed_words
+        entropy[..., len(seed_words) : -1] = np.array([rep_words[i] for i in rows])[:, None]
+        entropy[..., -1] = np.arange(players)
+        keys[rows] = _seed_sequence_keys(entropy.reshape(-1, entropy.shape[-1])).reshape(
+            len(rows), players, 2
+        )
+    return keys
+
+
 def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldState:
     """The batch before round 1: one strategy per schedule, stacked
     strategy-major over the replications (by default cfg.schedule alone)."""
     schedules = (cfg.schedule,) if schedules is None else tuple(schedules)
     reps = [int(r) for r in replication_indices]
     n, m, k = len(schedules) * len(reps), cfg.players, cfg.arm_model.k
-    streams = [
-        np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((cfg.seed, rep, p)))
-        )
-        for rep in reps
-        for p in range(m)
-    ]
     comm_mask = np.stack([s.comm_mask(cfg.horizon) for s in schedules], axis=1)
     views = np.zeros((2, k, m, n))
     snapshot = np.zeros((k, n))
@@ -242,7 +345,7 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
         totals=np.zeros((2, k, n), dtype=np.int64),
         arms=out.arm.T,
         last_merge=[0] * len(schedules),
-        streams=streams,
+        keys=_stream_keys(cfg.seed, reps, m),
         means=np.asarray(cfg.arm_model.means, dtype=np.float64),
         replication_indices=tuple(reps) * len(schedules),
         comm_mask=comm_mask,
@@ -281,16 +384,30 @@ def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
     a batch share them. The streams fill the [R, M, L] block row by row."""
     block = state._block
     if block is None or state._pos == block.shape[2]:
-        m = state.views.shape[2]
-        r_n = len(state.streams) // m
+        r_n, m, _ = state.keys.shape
         length = int(_BLOCK_BYTES // (8 * r_n * m))
         length = min(max(64, min(4096, length)), rounds_left)
         block = np.empty((r_n, m, length))
-        i = 0
-        for r in range(r_n):
-            for p in range(m):
-                state.streams[i].random(out=block[r, p])
-                i += 1
+        # every stream has drawn one uniform (one Philox word) per round so
+        # far: a counter of t // 4 with its buffer spent, then t % 4 words
+        # skipped, puts it there; a block need not end on a counter boundary
+        rng = state._rng
+        bits = rng.bit_generator
+        skip = state.t % _PHILOX_WORDS
+        at = {
+            "bit_generator": "Philox",
+            "state": {"counter": [state.t // _PHILOX_WORDS, 0, 0, 0], "key": None},
+            "buffer": [0] * _PHILOX_WORDS,
+            "buffer_pos": _PHILOX_WORDS,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for key, row in zip(state.keys.reshape(-1, 2), block.reshape(-1, length)):
+            at["state"]["key"] = key
+            bits.state = at
+            if skip:
+                bits.random_raw(skip)
+            rng.random(out=row)
         state._block = block
         state._pos = 0
     pos = state._pos
@@ -309,7 +426,7 @@ def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
 def _check_claims(state: WorldState, n_prime: np.ndarray, cfg: RunConfig) -> None:
     m, alpha = cfg.players, cfg.policy.alpha
     t = state.t + 1
-    r_n = len(state.streams) // m
+    r_n = state.keys.shape[0]
     # the counts selection read: while the views are stale (after a merge of
     # the whole batch) player 0's stand for every player's
     counts = state.views[0, :, :1] if state._stale else state.views[0]
@@ -343,7 +460,7 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
         raise ValueError(f"horizon {cfg.horizon} already reached")
     t = state.t + 1
     _, k, m, n = state.views.shape
-    r_n = len(state.streams) // m
+    r_n = state.keys.shape[0]
     arms, buf = state.arms, state._buf
     # after a merge of the whole batch the players of a slot hold the same
     # view, snapshot and f, hence the same indices: player 0 selects for all

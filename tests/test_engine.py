@@ -19,6 +19,7 @@ from distbandit.engine import (
     _aggregate,
     _check_claims,
     _simulate,
+    _stream_keys,
     init_state,
     merge_views,
     regret,
@@ -110,6 +111,45 @@ class TestRngContract:
         assert state._block.shape == (1, cfg.players, 22)
         want = player_stream(cfg.seed, 0, 1).random(150)[128:]
         assert np.array_equal(state._block[0, 1], want)
+
+    def test_block_boundary_inside_a_philox_buffer(self, monkeypatch):
+        # 66-round blocks: the second block starts two words into a Philox
+        # counter's four
+        cfg = make_cfg(players=2, horizon=150, schedule=CS.linear(7), checkpoints=(150,))
+        counts, acts = run_once(cfg, 0, record_actions=True)
+        monkeypatch.setattr("distbandit.engine._BLOCK_BYTES", 16 * 66)
+        counts_66, acts_66 = run_once(cfg, 0, record_actions=True)
+        assert np.array_equal(counts, counts_66)
+        assert np.array_equal(acts, acts_66)
+        state = init_state(cfg, [0])
+        for _ in range(67):
+            step(state, cfg)
+        assert state._block.shape == (1, 2, 66)
+        for p in range(2):
+            want = player_stream(cfg.seed, 0, p).random(cfg.horizon)[66:132]
+            assert np.array_equal(state._block[0, p], want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**200 + 3])
+    @pytest.mark.parametrize("reps", [[0, 1], [5, 8], [5, 2**32 + 3, 8]])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_keys_equal_seed_sequence_state(self, seed, reps, m):
+        # entropy of 3, 4 and more than 4 uint32 words, the pool size
+        keys = _stream_keys(seed, reps, m)
+        assert keys.shape == (len(reps), m, 2) and keys.dtype == np.uint64
+        for i, r in enumerate(reps):
+            for p in range(m):
+                want = np.random.SeedSequence((seed, r, p)).generate_state(2, np.uint64)
+                assert np.array_equal(keys[i, p], want)
+
+    def test_streams_are_the_contract_streams(self):
+        cfg = make_cfg(players=3)
+        state = init_state(cfg, [5, 8])
+        assert len(state.streams) == 6
+        for i, (r, p) in enumerate((r, p) for r in (5, 8) for p in range(3)):
+            want = player_stream(cfg.seed, r, p).random(10)
+            assert np.array_equal(state.streams[i].random(10), want)
+        with pytest.raises(TypeError):
+            state.streams[0] = player_stream(cfg.seed, 5, 0)
 
     @pytest.mark.parametrize(
         "policy",
