@@ -161,7 +161,7 @@ class WorldState:
     totals: np.ndarray  # int64 [2, K, S*R]; [0]: the global counts, [1]: their reward sums
     arms: np.ndarray  # int64 [M, S*R]; the arms selected in round t
     last_merge: list[int]  # [S]; each strategy's last communication round (0: none yet)
-    keys: np.ndarray  # uint64 [R, M, 2]; each contract stream's Philox key, shared by the strategies
+    keys: np.ndarray  # uint64 [R, M, 2]; the streams' Philox keys, shared by the strategies
     means: np.ndarray  # float64 [K]
     replication_indices: tuple[int, ...]  # the replication each slot runs
     comm_mask: np.ndarray  # bool [horizon+1, S]; [t, s]: does strategy s communicate at round t
@@ -178,7 +178,10 @@ class WorldState:
 
     @property
     def streams(self) -> ContractStreams:
-        """The R*M contract streams, replication-major, each from its first draw."""
+        """The R*M contract streams, replication-major, each built on access
+        and from its first draw. The engine holds only their keys: it draws a
+        stream by setting its key and counter on one shared generator, which
+        gives the same uniforms."""
         return ContractStreams(self.keys.reshape(-1, 2))
 
     def _sync_views(self) -> None:
@@ -287,7 +290,7 @@ def _stream_keys(seed: int, replication_indices, players: int) -> np.ndarray:
     """The uint64 [R, M, 2] Philox keys of the contract streams: [r, p] is
     SeedSequence((seed, replication_indices[r], p)).generate_state(2, np.uint64)."""
     seed_words = _words(seed)
-    rep_words = [_words(int(rep)) for rep in replication_indices]
+    rep_words = [_words(rep) for rep in replication_indices]
     keys = np.empty((len(rep_words), players, 2), dtype=np.uint64)
     # the entropy is (seed, replication, player) as words, so the hash differs
     # by a replication's word count; every index below 2**32 is one word
