@@ -24,9 +24,14 @@ selection is a compare over K such rows; WorldState presents the arrays in
 (slot, player, arm) order as views. A round that follows a merge of every
 strategy of the batch selects once per slot: the players of a slot then hold
 the same view, snapshot and exploration value, so player 0's indices are
-theirs, float for float, and its arms are given to all M players. The
-uniforms are read 16 rounds at a time out of the per-stream block into an
-[rounds, M, R] copy, so each round's are one contiguous row.
+theirs, float for float, and its arms are given to all M players.
+
+The uniforms are held round-major, in an [L, M, R] block of the next L
+rounds, so a round reads its uniforms from one contiguous row. A stream's L
+uniforms are one column of the block, so they are drawn into a small staging
+tile of whole stream rows, and each tile is copied into its columns while it
+is still in cache. Every refill is drawn into the first block's buffer, so a
+run never holds two blocks.
 
 Aggregation works on exact integer totals, so it is independent of
 replication order and of how replications are batched.
@@ -50,10 +55,10 @@ from .policies import (
 )
 from .schedule import CommunicationSchedule
 
-# uniform prefetch budget per block (128 MiB); a block also ends at the horizon
-_BLOCK_BYTES = 1 << 27
-# rounds of the block copied out replications-innermost at a time
-_CHUNK_ROUNDS = 16
+# uniform prefetch budget per block (32 MiB); a block also ends at the horizon
+_BLOCK_BYTES = 1 << 25
+# the staging tile a block is drawn through (256 KiB, at least one stream row)
+_TILE_BYTES = 1 << 18
 
 # numpy's SeedSequence hash: a pool of four uint32 words, mixed with these
 # constants and multipliers (uint32 arithmetic, which the arrays wrap silently)
@@ -168,9 +173,10 @@ class WorldState:
     merge_all: bytes  # [horizon+1]; 1 where every strategy communicates at round t
     _buf: _RoundBuffers | None = field(default=None, repr=False)
     _stale: bool = False  # players 1.. of every slot are to hold player 0's view
-    _block: np.ndarray | None = field(default=None, repr=False)  # float64 [R, M, L]
-    _chunk: np.ndarray | None = field(default=None, repr=False)  # float64 [_CHUNK_ROUNDS, M, R]
-    _pos: int = 0
+    # float64 [L, M, R]; the uniforms of the next L rounds, round-major; every
+    # refill is a leading slice of the first block's buffer
+    _block: np.ndarray | None = field(default=None, repr=False)
+    _pos: int = 0  # the rounds of _block already read
     # draws every stream, keyed and positioned per stream
     _rng: np.random.Generator = field(
         default_factory=lambda: np.random.Generator(np.random.Philox(key=0)), repr=False
@@ -230,7 +236,9 @@ class ContractStreams(Sequence):
     def __len__(self) -> int:
         return len(self._keys)
 
-    def __getitem__(self, i: int) -> np.random.Generator:
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
         return np.random.Generator(np.random.Philox(key=self._keys[i]))
 
 
@@ -384,13 +392,14 @@ def view_of(state: WorldState, rep_slot: int, player: int) -> PlayerView:
 
 def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
     """The [M, R] uniforms of the next round, one per stream; the strategies of
-    a batch share them. The streams fill the [R, M, L] block row by row."""
+    a batch share them. They are the next row of the [L, M, R] block."""
     block = state._block
-    if block is None or state._pos == block.shape[2]:
+    if block is None or state._pos == len(block):
         r_n, m, _ = state.keys.shape
-        length = int(_BLOCK_BYTES // (8 * r_n * m))
-        length = min(max(64, min(4096, length)), rounds_left)
-        block = np.empty((r_n, m, length))
+        full = max(64, min(4096, int(_BLOCK_BYTES // (8 * r_n * m))))
+        length = min(full, rounds_left)
+        # no block is longer than the first, so its buffer holds every refill
+        block = np.empty((length, m, r_n)) if block is None else block[:length]
         # every stream has drawn one uniform (one Philox word) per round so
         # far: a counter of t // 4 with its buffer spent, then t % 4 words
         # skipped, puts it there; a block need not end on a counter boundary
@@ -405,25 +414,27 @@ def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        for key, row in zip(state.keys.reshape(-1, 2), block.reshape(-1, length)):
-            at["state"]["key"] = key
-            bits.state = at
-            if skip:
-                bits.random_raw(skip)
-            rng.random(out=row)
+        # the streams in the block's column order, player-major; a tile of
+        # their rows is drawn, then copied into its columns while in cache.
+        # The tile's row count is set by the full block length, so a short
+        # last block converts no more keys at a time than the others
+        keys = state.keys.transpose(1, 0, 2).reshape(-1, 2)
+        columns = block.reshape(length, -1)
+        tile = np.empty((max(1, _TILE_BYTES // (8 * full)), length))
+        for start in range(0, len(keys), len(tile)):
+            # Python ints set a key faster than numpy rows do
+            run = keys[start : start + len(tile)].tolist()
+            for key, row in zip(run, tile):
+                at["state"]["key"] = key
+                bits.state = at
+                if skip:
+                    bits.random_raw(skip)
+                rng.random(out=row)
+            np.copyto(columns[:, start : start + len(run)], tile[: len(run)].T)
         state._block = block
         state._pos = 0
-    pos = state._pos
-    i = pos % _CHUNK_ROUNDS
-    if i == 0:
-        # one copy reads a run of rounds from every stream's row, where a
-        # round at a time would read one uniform per row
-        if state._chunk is None:
-            state._chunk = np.empty((_CHUNK_ROUNDS,) + block.shape[1::-1])
-        rounds = block[:, :, pos : pos + _CHUNK_ROUNDS]
-        np.copyto(state._chunk[: rounds.shape[2]].T, rounds)
     state._pos += 1
-    return state._chunk[i]
+    return block[state._pos - 1]
 
 
 def _check_claims(state: WorldState, n_prime: np.ndarray, cfg: RunConfig) -> None:

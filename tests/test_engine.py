@@ -3,6 +3,7 @@ independent scalar reference implementation, conservation/merge invariants,
 statistical sanity of the Monte Carlo aggregates, and config validation."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -97,20 +98,20 @@ class TestRngContract:
         cfg = make_cfg(horizon=100, checkpoints=(100,), replications=2)
         state = init_state(cfg, range(2))
         step(state, cfg)
-        assert state._block.shape == (2, cfg.players, 100)
+        assert state._block.shape == (100, cfg.players, 2)
         for r in range(2):
             for p in range(cfg.players):
                 want = player_stream(cfg.seed, r, p).random(100)
-                assert np.array_equal(state._block[r, p], want)
+                assert np.array_equal(state._block[:, p, r], want)
         # 64-round blocks: the third block holds only the 150 - 128 rounds left
         monkeypatch.setattr("distbandit.engine._BLOCK_BYTES", 1)
         cfg = make_cfg(horizon=150, checkpoints=(150,))
         state = init_state(cfg, [0])
         for _ in range(129):
             step(state, cfg)
-        assert state._block.shape == (1, cfg.players, 22)
+        assert state._block.shape == (22, cfg.players, 1)
         want = player_stream(cfg.seed, 0, 1).random(150)[128:]
-        assert np.array_equal(state._block[0, 1], want)
+        assert np.array_equal(state._block[:, 1, 0], want)
 
     def test_block_boundary_inside_a_philox_buffer(self, monkeypatch):
         # 66-round blocks: the second block starts two words into a Philox
@@ -124,10 +125,80 @@ class TestRngContract:
         state = init_state(cfg, [0])
         for _ in range(67):
             step(state, cfg)
-        assert state._block.shape == (1, 2, 66)
+        assert state._block.shape == (66, 2, 1)
         for p in range(2):
             want = player_stream(cfg.seed, 0, p).random(cfg.horizon)[66:132]
-            assert np.array_equal(state._block[0, p], want)
+            assert np.array_equal(state._block[:, p, 0], want)
+
+    @pytest.mark.parametrize("tile_streams", [3, 6])
+    def test_staging_tile_boundaries(self, monkeypatch, tile_streams):
+        # 14 streams in tiles of 3 streams (a tile spans the two players) or
+        # of 6 (three replications), the last tile short either way; 66-round
+        # blocks refill at round 66, two words into a Philox counter's four,
+        # and at round 132, on a counter boundary
+        from distbandit import engine
+
+        r_n, m = 7, 2
+        cfg = make_cfg(
+            players=m, horizon=150, schedule=CS.linear(7), checkpoints=(150,),
+            replications=r_n,
+        )
+        counts, acts = _simulate([cfg], range(r_n), record_actions=True)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 8 * r_n * m * 66)
+        monkeypatch.setattr(engine, "_TILE_BYTES", 8 * 66 * tile_streams)
+        counts_tiled, acts_tiled = _simulate([cfg], range(r_n), record_actions=True)
+        assert np.array_equal(counts, counts_tiled)
+        assert np.array_equal(acts, acts_tiled)
+        want = [[player_stream(cfg.seed, r, p).random(cfg.horizon) for p in range(m)]
+                for r in range(r_n)]
+        state = init_state(cfg, range(r_n))
+        starts = []
+        for _ in range(cfg.horizon):
+            step(state, cfg)
+            if state._pos == 1:
+                start = state.t - 1
+                starts.append(start)
+                rounds = slice(start, start + len(state._block))
+                for r in range(r_n):
+                    for p in range(m):
+                        assert np.array_equal(state._block[:, p, r], want[r][p][rounds])
+        assert starts == [0, 66, 132]
+
+    def test_refills_reuse_the_first_block(self, monkeypatch):
+        # 64-round blocks: the run draws 4 blocks, and a refill must not
+        # allocate a second block while the first is alive
+        from distbandit import engine
+
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)
+        cfg = make_cfg(players=4, horizon=200, policy=PolicySpec(UCB), checkpoints=(200,))
+        reps = range(1000)
+        block_bytes = 64 * cfg.players * len(reps) * 8
+        tracemalloc.start()
+        try:
+            state = init_state(cfg, reps)
+            state_bytes = tracemalloc.get_traced_memory()[0]
+            del state
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _simulate([cfg], reps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes + state_bytes
+        blocks = []
+        real = engine._next_uniforms
+
+        def recording(state, rounds_left):
+            u = real(state, rounds_left)
+            if state._pos == 1:
+                blocks.append(state._block)
+            return u
+
+        monkeypatch.setattr(engine, "_next_uniforms", recording)
+        _simulate([cfg], reps)
+        assert [b.shape for b in blocks] == [(64, 4, 1000)] * 3 + [(8, 4, 1000)]
+        assert blocks[0].nbytes == block_bytes
+        assert all(np.shares_memory(b, blocks[0]) for b in blocks[1:])
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**200 + 3])
     @pytest.mark.parametrize("reps", [[0, 1], [5, 8], [5, 2**32 + 3, 8]])
@@ -148,6 +219,15 @@ class TestRngContract:
         for i, (r, p) in enumerate((r, p) for r in (5, 8) for p in range(3)):
             want = player_stream(cfg.seed, r, p).random(10)
             assert np.array_equal(state.streams[i].random(10), want)
+        # a slice is a list of streams
+        for streams, want in (
+            (state.streams[0:2], [(5, 0), (5, 1)]),
+            (state.streams[::-5], [(8, 2), (5, 0)]),
+            (state.streams[6:], []),
+        ):
+            assert isinstance(streams, list) and len(streams) == len(want)
+            for stream, (r, p) in zip(streams, want):
+                assert np.array_equal(stream.random(10), player_stream(cfg.seed, r, p).random(10))
         with pytest.raises(TypeError):
             state.streams[0] = player_stream(cfg.seed, 5, 0)
 
@@ -648,7 +728,7 @@ class TestFusedStrategies:
         state = init_state(cfg, [5, 8], schedules=FUSED_SCHEDULES)
         step(state, cfg)
         assert len(state.streams) == 2 * cfg.players
-        assert state._block.shape == (2, cfg.players, 30)
+        assert state._block.shape == (30, cfg.players, 2)
         assert state.known_count.shape == (len(FUSED_SCHEDULES) * 2, cfg.players, 2)
         assert state.replication_indices == (5, 8) * len(FUSED_SCHEDULES)
         assert state.comm_mask.shape == (31, len(FUSED_SCHEDULES))
