@@ -37,22 +37,12 @@ from .engine import (
     WorldState,
     init_state,
     merge_views,
-    regret,
     run_monte_carlo,
     run_once,
     run_strategies,
     step,
-    view_of,
 )
-from .policies import (
-    PlayerView,
-    PolicySpec,
-    count_prediction,
-    klucb_index,
-    klucb_lower_index,
-    select_arm,
-    ucb_index,
-)
+from .policies import PolicySpec
 from .schedule import (
     CommunicationSchedule,
     CountingGrowthReport,
@@ -74,14 +64,12 @@ __all__ = [
     "ExperimentConfig",
     "ExplorationFunction",
     "InvariantViolation",
-    "PlayerView",
     "PolicySpec",
     "RunAggregate",
     "RunConfig",
     "WorldState",
     "bound_report",
     "compare",
-    "count_prediction",
     "counting_growth_report",
     "d_inf_bernoulli",
     "experiment_runs",
@@ -90,24 +78,18 @@ __all__ = [
     "init_state",
     "kl_bernoulli",
     "kl_truncated",
-    "klucb_index",
-    "klucb_lower_index",
     "lower_bound_coefficient",
     "merge_views",
     "over_exploration_schedule",
     "parse_config",
     "parse_schedule",
-    "regret",
     "resolve_alpha",
     "run_monte_carlo",
     "run_once",
     "run_strategies",
-    "select_arm",
     "step",
-    "ucb_index",
     "upper_bound_coefficient",
     "upper_bound_curve",
-    "view_of",
     "write_comparison_csv",
 ]
 

@@ -47,7 +47,6 @@ import numpy as np
 from .core import LN2T, BernoulliArmModel, dklucb_scale
 from .policies import (
     DKLUCB,
-    PlayerView,
     PolicySpec,
     SelectionBuffers,
     exploration_budget,
@@ -381,15 +380,6 @@ def merge_views(state: WorldState, slots: slice = slice(None)) -> WorldState:
     return state
 
 
-def view_of(state: WorldState, rep_slot: int, player: int) -> PlayerView:
-    """Copy one player's view out of the batch (for inspection and tests)."""
-    return PlayerView(
-        known_count=state.known_count[rep_slot, player].copy(),
-        known_sum=state.known_sum[rep_slot, player].copy(),
-        snapshot_count=state.snapshot_count[rep_slot, player].copy(),
-    )
-
-
 def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
     """The [M, R] uniforms of the next round, one per stream; the strategies of
     a batch share them. They are the next row of the [L, M, R] block."""
@@ -648,11 +638,3 @@ def run_monte_carlo(cfg: RunConfig) -> RunAggregate:
     """Aggregate cfg.replications independent runs of the configured process."""
     return run_strategies([cfg])[0]
 
-
-def regret(aggregate: RunAggregate, arm_model: BernoulliArmModel, t: int) -> float:
-    """Gap-weighted expected pulls sum(gap_a * mean N_t(a)) at a checkpoint."""
-    try:
-        slot = aggregate.checkpoints.index(t)
-    except ValueError:
-        raise KeyError(f"round {t} is not a recorded checkpoint") from None
-    return float(aggregate.mean_counts[slot] @ np.asarray(arm_model.gaps))

@@ -3,11 +3,10 @@ DKLUCB count-prediction policy.
 
 The selection rule is written once, as select_batch over a [..., K] batch of
 sufficient statistics; the engine calls it on its (slot, player) batch, held
-arm-major and seen through transposed views, and select_arm on one view. The
-exploration budget is written once too, as exploration_budget: core's
-exploration form, times DKLUCB's M / (1 + (M-1) alpha) for that rule. The
-independent reference the engine's traces are checked against is the scalar
-simulator in tests/oracle_sim.py.
+arm-major and seen through transposed views. The exploration budget is written
+once too, as exploration_budget: core's exploration form, times DKLUCB's
+M / (1 + (M-1) alpha) for that rule. The independent reference the engine's
+traces are checked against is the scalar simulator in tests/oracle_sim.py.
 
 Inverting the Bernoulli KL divergence is the only nontrivial numerics. The
 KL-UCB upper index runs a fixed number of Newton steps in y = -ln(1-q), where
@@ -41,39 +40,6 @@ _NEWTON_ITERATIONS = 8
 # moves the index by over 1e-10; simulated budgets are f / N >= ln(2) / N.
 _NEWTON_MIN_BUDGET = 1e-11
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
-
-
-@dataclass
-class PlayerView:
-    """One player's knowledge as per-arm sufficient statistics.
-
-    known_count[a] is the number of rewards from arm a the player has seen
-    (its own plus everything received in merges), known_sum[a] their sum, and
-    snapshot_count[a] the global count of arm a at the last communication
-    round (0 before the first one).
-    """
-
-    known_count: np.ndarray
-    known_sum: np.ndarray
-    snapshot_count: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.known_count = np.asarray(self.known_count, dtype=np.int64)
-        self.known_sum = np.asarray(self.known_sum, dtype=np.int64)
-        self.snapshot_count = np.asarray(self.snapshot_count, dtype=np.int64)
-        if not (
-            self.known_count.shape == self.known_sum.shape == self.snapshot_count.shape
-        ):
-            raise ValueError("per-arm statistic arrays must share one shape")
-
-    @property
-    def total_known(self) -> int:
-        return int(self.known_count.sum())
-
-    def empirical_mean(self, a: int) -> float:
-        if self.known_count[a] == 0:
-            raise ValueError(f"arm {a} has no samples")
-        return float(self.known_sum[a]) / float(self.known_count[a])
 
 
 @dataclass(frozen=True)
@@ -211,41 +177,6 @@ def count_prediction_batch(known_count, snapshot_count, m: int, alpha: float) ->
     return n + (m - 1) * extra
 
 
-# -- scalar reference operations --------------------------------------------
-
-
-def ucb_index(view: PlayerView, a: int, f_value: float) -> float:
-    """Mean-plus-bonus index mu_hat(a) + sqrt(f_value / (2 N(a)))."""
-    if view.known_count[a] < 1:
-        raise ValueError(f"arm {a} has no samples")
-    return float(
-        ucb_index_batch(view.empirical_mean(a), view.known_count[a], f_value)
-    )
-
-
-def klucb_index(view: PlayerView, a: int, f_value: float, denom: float) -> float:
-    """Largest q with K(mu_hat(a), q) <= f_value / denom."""
-    if denom < 1:
-        raise ValueError(f"denominator must be >= 1, got {denom!r}")
-    return float(klucb_index_batch(view.empirical_mean(a), f_value / denom))
-
-
-def klucb_lower_index(view: PlayerView, a: int, f_value: float, denom: float) -> float:
-    """Smallest q with K(mu_hat(a), q) <= f_value / denom."""
-    if denom < 1:
-        raise ValueError(f"denominator must be >= 1, got {denom!r}")
-    return float(klucb_lower_batch(view.empirical_mean(a), f_value / denom))
-
-
-def count_prediction(view: PlayerView, a: int, m: int, alpha: float) -> float:
-    """Predicted global count N'(a) from the player's local statistics."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return float(
-        count_prediction_batch(view.known_count[a], view.snapshot_count[a], m, alpha)
-    )
-
-
 def exploration_budget(
     spec: PolicySpec, m: int, t: int | None, total_known: int
 ) -> float:
@@ -352,25 +283,3 @@ def select_batch(
     index = klucb_index_batch(np.ascontiguousarray(mu_hat.T), (f / denom).T).T
     return _first_argmax(index, out), denom
 
-
-def select_arm(
-    view: PlayerView, spec: PolicySpec, m: int, round_index: int | None = None
-) -> int:
-    """Pick the next arm for one player.
-
-    Any arm with zero samples is served first, lowest index winning; otherwise
-    select_batch runs on this single view, for a run of m >= 1 players. The
-    ln2t exploration variant is evaluated at round_index (required then); the
-    standard one uses the player's total sample count.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    counts = view.known_count
-    if counts.size == 0:
-        raise ValueError("policy needs at least one arm")
-    zero = np.flatnonzero(counts == 0)
-    if zero.size:
-        return int(zero[0])
-    f = exploration_budget(spec, m, round_index, view.total_known)
-    arm, _ = select_batch(spec, m, f, counts, view.known_sum, view.snapshot_count)
-    return int(arm)

@@ -1,5 +1,6 @@
 """Tests for the index rules: closed forms, an independent root-finder oracle,
-monotonicity properties, count prediction, and arm selection."""
+monotonicity properties, count prediction, and arm selection, each on the
+batch functions the engine calls."""
 
 import math
 
@@ -16,19 +17,15 @@ from distbandit.policies import (
     DKLUCB,
     KLUCB,
     UCB,
-    PlayerView,
     PolicySpec,
     SelectionBuffers,
     _klucb_bisect,
-    count_prediction,
+    count_prediction_batch,
     exploration_budget,
-    klucb_index,
     klucb_index_batch,
     klucb_lower_batch,
-    klucb_lower_index,
-    select_arm,
     select_batch,
-    ucb_index,
+    ucb_index_batch,
 )
 
 
@@ -69,29 +66,26 @@ def _lower_oracle(mu, budget):
     return brentq(lambda q: _kl(mu, q) - budget, lo, mu, xtol=1e-12)
 
 
-def view(counts, sums, snaps=None):
-    counts = np.asarray(counts)
-    if snaps is None:
-        snaps = np.zeros_like(counts)
-    return PlayerView(counts, np.asarray(sums), snaps)
+def select_one(spec, m, t, counts, sums, snaps=None):
+    """select_batch's arm for one player's view, as a [1, K] batch, with the
+    exploration budget at round t and the view's own sample total."""
+    counts = np.asarray(counts, dtype=np.int64)[None]
+    sums = np.asarray(sums, dtype=np.int64)[None]
+    snaps = np.zeros_like(counts) if snaps is None else np.asarray(snaps)[None]
+    f = exploration_budget(spec, m, t, int(counts.sum()))
+    return int(select_batch(spec, m, f, counts, sums, snaps)[0][0])
 
 
 class TestUcbIndex:
     def test_direct_substitution(self):
-        v = view([2], [1])
-        assert ucb_index(v, 0, 1.0) == pytest.approx(1.0)  # 0.5 + sqrt(1/4)
+        assert ucb_index_batch(1 / 2, 2, 1.0) == pytest.approx(1.0)  # 0.5 + sqrt(1/4)
 
     def test_zero_mean_full_bonus(self):
-        v = view([1], [0])
-        assert ucb_index(v, 0, 2.0) == pytest.approx(1.0)  # sqrt(2/2)
+        assert ucb_index_batch(0 / 1, 1, 2.0) == pytest.approx(1.0)  # sqrt(2/2)
 
     def test_bonus_vanishes(self):
-        v = view([10**9], [int(0.9 * 10**9)])
-        assert ucb_index(v, 0, 5.0) == pytest.approx(0.9, abs=1e-4)
-
-    def test_requires_samples(self):
-        with pytest.raises(ValueError):
-            ucb_index(view([0], [0]), 0, 1.0)
+        n, s = 10**9, int(0.9 * 10**9)
+        assert ucb_index_batch(s / n, n, 5.0) == pytest.approx(0.9, abs=1e-4)
 
     @given(
         count=st.integers(1, 10**6),
@@ -100,24 +94,21 @@ class TestUcbIndex:
     )
     def test_at_least_mean_and_bonus_decreasing(self, count, ones, f):
         s = int(ones * count)
-        v = view([count, count * 2], [s, s])
-        assert ucb_index(v, 0, f) >= v.empirical_mean(0)
-        assert ucb_index(v, 1, f) < ucb_index(v, 0, f)
+        index = ucb_index_batch(s / count, count, f)
+        assert index >= s / count
+        assert ucb_index_batch(s / (2 * count), 2 * count, f) < index
 
 
 class TestKlucbIndex:
     def test_zero_mean_closed_form(self):
-        v = view([4], [0])
-        got = klucb_index(v, 0, 4 * math.log(2), 4)
+        got = klucb_index_batch(0 / 4, 4 * math.log(2) / 4)
         assert got == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_budget_pins_to_mean(self):
-        v = view([10], [7])
-        assert klucb_index(v, 0, 0.0, 10) == pytest.approx(0.7, abs=1e-12)
+        assert klucb_index_batch(7 / 10, 0.0 / 10) == pytest.approx(0.7, abs=1e-12)
 
     def test_mean_one_is_one(self):
-        v = view([5], [5])
-        assert klucb_index(v, 0, 3.7, 5) == 1.0
+        assert klucb_index_batch(5 / 5, 3.7 / 5) == 1.0
 
     def test_against_root_finder(self):
         rng = np.random.default_rng(123)
@@ -125,8 +116,7 @@ class TestKlucbIndex:
             n = int(rng.integers(1, 200))
             s = int(rng.integers(0, n + 1))
             f = float(rng.uniform(0.0, 8.0))
-            v = view([n], [s])
-            mine = klucb_index(v, 0, f, n)
+            mine = klucb_index_batch(s / n, f / n)
             ref = _upper_oracle(s / n, f / n)
             assert mine == pytest.approx(ref, abs=1e-8)
 
@@ -200,17 +190,14 @@ class TestKlucbLowerIndex:
         for _ in range(100):
             n = int(rng.integers(1, 100))
             f = float(rng.uniform(0.01, 6.0))
-            v = view([n], [n])
-            got = klucb_lower_index(v, 0, f, n)
+            got = klucb_lower_batch(n / n, f / n)
             assert got == pytest.approx(math.exp(-f / n), abs=1e-9)
 
     def test_mean_zero_is_zero(self):
-        v = view([3], [0])
-        assert klucb_lower_index(v, 0, 2.0, 3) == 0.0
+        assert klucb_lower_batch(0 / 3, 2.0 / 3) == 0.0
 
     def test_zero_budget_pins_to_mean(self):
-        v = view([10], [4])
-        assert klucb_lower_index(v, 0, 0.0, 10) == pytest.approx(0.4, abs=1e-12)
+        assert klucb_lower_batch(4 / 10, 0.0 / 10) == pytest.approx(0.4, abs=1e-12)
 
     def test_against_root_finder(self):
         rng = np.random.default_rng(321)
@@ -218,8 +205,7 @@ class TestKlucbLowerIndex:
             n = int(rng.integers(1, 200))
             s = int(rng.integers(0, n + 1))
             f = float(rng.uniform(0.0, 6.0))
-            v = view([n], [s])
-            mine = klucb_lower_index(v, 0, f, n)
+            mine = klucb_lower_batch(s / n, f / n)
             ref = _lower_oracle(s / n, f / n)
             assert mine == pytest.approx(ref, abs=1e-8)
 
@@ -232,18 +218,14 @@ class TestKlucbLowerIndex:
 
 class TestCountPrediction:
     def test_alpha_one_is_identity(self):
-        v = view([14], [9], snaps=[10])
-        assert count_prediction(v, 0, 2, 1.0) == 14.0
+        assert count_prediction_batch(14, 10, 2, 1.0) == 14.0
 
     def test_direct_substitution(self):
-        v = view([14], [9], snaps=[10])
-        assert count_prediction(v, 0, 2, 0.5) == 18.0  # u=5, local=4
-        v = view([20], [9], snaps=[6])
-        assert count_prediction(v, 0, 3, 0.5) == 24.0  # u=2 wins the min
+        assert count_prediction_batch(14, 10, 2, 0.5) == 18.0  # u=5, local=4
+        assert count_prediction_batch(20, 6, 3, 0.5) == 24.0  # u=2 wins the min
 
     def test_alpha_zero_uses_local_increment(self):
-        v = view([14], [9], snaps=[10])
-        assert count_prediction(v, 0, 3, 0.0) == 14.0 + 2 * 4
+        assert count_prediction_batch(14, 10, 3, 0.0) == 14.0 + 2 * 4
 
     @given(
         snap=st.integers(0, 1000),
@@ -253,17 +235,14 @@ class TestCountPrediction:
     )
     def test_per_player_bound(self, snap, extra, m, alpha):
         n = snap + extra
-        v = view([n], [0], snaps=[snap])
-        n_prime = count_prediction(v, 0, m, alpha)
+        n_prime = count_prediction_batch(n, snap, m, alpha)
         assert n <= n_prime <= m / (1.0 + (m - 1) * alpha) * n + 1e-9
 
     def test_subnormal_alpha_stays_finite(self):
         # 1/alpha rounds to inf here; the budget must saturate, not go nan
         tiny = 5e-324
-        empty = view([7], [3], snaps=[0])
-        assert count_prediction(empty, 0, 4, tiny) == 7.0  # zero budget
-        merged = view([14], [9], snaps=[10])
-        assert count_prediction(merged, 0, 2, tiny) == 18.0  # local (4) wins
+        assert count_prediction_batch(7, 0, 4, tiny) == 7.0  # zero budget
+        assert count_prediction_batch(14, 10, 2, tiny) == 18.0  # local (4) wins
 
 
 class TestExplorationBudget:
@@ -303,38 +282,20 @@ class TestExplorationBudget:
 
 
 class TestSelectArm:
-    def test_unpulled_rule(self):
-        v = view([0, 0, 0], [0, 0, 0])
-        assert select_arm(v, PolicySpec(KLUCB), 1) == 0
-        v = view([2, 0, 1], [1, 0, 1])
-        assert select_arm(v, PolicySpec(UCB), 1, round_index=4) == 1
+    """select_batch on one player's view, a [1, K] batch."""
 
     def test_tie_breaks_to_lowest(self):
-        v = view([3, 3], [2, 2])
         for spec in (PolicySpec(UCB), PolicySpec(KLUCB), PolicySpec(DKLUCB, alpha=0.5)):
-            assert select_arm(v, spec, 2, round_index=7) == 0
+            assert select_one(spec, 2, 7, [3, 3], [2, 2]) == 0
 
     def test_dominant_mean_wins(self):
-        v = view([500, 500], [450, 50])
-        assert select_arm(v, PolicySpec(KLUCB), 1) == 0
+        assert select_one(PolicySpec(KLUCB), 1, None, [500, 500], [450, 50]) == 0
 
     def test_ln2t_needs_round_index(self):
         spec = PolicySpec(UCB, ExplorationFunction.ln2t())
-        v = view([1, 1], [1, 0])
         with pytest.raises(ValueError):
-            select_arm(v, spec, 1)
-        assert select_arm(v, spec, 1, round_index=3) in (0, 1)
-
-    def test_needs_a_player(self):
-        v = view([3, 3], [2, 1])
-        for spec in (PolicySpec(UCB), PolicySpec(KLUCB), PolicySpec(DKLUCB, alpha=0.5)):
-            with pytest.raises(ValueError):
-                select_arm(v, spec, 0, round_index=7)
-
-    def test_empty_arm_set_rejected(self):
-        v = view([], [])
-        with pytest.raises(ValueError):
-            select_arm(v, PolicySpec(UCB), 1)
+            exploration_budget(spec, 1, None, 2)
+        assert select_one(spec, 1, 3, [1, 1], [1, 0]) in (0, 1)
 
     def test_matches_manual_argmax(self):
         rng = np.random.default_rng(99)
@@ -342,11 +303,11 @@ class TestSelectArm:
             k = int(rng.integers(1, 5))
             counts = rng.integers(1, 40, size=k)
             sums = rng.integers(0, counts + 1)
-            v = view(counts, sums)
-            spec = PolicySpec(KLUCB)
-            f = exploration_value(ExplorationFunction.standard(), v.total_known)
-            manual = [klucb_index(v, a, f, int(counts[a])) for a in range(k)]
-            assert select_arm(v, spec, 1) == int(np.argmax(manual))
+            f = exploration_value(ExplorationFunction.standard(), int(counts.sum()))
+            manual = [
+                klucb_index_batch(sums[a] / counts[a], f / counts[a]) for a in range(k)
+            ]
+            assert select_one(PolicySpec(KLUCB), 1, None, counts, sums) == int(np.argmax(manual))
 
     @given(
         counts=st.lists(st.integers(1, 60), min_size=1, max_size=4),
@@ -358,9 +319,8 @@ class TestSelectArm:
         counts = np.asarray(counts)
         sums = rng.integers(0, counts + 1)
         snaps = rng.integers(0, counts + 1)
-        v = view(counts, sums, snaps)
-        assert select_arm(v, PolicySpec(DKLUCB, alpha=alpha), 1) == select_arm(
-            v, PolicySpec(KLUCB), 1
+        assert select_one(PolicySpec(DKLUCB, alpha=alpha), 1, None, counts, sums, snaps) == (
+            select_one(PolicySpec(KLUCB), 1, None, counts, sums, snaps)
         )
 
 
@@ -436,14 +396,3 @@ class TestPolicySpec:
         with pytest.raises(ValueError):
             PolicySpec(DKLUCB, ExplorationFunction.ln2t(), alpha=0.5)
         PolicySpec(DKLUCB, ExplorationFunction.standard(), alpha=0.5)
-
-    def test_view_validation(self):
-        with pytest.raises(ValueError):
-            PlayerView(np.zeros(2), np.zeros(3), np.zeros(2))
-
-    def test_view_statistics(self):
-        v = view([2, 3], [1, 2])
-        assert v.total_known == 5
-        assert v.empirical_mean(1) == pytest.approx(2 / 3)
-        with pytest.raises(ValueError):
-            view([0], [0]).empirical_mean(0)
