@@ -123,12 +123,8 @@ def _load_config(args) -> ExperimentConfig:
         cfg = parse_config(text)
     overrides = {}
     if args.replications is not None:
-        if args.replications < 1:
-            raise ConfigError(["--replications must be >= 1"])
         overrides["replications"] = args.replications
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(["--seed must be >= 0"])
         overrides["seed"] = args.seed
     if args.bounds:
         overrides["bounds"] = True

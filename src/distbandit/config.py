@@ -129,9 +129,6 @@ def _parse_means(raw: str, errors: list[str]) -> BernoulliArmModel | None:
             ok = False
             continue
         means.append(value)
-    if not means and ok:
-        errors.append("[experiment] means: needs at least one arm")
-        ok = False
     return BernoulliArmModel(tuple(means)) if ok else None
 
 

@@ -20,8 +20,10 @@ The batch is stored arm-major with the slot axis innermost: views [2, K, M,
 S*R] (counts and reward sums, float64), snapshots [K, S*R] (one per slot, as
 only a merge writes them), global totals [2, K, S*R] (int64) and the round's
 arms [M, S*R]. Every per-arm step is then a ufunc over contiguous rows, and
-selection is a compare over K such rows; WorldState presents the arrays in
-(slot, player, arm) order as views. A round that follows a merge of every
+selection is a compare over K such rows: select_batch takes its batch arm
+axis first, so the engine passes it these arrays as they are stored, with no
+transposed views. WorldState presents the arrays in (slot, player, arm) order
+as views for callers. A round that follows a merge of every
 strategy of the batch selects once per slot: the players of a slot then hold
 the same view, snapshot and exploration value, so player 0's indices are
 theirs, float for float, and its arms are given to all M players.
@@ -127,7 +129,7 @@ class RunConfig:
 
 @dataclass
 class _RoundBuffers:
-    """Arrays and views step reuses every round, allocated once per batch."""
+    """Arrays and views step reuses every round, built by _round_buffers."""
 
     select: tuple  # select_batch's (counts, sums, snapshots, out): [0] all players, [1] player 0
     p: np.ndarray  # float64 [M, S*R]; the means of the selected arms
@@ -135,7 +137,6 @@ class _RoundBuffers:
     rewards: np.ndarray  # bool [M, S*R]
     rewards3: np.ndarray  # rewards as [M, S, R]
     pulled: np.ndarray  # bool [2, K, M, S*R]; [0]: (player, slot) pulled arm a, [1]: and won
-    rows: tuple  # per player, its [2, K, S*R] rows of pulled
     arm_ids: np.ndarray  # int64 [K, 1, 1]
     slot_ids: np.ndarray  # int64 [S*R]
     flat: np.ndarray  # int64 [S*R]
@@ -157,6 +158,9 @@ class WorldState:
     horizon * players below 2**53; the global totals are int64. A merge of
     the whole batch writes player 0's view only and marks the others stale;
     they are copied from it when they are next read or updated.
+
+    A copy (copy.deepcopy, pickle) leaves out the round buffers, which view
+    this state's arrays; step builds the copy's own before its next round.
     """
 
     t: int
@@ -170,7 +174,7 @@ class WorldState:
     replication_indices: tuple[int, ...]  # the replication each slot runs
     comm_mask: np.ndarray  # bool [horizon+1, S]; [t, s]: does strategy s communicate at round t
     merge_all: bytes  # [horizon+1]; 1 where every strategy communicates at round t
-    _buf: _RoundBuffers | None = field(default=None, repr=False)
+    _buf: _RoundBuffers | None = field(default=None, repr=False)  # built by step
     _stale: bool = False  # players 1.. of every slot are to hold player 0's view
     # float64 [L, M, R]; the uniforms of the next L rounds, round-major; every
     # refill is a leading slice of the first block's buffer
@@ -188,6 +192,9 @@ class WorldState:
         stream by setting its key and counter on one shared generator, which
         gives the same uniforms."""
         return ContractStreams(self.keys.reshape(-1, 2))
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_buf": None}
 
     def _sync_views(self) -> None:
         if self._stale:
@@ -320,47 +327,47 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
     reps = [int(r) for r in replication_indices]
     n, m, k = len(schedules) * len(reps), cfg.players, cfg.arm_model.k
     comm_mask = np.stack([s.comm_mask(cfg.horizon) for s in schedules], axis=1)
-    views = np.zeros((2, k, m, n))
-    snapshot = np.zeros((k, n))
-    out = SelectionBuffers.arm_major((n, m, k))
-    select = tuple(
-        (
-            views[0, :, :p_n].T,
-            views[1, :, :p_n].T,
-            snapshot.T[:, None, :],
-            SelectionBuffers(*(getattr(out, f.name)[:, :p_n] for f in fields(out))),
-        )
-        for p_n in (m, 1)
-    )
-    p = np.empty((m, n))
-    rewards = np.empty((m, n), dtype=bool)
-    pulled = np.empty((2, k, m, n), dtype=bool)
-    buf = _RoundBuffers(
-        select=select,
-        p=p,
-        p3=p.reshape(m, len(schedules), len(reps)),
-        rewards=rewards,
-        rewards3=rewards.reshape(m, len(schedules), len(reps)),
-        pulled=pulled,
-        rows=tuple(pulled[:, :, i] for i in range(m)),
-        arm_ids=np.arange(k)[:, None, None],
-        slot_ids=np.arange(n),
-        flat=np.empty(n, dtype=np.int64),
-        winners=np.empty(n, dtype=np.int64),
-    )
     return WorldState(
         t=0,
-        views=views,
-        snapshot=snapshot,
+        views=np.zeros((2, k, m, n)),
+        snapshot=np.zeros((k, n)),
         totals=np.zeros((2, k, n), dtype=np.int64),
-        arms=out.arm.T,
+        arms=np.zeros((m, n), dtype=np.int64),
         last_merge=[0] * len(schedules),
         keys=_stream_keys(cfg.seed, reps, m),
         means=np.asarray(cfg.arm_model.means, dtype=np.float64),
         replication_indices=tuple(reps) * len(schedules),
         comm_mask=comm_mask,
         merge_all=comm_mask.all(axis=1).tobytes(),
-        _buf=buf,
+    )
+
+
+def _round_buffers(state: WorldState) -> _RoundBuffers:
+    """The buffers step reuses, built on this state's own arrays."""
+    _, k, m, n = state.views.shape
+    out = replace(SelectionBuffers.empty((k, m, n)), arm=state.arms)
+    select = tuple(
+        (
+            state.views[0, :, :p_n],
+            state.views[1, :, :p_n],
+            state.snapshot[:, None],
+            SelectionBuffers(*(getattr(out, f.name)[..., :p_n, :] for f in fields(out))),
+        )
+        for p_n in (m, 1)
+    )
+    p = np.empty((m, n))
+    rewards = np.empty((m, n), dtype=bool)
+    return _RoundBuffers(
+        select=select,
+        p=p,
+        p3=p.reshape(m, len(state.last_merge), -1),
+        rewards=rewards,
+        rewards3=rewards.reshape(m, len(state.last_merge), -1),
+        pulled=np.empty((2, k, m, n), dtype=bool),
+        arm_ids=np.arange(k)[:, None, None],
+        slot_ids=np.arange(n),
+        flat=np.empty(n, dtype=np.int64),
+        winners=np.empty(n, dtype=np.int64),
     )
 
 
@@ -428,32 +435,34 @@ def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
 
 
 def _check_claims(state: WorldState, n_prime: np.ndarray, cfg: RunConfig) -> None:
+    """Raise on the first breach, in (slot, player, arm) order, of either
+    count-prediction claim by the [K, M, S*R] predictions N'."""
     m, alpha = cfg.players, cfg.policy.alpha
     t = state.t + 1
     r_n = state.keys.shape[0]
     # the counts selection read: while the views are stale (after a merge of
     # the whole batch) player 0's stand for every player's
     counts = state.views[0, :, :1] if state._stale else state.views[0]
-    bound = dklucb_scale(m, alpha) * counts.T
+    bound = dklucb_scale(m, alpha) * counts
     over = n_prime > bound + 1e-9
     if over.any():
-        r, p, a = np.argwhere(over)[0]
+        r, p, a = np.argwhere(over.T)[0]
         bound = np.broadcast_to(bound, n_prime.shape)
         raise InvariantViolation(
             f"count prediction exceeded its per-player bound at round {t}: "
             f"replication {state.replication_indices[r]}, player {p}, arm {a}, "
-            f"N' = {n_prime[r, p, a]} > {bound[r, p, a]}",
+            f"N' = {n_prime[a, p, r]} > {bound[a, p, r]}",
             strategy=int(r) // r_n,
         )
     summed = n_prime.sum(axis=1)
-    bound = m * state.total_count
+    bound = m * state.totals[0]
     over = summed > bound + 1e-9
     if over.any():
-        r, a = np.argwhere(over)[0]
+        r, a = np.argwhere(over.T)[0]
         raise InvariantViolation(
             f"summed count predictions exceeded M times the global count at round {t}: "
             f"replication {state.replication_indices[r]}, arm {a}, "
-            f"sum of N' = {summed[r, a]} > {bound[r, a]}",
+            f"sum of N' = {summed[a, r]} > {bound[a, r]}",
             strategy=int(r) // r_n,
         )
 
@@ -465,6 +474,8 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
     t = state.t + 1
     _, k, m, n = state.views.shape
     r_n = state.keys.shape[0]
+    if state._buf is None:
+        state._buf = _round_buffers(state)
     arms, buf = state.arms, state._buf
     # after a merge of the whole batch the players of a slot hold the same
     # view, snapshot and f, hence the same indices: player 0 selects for all
@@ -483,7 +494,7 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
                 exploration_budget(cfg.policy, m, t, (t - 1) + (m - 1) * last)
                 for last in state.last_merge
             ]
-            f = f[0] if len(f) == 1 else np.repeat(f, r_n)[:, None, None]
+            f = f[0] if len(f) == 1 else np.repeat(f, r_n)
         if not shared:
             state._sync_views()
         count, total, snap, out = buf.select[shared]
@@ -509,9 +520,8 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
     else:
         np.equal(arms, buf.arm_ids, out=buf.pulled[0])
         np.logical_and(buf.pulled[0], buf.rewards, out=buf.pulled[1])
-        # players of one slot may pick the same arm: add one player at a time
-        for row in buf.rows:
-            state.totals += row
+        # players of one slot may pick the same arm: sum their pulls first
+        state.totals += np.add.reduce(buf.pulled, axis=2)
     if state.merge_all[t]:
         merge_views(state)
     else:
@@ -534,17 +544,17 @@ def _simulate(cfgs, replication_indices, record_actions: bool = False):
     shims do) reaches this loop."""
     cfg = cfgs[0]
     state = init_state(cfg, replication_indices, schedules=[c.schedule for c in cfgs])
-    n, m, k = state.known_count.shape
+    _, k, m, n = state.views.shape
     cp_slot = {t: i for i, t in enumerate(cfg.checkpoints)}
     counts = np.zeros((len(cfg.checkpoints), n, k), dtype=np.int64)
     actions = np.zeros((cfg.horizon, n, m), np.int64) if record_actions else None
     for t in range(1, cfg.horizon + 1):
         step(state, cfg)
         if actions is not None:
-            actions[t - 1] = state.last_actions
+            actions[t - 1] = state.arms.T
         slot = cp_slot.get(t)
         if slot is not None:
-            counts[slot] = state.total_count
+            counts[slot] = state.totals[0].T
     return counts, actions
 
 

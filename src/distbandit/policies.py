@@ -1,9 +1,9 @@
 """Per-player arm-selection rules: UCB / KL-UCB index adaptations and the
 DKLUCB count-prediction policy.
 
-The selection rule is written once, as select_batch over a [..., K] batch of
-sufficient statistics; the engine calls it on its (slot, player) batch, held
-arm-major and seen through transposed views. The exploration budget is written
+The selection rule is written once, as select_batch over a [K, ...] batch of
+sufficient statistics, arm axis first; the engine passes it its arm-major
+(player, slot) arrays as they are stored. The exploration budget is written
 once too, as exploration_budget: core's exploration form, times DKLUCB's
 M / (1 + (M-1) alpha) for that rule. The independent reference the engine's
 traces are checked against is the scalar simulator in tests/oracle_sim.py.
@@ -200,10 +200,9 @@ def exploration_budget(
 
 @dataclass(frozen=True)
 class SelectionBuffers:
-    """The arrays select_batch writes into for one [..., K] batch: the
-    empirical means and indices [..., K], and the running maximum, the arm
-    and a scratch row [...]. Any memory order works; the arm scan reads
-    one [...] slice per arm, so it is fastest with the arm axis outermost."""
+    """The arrays select_batch writes into for one [K, ...] batch: the
+    empirical means and indices [K, ...], and the running maximum, the arm
+    and a scratch row [...]."""
 
     mean: np.ndarray  # float64
     index: np.ndarray  # float64
@@ -212,47 +211,45 @@ class SelectionBuffers:
     scratch: np.ndarray  # int64
 
     @classmethod
-    def arm_major(cls, shape) -> SelectionBuffers:
-        """Buffers for a batch of this [..., K] shape, stored in reversed axis
-        order (arm outermost, the first batch axis innermost); each field is
-        the transposed view, so it indexes in [..., K] order."""
-        rev = tuple(reversed(shape))
+    def empty(cls, shape) -> SelectionBuffers:
+        """Buffers for a batch of this [K, ...] shape."""
         return cls(
-            mean=np.empty(rev).T,
-            index=np.empty(rev).T,
-            best=np.empty(rev[1:]).T,
-            arm=np.zeros(rev[1:], dtype=np.int64).T,
-            scratch=np.empty(rev[1:], dtype=np.int64).T,
+            mean=np.empty(shape),
+            index=np.empty(shape),
+            best=np.empty(shape[1:]),
+            arm=np.empty(shape[1:], dtype=np.int64),
+            scratch=np.empty(shape[1:], dtype=np.int64),
         )
 
 
 def _first_argmax(index: np.ndarray, out: SelectionBuffers) -> np.ndarray:
-    """The scan select_batch documents, over the last axis, into out.arm;
+    """The scan select_batch documents, over the first axis, into out.arm;
     branch-free: the arm only grows, so max(arm, a * beats) selects it."""
-    k = index.shape[-1]
+    k = len(index)
     arm = out.arm
     if k == 1:
         arm.fill(0)
         return arm
-    np.greater(index[..., 1], index[..., 0], out=arm)
+    np.greater(index[1], index[0], out=arm)
     if k > 2:
         best, beats = out.best, out.scratch
-        np.maximum(index[..., 0], index[..., 1], out=best)
+        np.maximum(index[0], index[1], out=best)
         for a in range(2, k):
-            np.greater(index[..., a], best, out=beats)
+            np.greater(index[a], best, out=beats)
             np.multiply(beats, a, out=beats)
             np.maximum(arm, beats, out=arm)
             if a < k - 1:
-                np.maximum(best, index[..., a], out=best)
+                np.maximum(best, index[a], out=best)
     return arm
 
 
 def select_batch(
     spec: PolicySpec, m: int, f, known_count, known_sum, snapshot_count, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The index rule over a [..., K] batch of views whose counts are all >= 1.
+    """The index rule over a [K, ...] batch of views whose counts are all >= 1;
+    one player's view is a [K] array, a batch of shape ().
 
-    Returns the arm of the largest index over the last axis and the
+    Returns the arm of the largest index over the first axis and the
     sample-count denominator the indices used: the count prediction N' for
     dklucb, the float counts otherwise. f is a scalar or broadcasts against
     the batch, and snapshot_count need only broadcast against known_count.
@@ -269,7 +266,7 @@ def select_batch(
     no nan.
     """
     if out is None:
-        out = SelectionBuffers.arm_major(np.shape(known_count))
+        out = SelectionBuffers.empty(np.shape(known_count))
     counts = np.asarray(known_count, dtype=np.float64)
     mu_hat = np.divide(known_sum, counts, out=out.mean)
     if spec.rule == UCB:
@@ -278,8 +275,6 @@ def select_batch(
     denom = counts
     if spec.rule == DKLUCB:
         denom = count_prediction_batch(known_count, snapshot_count, m, spec.alpha)
-    # elementwise, so it may run on the transposes: C-contiguous when the
-    # batch is held arm-major, which its many small ufunc calls run fastest on
-    index = klucb_index_batch(np.ascontiguousarray(mu_hat.T), (f / denom).T).T
+    index = klucb_index_batch(mu_hat, f / denom)
     return _first_argmax(index, out), denom
 

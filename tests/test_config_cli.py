@@ -165,6 +165,17 @@ class TestParseConfig:
         )
         assert any("exceeds the horizon" in e for e in errors)
 
+    def test_unparsable_means_and_players(self):
+        assert errors_of(MINIMAL.replace("means = 0.9, 0.8", "means =")) == [
+            "[experiment] means: '' is not a number"
+        ]
+        assert errors_of(MINIMAL.replace("means = 0.9, 0.8", "means = 0.9, high")) == [
+            "[experiment] means: 'high' is not a number"
+        ]
+        assert errors_of(MINIMAL.replace("players = 2", "players = two")) == [
+            "[experiment] players: 'two' is not an integer"
+        ]
+
     def test_bad_boolean(self):
         errors = errors_of(MINIMAL.replace("horizon = 1024", "horizon = 1024\nbounds = maybe"))
         assert any("boolean" in e for e in errors)
@@ -335,6 +346,38 @@ schedule = none
         assert "leading term" in printed
         assert "[burst] bounds: n/a (finite set)" in printed
 
+    def test_bounds_flag_prints_each_bound_kind(self, tmp_path, capsys):
+        # a one-shot schedule takes the one-shot bound at alpha 1; dklucb takes
+        # its configured alpha, here not doubleexp:2,1's density (0.5); a bound
+        # that cannot be formed is reported in place of its table
+        doc = """
+[experiment]
+means = 0.9, 0.8
+players = 2
+horizon = 64
+policy = dklucb
+alpha = 0.25
+checkpoints = 16, 64
+
+[strategy once]
+schedule = oneshot:8
+
+[strategy sparse]
+schedule = doubleexp:2,1
+"""
+        out = str(tmp_path / "b")
+        assert main(["--config", write_config(tmp_path, doc), "--out", out, "--bounds"]) == 0
+        printed = capsys.readouterr().out
+        assert "[once]\nbound kind: oneshot (M=2, alpha=1.0);" in printed
+        assert "[sparse]\nbound kind: sparse (M=2, alpha=0.25);" in printed
+        doc = doc.replace("means = 0.9, 0.8", "means = 1.0, 0.8")
+        assert main(["--config", write_config(tmp_path, doc), "--out", out, "--bounds"]) == 0
+        printed = capsys.readouterr().out
+        reason = "need 0 < mu_a < mu_star < 1, got mu_a=0.8, mu_star=1.0"
+        for name in ("once", "sparse"):
+            assert f"[{name}] bounds: n/a ({reason})" in printed
+        assert "bound kind" not in printed
+
     def test_preset_reduced_replications_writes_five_csvs(self, tmp_path):
         out = tmp_path / "fig"
         code = main(
@@ -361,10 +404,12 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "1.2" in err and "players" in err
 
-    def test_bad_flag_values_are_exit_2(self, tmp_path):
+    def test_bad_flag_values_are_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)
         assert main(["--config", cfg, "--replications", "0"]) == 2
+        assert capsys.readouterr().err == "config error: replications must be >= 1\n"
         assert main(["--config", cfg, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: seed must be a nonnegative integer\n"
 
     def test_ungenerable_grids_are_exit_2(self, tmp_path, capsys):
         doc = SMALL.replace("schedule = full", "schedule = exp:inf")

@@ -18,7 +18,6 @@ from distbandit.policies import (
     KLUCB,
     UCB,
     PolicySpec,
-    SelectionBuffers,
     _klucb_bisect,
     count_prediction_batch,
     exploration_budget,
@@ -67,13 +66,13 @@ def _lower_oracle(mu, budget):
 
 
 def select_one(spec, m, t, counts, sums, snaps=None):
-    """select_batch's arm for one player's view, as a [1, K] batch, with the
+    """select_batch's arm for one player's view, a [K] array, with the
     exploration budget at round t and the view's own sample total."""
-    counts = np.asarray(counts, dtype=np.int64)[None]
-    sums = np.asarray(sums, dtype=np.int64)[None]
-    snaps = np.zeros_like(counts) if snaps is None else np.asarray(snaps)[None]
+    counts = np.asarray(counts, dtype=np.int64)
+    sums = np.asarray(sums, dtype=np.int64)
+    snaps = np.zeros_like(counts) if snaps is None else np.asarray(snaps)
     f = exploration_budget(spec, m, t, int(counts.sum()))
-    return int(select_batch(spec, m, f, counts, sums, snaps)[0][0])
+    return int(select_batch(spec, m, f, counts, sums, snaps)[0])
 
 
 class TestUcbIndex:
@@ -282,7 +281,7 @@ class TestExplorationBudget:
 
 
 class TestSelectArm:
-    """select_batch on one player's view, a [1, K] batch."""
+    """select_batch on one player's view, a [K] array."""
 
     def test_tie_breaks_to_lowest(self):
         for spec in (PolicySpec(UCB), PolicySpec(KLUCB), PolicySpec(DKLUCB, alpha=0.5)):
@@ -324,17 +323,21 @@ class TestSelectArm:
         )
 
 
-def _select_on(values, arm_major=False):
-    """select_batch's arms for a batch whose indices are `values`: UCB with
-    f = 0 on single samples makes each index its sample exactly."""
-    values = np.asarray(values, dtype=np.float64)
+def _arm_first(values):
+    """A [..., K] array as a [K, ...] view, select_batch's axis order."""
+    return np.moveaxis(np.asarray(values), -1, 0)
+
+
+def _select_on(values, contiguous=False):
+    """select_batch's arms for a [..., K] batch whose indices are `values`,
+    passed arm axis first as a strided view of them, or as a contiguous copy
+    (as the engine stores its batch): UCB with f = 0 on single samples makes
+    each index its sample exactly."""
+    values = _arm_first(np.asarray(values, dtype=np.float64))
+    if contiguous:
+        values = np.ascontiguousarray(values)
     ones, zeros = np.ones_like(values), np.zeros_like(values)
-    if not arm_major:
-        return select_batch(PolicySpec(UCB), 1, 0.0, ones, values, zeros)[0]
-    # stored with the arm axis outermost, as the engine holds its batch
-    values = np.ascontiguousarray(values.T).T
-    out = SelectionBuffers.arm_major(values.shape)
-    return select_batch(PolicySpec(UCB), 1, 0.0, ones, values, zeros, out=out)[0]
+    return select_batch(PolicySpec(UCB), 1, 0.0, ones, values, zeros)[0]
 
 
 class TestSelectBatch:
@@ -353,7 +356,7 @@ class TestSelectBatch:
         values = data.draw(arrays(np.float64, (*batch, k), elements=value))
         want = np.argmax(values, axis=-1)
         assert np.array_equal(_select_on(values), want)
-        assert np.array_equal(_select_on(values, arm_major=True), want)
+        assert np.array_equal(_select_on(values, contiguous=True), want)
 
     @pytest.mark.parametrize(
         "values, arm",
@@ -370,7 +373,7 @@ class TestSelectBatch:
     def test_nan_ends_the_scan(self, values, arm):
         # the result is the first maximum of the arms before the first nan
         assert _select_on(values) == arm
-        assert _select_on([values, values], arm_major=True).tolist() == [arm, arm]
+        assert _select_on([values, values], contiguous=True).tolist() == [arm, arm]
 
     def test_ucb_and_kl_indices_match_argmax(self):
         rng = np.random.default_rng(5)
@@ -382,9 +385,11 @@ class TestSelectBatch:
             (PolicySpec(UCB), mu + np.sqrt(f / (2.0 * counts))),
             (PolicySpec(KLUCB), klucb_index_batch(mu, f / counts)),
         ):
-            arms, denom = select_batch(spec, 1, f, counts, sums, np.zeros_like(counts))
+            arms, denom = select_batch(
+                spec, 1, f, _arm_first(counts), _arm_first(sums), np.zeros((7, 6, 3))
+            )
             assert np.array_equal(arms, np.argmax(index, axis=-1))
-            assert np.array_equal(denom, counts)
+            assert np.array_equal(denom, _arm_first(counts))
 
 
 class TestPolicySpec:
