@@ -257,10 +257,10 @@ def parse_config(text: str) -> ExperimentConfig:
             )
             continue
         name = section[len("strategy ") :].strip()
-        if not re.fullmatch(r"[A-Za-z0-9._-]+", name):
+        if not re.fullmatch(r"[A-Za-z0-9._-]+", name) or name.lower() == "combined":
             errors.append(
                 f"[{section}] strategy names are limited to letters, digits, "
-                "'.', '_' and '-' (the name becomes an output file)"
+                "'.', '_' and '-', other than 'combined' (the name becomes an output file)"
             )
             continue
         body = dict(parser.items(section))

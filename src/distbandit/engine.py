@@ -23,10 +23,10 @@ arms [M, S*R]. Every per-arm step is then a ufunc over contiguous rows, and
 selection is a compare over K such rows: select_batch takes its batch arm
 axis first, so the engine passes it these arrays as they are stored, with no
 transposed views. WorldState presents the arrays in (slot, player, arm) order
-as views for callers. A round that follows a merge of every
-strategy of the batch selects once per slot: the players of a slot then hold
-the same view, snapshot and exploration value, so player 0's indices are
-theirs, float for float, and its arms are given to all M players.
+as views for callers. While a whole-batch merge has left the views stale, a
+round selects once per slot: the players of a slot then hold the same view,
+snapshot and exploration value, so player 0's indices are theirs, float for
+float, and its arms are given to all M players.
 
 The uniforms are held round-major, in an [L, M, R] block of the next L
 rounds, so a round reads its uniforms from one contiguous row. A stream's L
@@ -157,7 +157,8 @@ class WorldState:
     The view counts and sums are float64, exact because RunConfig keeps
     horizon * players below 2**53; the global totals are int64. A merge of
     the whole batch writes player 0's view only and marks the others stale;
-    they are copied from it when they are next read or updated.
+    they are copied from it when they are next read or updated. While the
+    views are stale, step selects once per slot, on player 0's view.
 
     A copy (copy.deepcopy, pickle) leaves out the round buffers, which view
     this state's arrays; step builds the copy's own before its next round.
@@ -173,7 +174,6 @@ class WorldState:
     means: np.ndarray  # float64 [K]
     replication_indices: tuple[int, ...]  # the replication each slot runs
     comm_mask: np.ndarray  # bool [horizon+1, S]; [t, s]: does strategy s communicate at round t
-    merge_all: bytes  # [horizon+1]; 1 where every strategy communicates at round t
     _buf: _RoundBuffers | None = field(default=None, repr=False)  # built by step
     _stale: bool = False  # players 1.. of every slot are to hold player 0's view
     # float64 [L, M, R]; the uniforms of the next L rounds, round-major; every
@@ -325,8 +325,9 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
     strategy-major over the replications (by default cfg.schedule alone)."""
     schedules = (cfg.schedule,) if schedules is None else tuple(schedules)
     reps = [int(r) for r in replication_indices]
+    if not reps or min(reps) < 0:
+        raise ValueError(f"expected one or more nonnegative replication indices, got {reps}")
     n, m, k = len(schedules) * len(reps), cfg.players, cfg.arm_model.k
-    comm_mask = np.stack([s.comm_mask(cfg.horizon) for s in schedules], axis=1)
     return WorldState(
         t=0,
         views=np.zeros((2, k, m, n)),
@@ -337,8 +338,7 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
         keys=_stream_keys(cfg.seed, reps, m),
         means=np.asarray(cfg.arm_model.means, dtype=np.float64),
         replication_indices=tuple(reps) * len(schedules),
-        comm_mask=comm_mask,
-        merge_all=comm_mask.all(axis=1).tobytes(),
+        comm_mask=np.stack([s.comm_mask(cfg.horizon) for s in schedules], axis=1),
     )
 
 
@@ -477,9 +477,9 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
     if state._buf is None:
         state._buf = _round_buffers(state)
     arms, buf = state.arms, state._buf
-    # after a merge of the whole batch the players of a slot hold the same
-    # view, snapshot and f, hence the same indices: player 0 selects for all
-    shared = state.merge_all[t - 1]
+    # while a whole-batch merge has left the views stale, a slot's players hold
+    # one view, snapshot and f, hence the same indices: player 0 selects for all
+    shared = state._stale
     if t <= k:
         # some arm is still unsampled, identically across the batch: the
         # unpulled-arm rule forces arm t-1 for every player
@@ -495,8 +495,6 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
                 for last in state.last_merge
             ]
             f = f[0] if len(f) == 1 else np.repeat(f, r_n)
-        if not shared:
-            state._sync_views()
         count, total, snap, out = buf.select[shared]
         _, denom = select_batch(cfg.policy, m, f, count, total, snap, out=out)
         if shared and m > 1:
@@ -509,7 +507,8 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
     state.means.take(arms, out=buf.p, mode="clip")
     np.less(u[:, None, :], buf.p3, out=buf.rewards3)
     merging = [s for s, on in enumerate(state.comm_mask[t].tolist()) if on]
-    if shared and state.merge_all[t]:
+    whole = len(merging) == len(state.last_merge)
+    if shared and whole:
         # the players of a slot pulled its one arm and the views are about to
         # be overwritten: add the slot's M pulls and its winners at once
         np.multiply(arms[0], n, out=buf.flat)
@@ -522,7 +521,7 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
         np.logical_and(buf.pulled[0], buf.rewards, out=buf.pulled[1])
         # players of one slot may pick the same arm: sum their pulls first
         state.totals += np.add.reduce(buf.pulled, axis=2)
-    if state.merge_all[t]:
+    if whole:
         merge_views(state)
     else:
         state._sync_views()

@@ -134,6 +134,15 @@ class TestParseConfig:
         errors = errors_of(MINIMAL + "\n[strategy ../evil]\nschedule = none\n")
         assert any("strategy name" in e for e in errors)
 
+    @pytest.mark.parametrize("name", ["combined", "Combined", "COMBINED"])
+    def test_strategy_named_combined_is_rejected(self, name):
+        # its CSV would be overwritten by the combined table
+        errors = errors_of(MINIMAL + f"\n[strategy {name}]\nschedule = none\n")
+        assert errors == [
+            f"[strategy {name}] strategy names are limited to letters, digits, "
+            "'.', '_' and '-', other than 'combined' (the name becomes an output file)"
+        ]
+
     def test_unknown_policy_and_exploration(self):
         errors = errors_of(
             MINIMAL.replace("policy = klucb", "policy = thompson\nexploration = ln3t")
@@ -428,6 +437,17 @@ class TestCliErrors:
         assert main(["--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: horizon * players must be below 2**53")
+        assert not out.exists()
+
+    def test_strategy_named_combined_is_exit_2(self, tmp_path, capsys):
+        doc = MINIMAL.replace("[strategy full]", "[strategy combined]")
+        out = tmp_path / "out"
+        assert main(["--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [strategy combined] strategy names are limited to letters, "
+            "digits, '.', '_' and '-', other than 'combined' (the name becomes an "
+            "output file)\n"
+        )
         assert not out.exists()
 
     def test_source_flags_are_mutually_exclusive(self, tmp_path):

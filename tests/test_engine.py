@@ -589,6 +589,111 @@ class TestStateInvariants:
         with pytest.raises(ValueError):
             step(state, cfg)
 
+    def test_no_replications_is_rejected(self):
+        cfg = make_cfg()
+        with pytest.raises(ValueError, match=r"replication indices, got \[\]"):
+            init_state(cfg, [])
+
+    def test_a_negative_replication_is_rejected(self):
+        cfg = make_cfg()
+        with pytest.raises(ValueError, match=r"replication indices, got \[0, -1\]"):
+            init_state(cfg, [0, -1])
+        with pytest.raises(ValueError, match=r"replication indices, got \[-1\]"):
+            run_once(cfg, -1)
+
+
+def shared_cfg(schedule, policy):
+    return make_cfg(
+        means=(0.9, 0.8, 0.7), players=3, horizon=40, schedule=schedule,
+        policy=policy, checkpoints=(40,), replications=4,
+    )
+
+
+SHARED_POLICIES = [PolicySpec(UCB), PolicySpec(DKLUCB, alpha=0.5)]
+
+
+class TestSharedRounds:
+    """While a whole-batch merge has left the views stale, step selects once
+    per slot on player 0's view; the arms are those of every player's view."""
+
+    def run(self, monkeypatch, cfg, between=lambda state: None):
+        """Run cfg's batch; return {round: the player width select_batch ran
+        on}, the state and the action trace. between(state) runs after every
+        step."""
+        widths = {}
+        state = init_state(cfg, range(cfg.replications))
+
+        def recording(spec, m, f, known_count, *args, **kwargs):
+            widths[state.t + 1] = known_count.shape[1]
+            return select_batch(spec, m, f, known_count, *args, **kwargs)
+
+        monkeypatch.setattr("distbandit.engine.select_batch", recording)
+        trace = []
+        while state.t < cfg.horizon:
+            step(state, cfg)
+            trace.append(state.last_actions.copy())
+            between(state)
+        return widths, state, np.stack(trace)
+
+    @pytest.mark.parametrize("policy", SHARED_POLICIES, ids=["ucb", "dklucb"])
+    def test_full_selects_once_per_slot(self, monkeypatch, policy):
+        cfg = shared_cfg(CS.full(), policy)
+        widths, _, _ = self.run(monkeypatch, cfg)
+        k = cfg.arm_model.k
+        assert widths == {t: 1 for t in range(k + 1, cfg.horizon + 1)}
+
+    @pytest.mark.parametrize("policy", SHARED_POLICIES, ids=["ucb", "dklucb"])
+    def test_doubleexp_selects_once_per_slot_after_its_merges(self, monkeypatch, policy):
+        # doubleexp:2,1 communicates at rounds 4 and 16 of the first 40
+        cfg = shared_cfg(CS.double_exponential(2.0, 1.0), policy)
+        widths, _, _ = self.run(monkeypatch, cfg)
+        k, m = cfg.arm_model.k, cfg.players
+        expected = {t: 1 if t in (5, 17) else m for t in range(k + 1, cfg.horizon + 1)}
+        assert widths == expected
+
+    @pytest.mark.parametrize("policy", SHARED_POLICIES, ids=["ucb", "dklucb"])
+    def test_a_merge_between_steps_selects_once_per_slot(self, monkeypatch, policy):
+        cfg = shared_cfg(CS.none(), policy)
+
+        def merge_at_20(state):
+            if state.t == 20:
+                merge_views(state)
+
+        def merge_and_read_at_20(state):
+            if state.t == 20:
+                merge_views(state)
+                state.known_count  # copies the merged view to every player
+
+        widths, merged, merged_trace = self.run(monkeypatch, cfg, merge_at_20)
+        assert widths[21] == 1
+        assert all(w == cfg.players for t, w in widths.items() if t != 21)
+        widths, read, read_trace = self.run(monkeypatch, cfg, merge_and_read_at_20)
+        assert widths[21] == cfg.players
+        assert np.array_equal(merged_trace, read_trace)
+        assert np.array_equal(merged.total_count, read.total_count)
+        assert np.array_equal(merged.total_sum, read.total_sum)
+
+    @pytest.mark.parametrize("policy", SHARED_POLICIES, ids=["ucb", "dklucb"])
+    @pytest.mark.parametrize(
+        "schedule", [CS.full(), CS.double_exponential(2.0, 1.0)], ids=["full", "doubleexp"]
+    )
+    def test_reading_the_views_never_changes_the_trajectory(
+        self, monkeypatch, schedule, policy
+    ):
+        cfg = shared_cfg(schedule, policy)
+
+        def read(state):
+            state.known_count
+            state.known_sum
+
+        _, unread, unread_trace = self.run(monkeypatch, cfg)
+        widths, read_state, read_trace = self.run(monkeypatch, cfg, read)
+        # every read copies the stale views, so every round selects per player
+        assert set(widths.values()) == {cfg.players}
+        assert np.array_equal(unread_trace, read_trace)
+        assert np.array_equal(unread.total_count, read_state.total_count)
+        assert np.array_equal(unread.total_sum, read_state.total_sum)
+
 
 class TestSelectionConsistency:
     @pytest.mark.parametrize(
