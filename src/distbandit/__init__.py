@@ -20,7 +20,6 @@ from .config import (
     experiment_runs,
     figure1_preset,
     parse_config,
-    resolve_alpha,
 )
 from .core import (
     BernoulliArmModel,
@@ -83,7 +82,6 @@ __all__ = [
     "over_exploration_schedule",
     "parse_config",
     "parse_schedule",
-    "resolve_alpha",
     "run_monte_carlo",
     "run_once",
     "run_strategies",

@@ -8,8 +8,11 @@ rather than pass/fail assertions.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,21 +196,39 @@ def compare(
     return rows
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write via a temp file in the same directory, then rename, so an
+    interrupted run leaves no partial final file."""
+    directory = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_comparison_csv(path, rows: list[ComparisonRow]) -> None:
     """Write the comparison table (arm ids 1-based in the file)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "arm", "empirical_mean", "leading_term", "ratio"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.t,
-                    row.arm + 1,
-                    repr(row.empirical_mean),
-                    repr(row.leading_term),
-                    repr(row.ratio),
-                ]
-            )
+    _write_csv(
+        path,
+        ["t", "arm", "empirical_mean", "leading_term", "ratio"],
+        (
+            [
+                row.t,
+                row.arm + 1,
+                repr(row.empirical_mean),
+                repr(row.leading_term),
+                repr(row.ratio),
+            ]
+            for row in rows
+        ),
+    )
 
 
 def format_comparison(report: BoundReport, rows: list[ComparisonRow]) -> str:

@@ -10,15 +10,14 @@ combined long-format CSV for log-x plotting. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
 from .analysis import (
     BOUND_ONESHOT,
     BOUND_SPARSE,
+    _write_csv,
     bound_report,
     compare,
     format_comparison,
@@ -44,25 +43,6 @@ def _aggregate_rows(name: str | None, cfg: RunConfig, agg: RunAggregate):
                 repr(float(agg.regret[j])),
             ]
             yield row if name is None else [name] + row
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write via a temp file in the same directory, then rename, so an
-    interrupted run leaves no partial final file."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _print_bounds(name: str, cfg: RunConfig, agg: RunAggregate) -> None:
@@ -126,19 +106,18 @@ def _load_config(args) -> ExperimentConfig:
         overrides["replications"] = args.replications
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.bounds:
-        overrides["bounds"] = True
-    if args.out is not None:
-        overrides["out"] = args.out
-    return replace(cfg, **overrides) if overrides else cfg
+    return replace(
+        cfg,
+        runs=tuple((name, replace(run, **overrides)) for name, run in cfg.runs),
+        bounds=cfg.bounds or args.bounds,
+        out=cfg.out if args.out is None else args.out,
+    )
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        # RunConfig's own checks, such as horizon * players < 2**53, are
-        # configuration errors too
         runs = experiment_runs(cfg)
     except ValueError as exc:
         for line in exc.errors if isinstance(exc, ConfigError) else [str(exc)]:

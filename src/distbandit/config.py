@@ -1,5 +1,6 @@
 """Experiment configuration: INI-style parsing, validation that reports every
-error at once, and the bundled figure-1 preset.
+error at once, and the bundled figure-1 preset. Either way an experiment is
+its named engine RunConfigs, one per strategy.
 
 Document format (all keys shown; exploration, alpha, seed, replications,
 checkpoints, bounds, and out are optional):
@@ -63,54 +64,40 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated multi-strategy experiment description."""
+    """A validated experiment: one named engine RunConfig per strategy, in file
+    order. The runs share one arm model, seed and replication count, so their
+    random draws are common, and differ only in schedule (and a dklucb run's
+    alpha, which follows its schedule)."""
 
-    arm_model: BernoulliArmModel
-    players: int
-    horizon: int
-    policy: str
-    exploration: ExplorationFunction
-    alpha: float | None
-    seed: int
-    replications: int
-    checkpoints: tuple[int, ...]
-    strategies: tuple[tuple[str, CommunicationSchedule], ...]
+    runs: tuple[tuple[str, RunConfig], ...]
     bounds: bool = False
     out: str | None = None
 
 
-def resolve_alpha(schedule: CommunicationSchedule, alpha: float | None) -> float:
-    """The density parameter a dklucb run uses for this schedule: the
-    configured value when given, otherwise the schedule's exact density."""
-    if alpha is not None:
-        return alpha
-    return schedule.density()
-
-
 def experiment_runs(cfg: ExperimentConfig) -> list[tuple[str, RunConfig]]:
-    """Expand the config into one engine RunConfig per strategy."""
+    """The config's (name, RunConfig) pairs, in file order."""
+    return list(cfg.runs)
+
+
+def _build_runs(
+    strategies,
+    *,
+    policy: str,
+    exploration: ExplorationFunction,
+    alpha: float | None = None,
+    **shared,
+) -> tuple[tuple[str, RunConfig], ...]:
+    """One RunConfig per (name, schedule), all with the RunConfig fields in
+    `shared` (one arm model object among them). A dklucb run uses the
+    configured alpha, or else its schedule's exact density."""
     runs = []
-    for name, schedule in cfg.strategies:
-        if cfg.policy == DKLUCB:
-            policy = PolicySpec(DKLUCB, alpha=resolve_alpha(schedule, cfg.alpha))
+    for name, schedule in strategies:
+        if policy == DKLUCB:
+            spec = PolicySpec(DKLUCB, alpha=schedule.density() if alpha is None else alpha)
         else:
-            policy = PolicySpec(cfg.policy, cfg.exploration)
-        runs.append(
-            (
-                name,
-                RunConfig(
-                    arm_model=cfg.arm_model,
-                    players=cfg.players,
-                    horizon=cfg.horizon,
-                    schedule=schedule,
-                    policy=policy,
-                    seed=cfg.seed,
-                    checkpoints=cfg.checkpoints,
-                    replications=cfg.replications,
-                ),
-            )
-        )
-    return runs
+            spec = PolicySpec(policy, exploration)
+        runs.append((name, RunConfig(schedule=schedule, policy=spec, **shared)))
+    return tuple(runs)
 
 
 def _parse_means(raw: str, errors: list[str]) -> BernoulliArmModel | None:
@@ -290,20 +277,22 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        arm_model=arm_model,
-        players=players,
-        horizon=horizon,
-        policy=policy,
-        exploration=exploration,
-        alpha=alpha,
-        seed=seed,
-        replications=replications,
-        checkpoints=checkpoints,
-        strategies=tuple(strategies),
-        bounds=bounds,
-        out=exp.get("out"),
-    )
+    try:
+        runs = _build_runs(
+            strategies,
+            policy=policy,
+            exploration=exploration,
+            alpha=alpha,
+            arm_model=arm_model,
+            players=players,
+            horizon=horizon,
+            seed=seed,
+            replications=replications,
+            checkpoints=checkpoints,
+        )
+    except ValueError as exc:  # RunConfig's own checks, such as horizon * players < 2**53
+        raise ConfigError([str(exc)]) from exc
+    return ExperimentConfig(runs, bounds=bounds, out=exp.get("out"))
 
 
 def figure1_preset(replications: int = 1000, seed: int = 42) -> ExperimentConfig:
@@ -315,7 +304,6 @@ def figure1_preset(replications: int = 1000, seed: int = 42) -> ExperimentConfig
     behavior (the full-vs-A gap is small relative to Monte Carlo noise at
     1000 replications, so some seeds blur it).
     """
-    horizon = 1 << 16
     strategies = (
         ("none", CommunicationSchedule.none()),
         ("full", CommunicationSchedule.full()),
@@ -323,15 +311,15 @@ def figure1_preset(replications: int = 1000, seed: int = 42) -> ExperimentConfig
         ("B", CommunicationSchedule.explicit([16, 256, 4096])),
         ("C", CommunicationSchedule.explicit(range(1, 4097))),
     )
-    return ExperimentConfig(
-        arm_model=BernoulliArmModel((0.9, 0.8)),
-        players=2,
-        horizon=horizon,
+    runs = _build_runs(
+        strategies,
         policy=UCB,
         exploration=ExplorationFunction.ln2t(),
-        alpha=None,
+        arm_model=BernoulliArmModel((0.9, 0.8)),
+        players=2,
+        horizon=1 << 16,
         seed=seed,
         replications=replications,
         checkpoints=tuple(1 << e for e in range(4, 17)),
-        strategies=strategies,
     )
+    return ExperimentConfig(runs)

@@ -41,6 +41,7 @@ replication order and of how replications are batched.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
@@ -89,6 +90,14 @@ def _default_checkpoints(horizon: int) -> tuple[int, ...]:
     return tuple(2**k for k in range(horizon.bit_length()) if 2**k <= horizon)
 
 
+def _as_int(name: str, value) -> int:
+    """value as an int, numpy integers included; other types raise a TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a Monte Carlo run depends on; hashable and immutable."""
@@ -103,6 +112,8 @@ class RunConfig:
     replications: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("players", "horizon", "seed", "replications"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.players < 1:
             raise ValueError("players must be >= 1")
         if self.horizon < 1:
@@ -117,7 +128,7 @@ class RunConfig:
                 "horizon * players must be below 2**53, where float64 view counts "
                 f"stop being exact; got horizon={self.horizon}, players={self.players}"
             )
-        cps = tuple(int(t) for t in self.checkpoints)
+        cps = tuple(_as_int("checkpoints", t) for t in self.checkpoints)
         if not cps:
             cps = _default_checkpoints(self.horizon)
         if any(b <= a for a, b in zip(cps, cps[1:])):
@@ -327,6 +338,8 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
     reps = [int(r) for r in replication_indices]
     if not reps or min(reps) < 0:
         raise ValueError(f"expected one or more nonnegative replication indices, got {reps}")
+    if not schedules:
+        raise ValueError("expected one or more schedules, got an empty schedules list")
     n, m, k = len(schedules) * len(reps), cfg.players, cfg.arm_model.k
     return WorldState(
         t=0,

@@ -87,7 +87,7 @@ def test_criterion_1_figure1_replication(preset_results):
 def test_criterion_2_paradox_signature(preset_results):
     cfg, results = preset_results
     full, c = results["full"], results["C"]
-    checkpoints = cfg.checkpoints
+    checkpoints = cfg.runs[0][1].checkpoints
     # C tracks full within 2 stderr while C still communicates (t <= 2^12)...
     for j, t in enumerate(checkpoints):
         if t > 4096:

@@ -219,6 +219,14 @@ class TestOutput:
         assert first[0] == "16" and first[1] == "2"  # arm ids 1-based on disk
         assert float(first[4]) == pytest.approx(rows[0].ratio)
 
+    def test_a_failing_row_leaves_no_file(self, tmp_path):
+        model = BernoulliArmModel((0.9, 0.8))
+        report = bound_report(model, BOUND_SPARSE, 2, 0.5, [16])
+        rows = compare(aggregate_for([16], [[10.0, 6.0]]), report)
+        with pytest.raises(AttributeError):
+            write_comparison_csv(tmp_path / "bounds.csv", rows + [None])
+        assert list(tmp_path.iterdir()) == []
+
     def test_format_mentions_leading_term_caveat(self):
         model = BernoulliArmModel((0.9, 0.8))
         report = bound_report(model, BOUND_DENSE, 2, 1.0, [65536])

@@ -39,20 +39,19 @@ def errors_of(text):
 class TestParseConfig:
     def test_minimal_document(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.arm_model.means == (0.9, 0.8)
-        assert cfg.players == 2
-        assert cfg.horizon == 1024
-        assert cfg.policy == KLUCB
-        assert cfg.exploration.variant == STANDARD
-        assert cfg.alpha is None
-        assert cfg.seed == 0
-        assert cfg.replications == 1
-        assert cfg.checkpoints == ()
+        assert len(cfg.runs) == 1
+        name, run = cfg.runs[0]
+        assert run.arm_model.means == (0.9, 0.8)
+        assert run.players == 2
+        assert run.horizon == 1024
+        assert run.policy.rule == KLUCB
+        assert run.policy.exploration.variant == STANDARD
+        assert run.seed == 0
+        assert run.replications == 1
+        assert run.checkpoints == tuple(2**e for e in range(11))
         assert cfg.bounds is False
         assert cfg.out is None
-        assert len(cfg.strategies) == 1
-        name, schedule = cfg.strategies[0]
-        assert name == "full" and schedule.kind == "full"
+        assert name == "full" and run.schedule.kind == "full"
 
     def test_all_keys(self):
         cfg = parse_config(
@@ -73,9 +72,10 @@ class TestParseConfig:
             schedule = doubleexp:2,1
             """
         )
-        assert cfg.exploration.variant == LN2T
-        assert cfg.seed == 7 and cfg.replications == 4
-        assert cfg.checkpoints == (2, 8, 64)
+        ((_, run),) = cfg.runs
+        assert run.policy.exploration.variant == LN2T
+        assert run.seed == 7 and run.replications == 4
+        assert run.checkpoints == (2, 8, 64)
         assert cfg.bounds is True and cfg.out == "results"
 
     def test_collects_every_error(self):
@@ -217,21 +217,29 @@ class TestParseConfig:
         assert len({rc.seed for _, rc in runs}) == 1
         assert len({id(rc.arm_model) for _, rc in runs}) == 1
 
+    def test_a_run_config_rejection_is_a_config_error(self):
+        # each field is in range, but the views could not count horizon * players
+        # samples exactly in float64
+        errors = errors_of(MINIMAL.replace("horizon = 1024", f"horizon = {2**52}"))
+        assert len(errors) == 1
+        assert errors[0].startswith("horizon * players must be below 2**53")
+
 
 class TestFigure1Preset:
     def test_contents(self):
         cfg = figure1_preset()
-        assert cfg.arm_model.means == (0.9, 0.8)
-        assert cfg.players == 2
-        assert cfg.horizon == 65536
-        assert cfg.policy == UCB
-        assert cfg.exploration.variant == LN2T
-        assert cfg.replications == 1000
-        assert cfg.seed == 42
-        assert cfg.checkpoints == tuple(2**e for e in range(4, 17))
-        names = [name for name, _ in cfg.strategies]
+        for _, run in cfg.runs:
+            assert run.arm_model.means == (0.9, 0.8)
+            assert run.players == 2
+            assert run.horizon == 65536
+            assert run.policy.rule == UCB
+            assert run.policy.exploration.variant == LN2T
+            assert run.replications == 1000
+            assert run.seed == 42
+            assert run.checkpoints == tuple(2**e for e in range(4, 17))
+        names = [name for name, _ in cfg.runs]
         assert names == ["none", "full", "A", "B", "C"]
-        schedules = dict(cfg.strategies)
+        schedules = {name: run.schedule for name, run in cfg.runs}
         assert schedules["none"].kind == "none"
         assert schedules["full"].kind == "full"
         assert schedules["A"].params == (4096,)
@@ -240,7 +248,12 @@ class TestFigure1Preset:
 
     def test_overrides(self):
         cfg = figure1_preset(replications=10, seed=3)
-        assert cfg.replications == 10 and cfg.seed == 3
+        for _, run in cfg.runs:
+            assert run.replications == 10 and run.seed == 3
+
+    def test_a_run_it_cannot_make_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^replications must be >= 1$"):
+            figure1_preset(replications=0)
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -431,7 +444,7 @@ class TestCliErrors:
             assert line.startswith(f"config error: [strategy {section}] schedule:")
 
     def test_run_config_rejection_is_exit_2(self, tmp_path, capsys):
-        # parse_config accepts the horizon; RunConfig rejects horizon * players
+        # parse_config reports RunConfig's rejection of horizon * players
         doc = MINIMAL.replace("horizon = 1024", "horizon = 9007199254740992")
         out = tmp_path / "out"
         assert main(["--config", write_config(tmp_path, doc), "--out", str(out)]) == 2

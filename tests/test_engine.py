@@ -601,6 +601,10 @@ class TestStateInvariants:
         with pytest.raises(ValueError, match=r"replication indices, got \[-1\]"):
             run_once(cfg, -1)
 
+    def test_no_schedules_is_rejected(self):
+        with pytest.raises(ValueError, match=r"empty schedules list"):
+            init_state(make_cfg(), [0], schedules=[])
+
 
 def shared_cfg(schedule, policy):
     return make_cfg(
@@ -1095,3 +1099,25 @@ class TestRunConfig:
             make_cfg(horizon=2**52, players=2, checkpoints=(1,))
         with pytest.raises(ValueError, match=r"horizon \* players .* 2\*\*53"):
             make_cfg(horizon=2**40, players=2**13, checkpoints=(1,))
+
+    def test_numpy_integers_are_plain_ints(self):
+        cfg = make_cfg(horizon=np.int64(64), players=np.int32(2), replications=np.int64(3))
+        want = make_cfg(horizon=64, players=2, replications=3)
+        assert cfg == want
+        assert cfg.checkpoints == (1, 2, 4, 8, 16, 32, 64)
+        assert type(cfg.horizon) is int and type(cfg.players) is int
+        got, ref = run_monte_carlo(cfg), run_monte_carlo(want)
+        assert np.array_equal(got.mean_counts, ref.mean_counts)
+        assert make_cfg(checkpoints=(np.int64(8), 40)).checkpoints == (8, 40)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("horizon", 64.0), ("players", 2.0), ("seed", 1.5), ("replications", "3")],
+    )
+    def test_a_non_integer_field_is_a_type_error_naming_it(self, field, value):
+        with pytest.raises(TypeError, match=rf"^{field} must be an integer, got {value!r}$"):
+            make_cfg(**{field: value})
+
+    def test_a_float_checkpoint_is_not_truncated(self):
+        with pytest.raises(TypeError, match=r"^checkpoints must be an integer, got 2\.5$"):
+            make_cfg(checkpoints=(2.5, 10))
