@@ -198,10 +198,14 @@ def compare(
 
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Write via a temp file in the same directory, then rename, so an
-    interrupted run leaves no partial final file."""
+    interrupted run leaves no partial final file. The file gets the mode a
+    plain open would give it (0o666 less the umask), not mkstemp's 0o600."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)

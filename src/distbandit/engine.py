@@ -28,6 +28,24 @@ round selects once per slot: the players of a slot then hold the same view,
 snapshot and exploration value, so player 0's indices are theirs, float for
 float, and its arms are given to all M players.
 
+step advances the batch by one round. The run loop advances by windows
+(_advance): speculating that every player repeats its arm of the last round
+for the next W rounds, it builds each of those rounds' views from the stored
+ones and the uniforms, selects all W rounds with one select_batch call, and
+commits the rounds up to and including the first whose arms differ, exactly
+as that many steps would. Nothing is rolled back, as nothing is written past
+the commit point (optimistic execution as in Jefferson, "Virtual Time", ACM
+TOPLAS 7(3), 1985). A window ends at a checkpoint, at the end of the uniform
+block and before a round whose communication differs from the round before's,
+so every strategy either merges on every round of a window or on none; the
+first K rounds, forced, are one round each. W starts at 1, doubles after a
+window that switched no arm, up to _WINDOW_ROUNDS, and drops back to 1 at a
+switch; a batch too wide for a window of _WINDOW_ROUNDS rows as one
+[K, W, M, S*R] float64 array of _WINDOW_BYTES advances by single rounds. The
+window's counts and sums are integers below 2**53, exact in float64, and the
+index ufuncs give an element the same value whatever the array's shape, so a
+window selects exactly the arms the rounds would.
+
 The uniforms are held round-major, in an [L, M, R] block of the next L
 rounds, so a round reads its uniforms from one contiguous row. A stream's L
 uniforms are one column of the block, so they are drawn into a small staging
@@ -41,6 +59,7 @@ replication order and of how replications are batched.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
@@ -61,6 +80,13 @@ from .schedule import CommunicationSchedule
 _BLOCK_BYTES = 1 << 25
 # the staging tile a block is drawn through (256 KiB, at least one stream row)
 _TILE_BYTES = 1 << 18
+# the most rounds one window selects at once, and the budget (128 KiB) of a
+# window that long as a [K, W, M, S*R] float64 array: a batch too wide for it
+# advances round by round, as windows pay only where few lanes switch in a
+# round (figure1 at 30 replications, 4.8 KB a row, ran 26-126% slower with
+# windows of up to 2, 4, 8 or 64 rounds than round by round)
+_WINDOW_ROUNDS = 64
+_WINDOW_BYTES = 1 << 17
 
 # numpy's SeedSequence hash: a pool of four uint32 words, mixed with these
 # constants and multipliers (uint32 arithmetic, which the arrays wrap silently)
@@ -140,7 +166,7 @@ class RunConfig:
 
 @dataclass
 class _RoundBuffers:
-    """Arrays and views step reuses every round, built by _round_buffers."""
+    """Arrays and views every round reuses, built by _round_buffers."""
 
     select: tuple  # select_batch's (counts, sums, snapshots, out): [0] all players, [1] player 0
     p: np.ndarray  # float64 [M, S*R]; the means of the selected arms
@@ -169,10 +195,11 @@ class WorldState:
     horizon * players below 2**53; the global totals are int64. A merge of
     the whole batch writes player 0's view only and marks the others stale;
     they are copied from it when they are next read or updated. While the
-    views are stale, step selects once per slot, on player 0's view.
+    views are stale, a round selects once per slot, on player 0's view.
 
     A copy (copy.deepcopy, pickle) leaves out the round buffers, which view
-    this state's arrays; step builds the copy's own before its next round.
+    this state's arrays, and the window scratch; the copy builds its own when
+    it next advances. The window length is the run loop's, not the state's.
     """
 
     t: int
@@ -185,7 +212,8 @@ class WorldState:
     means: np.ndarray  # float64 [K]
     replication_indices: tuple[int, ...]  # the replication each slot runs
     comm_mask: np.ndarray  # bool [horizon+1, S]; [t, s]: does strategy s communicate at round t
-    _buf: _RoundBuffers | None = field(default=None, repr=False)  # built by step
+    _buf: _RoundBuffers | None = field(default=None, repr=False)  # built by the first round
+    _win: _Window | None = field(default=None, repr=False)  # built by the first window
     _stale: bool = False  # players 1.. of every slot are to hold player 0's view
     # float64 [L, M, R]; the uniforms of the next L rounds, round-major; every
     # refill is a leading slice of the first block's buffer
@@ -205,7 +233,7 @@ class WorldState:
         return ContractStreams(self.keys.reshape(-1, 2))
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_buf": None}
+        return {**self.__dict__, "_buf": None, "_win": None}
 
     def _sync_views(self) -> None:
         if self._stale:
@@ -356,7 +384,7 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
 
 
 def _round_buffers(state: WorldState) -> _RoundBuffers:
-    """The buffers step reuses, built on this state's own arrays."""
+    """The buffers every round reuses, built on this state's own arrays."""
     _, k, m, n = state.views.shape
     out = replace(SelectionBuffers.empty((k, m, n)), arm=state.arms)
     select = tuple(
@@ -401,8 +429,10 @@ def merge_views(state: WorldState, slots: slice = slice(None)) -> WorldState:
 
 
 def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
-    """The [M, R] uniforms of the next round, one per stream; the strategies of
-    a batch share them. They are the next row of the [L, M, R] block."""
+    """The [L', M, R] uniforms of the next L' rounds, one per stream and round;
+    the strategies of a batch share them. They are the rows of the [L, M, R]
+    block not read yet, refilled when every row is read; the caller advances
+    state._pos past the rounds it commits."""
     block = state._block
     if block is None or state._pos == len(block):
         r_n, m, _ = state.keys.shape
@@ -443,79 +473,241 @@ def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
             np.copyto(columns[:, start : start + len(run)], tile[: len(run)].T)
         state._block = block
         state._pos = 0
-    state._pos += 1
-    return block[state._pos - 1]
+    return block[state._pos :]
 
 
-def _check_claims(state: WorldState, n_prime: np.ndarray, cfg: RunConfig) -> None:
-    """Raise on the first breach, in (slot, player, arm) order, of either
-    count-prediction claim by the [K, M, S*R] predictions N'."""
+def _check_claims(
+    state: WorldState, n_prime: np.ndarray, cfg: RunConfig, counts=None, totals=None
+) -> None:
+    """Raise on the first breach, in (round, slot, player, arm) order, of
+    either count-prediction claim by the predictions N' of the rounds from
+    state.t + 1 on: [K, M, S*R] for that round alone, checked against the
+    state's view and global counts, or [K, c, M, S*R] for c rounds with their
+    view counts [K, c, M or 1, S*R] and global counts [K, c, S*R]."""
     m, alpha = cfg.players, cfg.policy.alpha
-    t = state.t + 1
     r_n = state.keys.shape[0]
-    # the counts selection read: while the views are stale (after a merge of
-    # the whole batch) player 0's stand for every player's
-    counts = state.views[0, :, :1] if state._stale else state.views[0]
+    if counts is None:
+        # the counts selection read: while the views are stale (after a merge
+        # of the whole batch) player 0's stand for every player's
+        counts = state.views[0, :, :1] if state._stale else state.views[0]
+        totals = state.totals[0]
     bound = dklucb_scale(m, alpha) * counts
     over = n_prime > bound + 1e-9
-    if over.any():
-        r, p, a = np.argwhere(over.T)[0]
+    summed = n_prime.sum(axis=-2)
+    limit = m * totals
+    over_sum = summed > limit + 1e-9
+    if not (over.any() or over_sum.any()):
+        return
+    if n_prime.ndim == 3:
+        # one round: the report reads every array by round
+        n_prime, bound, over, summed, limit, over_sum = (
+            x[:, None] for x in (n_prime, bound, over, summed, limit, over_sum)
+        )
+    row = int(np.argmax(over.any(axis=(0, 2, 3)) | over_sum.any(axis=(0, 2))))
+    t = state.t + 1 + row
+    if over[:, row].any():
+        r, p, a = np.argwhere(over[:, row].T)[0]
         bound = np.broadcast_to(bound, n_prime.shape)
         raise InvariantViolation(
             f"count prediction exceeded its per-player bound at round {t}: "
             f"replication {state.replication_indices[r]}, player {p}, arm {a}, "
-            f"N' = {n_prime[a, p, r]} > {bound[a, p, r]}",
+            f"N' = {n_prime[a, row, p, r]} > {bound[a, row, p, r]}",
             strategy=int(r) // r_n,
         )
-    summed = n_prime.sum(axis=1)
-    bound = m * state.totals[0]
-    over = summed > bound + 1e-9
-    if over.any():
-        r, a = np.argwhere(over.T)[0]
-        raise InvariantViolation(
-            f"summed count predictions exceeded M times the global count at round {t}: "
-            f"replication {state.replication_indices[r]}, arm {a}, "
-            f"sum of N' = {summed[a, r]} > {bound[a, r]}",
-            strategy=int(r) // r_n,
-        )
+    r, a = np.argwhere(over_sum[:, row].T)[0]
+    raise InvariantViolation(
+        f"summed count predictions exceeded M times the global count at round {t}: "
+        f"replication {state.replication_indices[r]}, arm {a}, "
+        f"sum of N' = {summed[a, row, r]} > {limit[a, row, r]}",
+        strategy=int(r) // r_n,
+    )
 
 
-def step(state: WorldState, cfg: RunConfig) -> WorldState:
-    """Advance the batch by one round (in place); see the module docstring."""
-    if state.t >= cfg.horizon:
-        raise ValueError(f"horizon {cfg.horizon} already reached")
-    t = state.t + 1
-    _, k, m, n = state.views.shape
+def _budgets(state: WorldState, cfg: RunConfig, t: int, rows: int = 1, merging=()):
+    """The exploration values f of rounds t..t+rows-1: a scalar or an [S*R]
+    row for one round, [rows, 1, 1] or [rows, 1, S*R] for more. merging[s]: does
+    strategy s communicate on every round t-1..t+rows-2 (else on none of
+    t..t+rows-2)."""
+    policy, m = cfg.policy, cfg.players
+    if policy.exploration.variant == LN2T:
+        # evaluated at the round index, so one value serves every strategy
+        if rows == 1:
+            return exploration_budget(policy, m, t, None)
+        return np.array([exploration_budget(policy, m, t + j, None) for j in range(rows)])[
+            :, None, None
+        ]
+    # the sample count a player holds depends on its strategy's last merge
+    # (round t+j-1 for a strategy that merges on every round)
+    merging = merging or [False] * len(state.last_merge)
+    f = [
+        [
+            exploration_budget(policy, m, t + j, (t + j - 1) + (m - 1) * (last + on * j))
+            for last, on in zip(state.last_merge, merging)
+        ]
+        for j in range(rows)
+    ]
     r_n = state.keys.shape[0]
-    if state._buf is None:
-        state._buf = _round_buffers(state)
-    arms, buf = state.arms, state._buf
+    if rows == 1:
+        return f[0][0] if len(f[0]) == 1 else np.repeat(f[0], r_n)
+    f = np.array(f)[:, None]
+    return f if f.shape[2] == 1 else f.repeat(r_n, axis=2)
+
+
+@dataclass
+class _Window:
+    """What a window of more than one round reuses; built by _window_scratch
+    on the first such window, and left out of a copy of the state."""
+
+    changes: list[int]  # the rounds whose communication differs from the round before's
+    prefix: np.ndarray  # float64 [W+1, W]; row i sums the first i rows (strictly lower ones)
+    steps: np.ndarray  # float64 [W+1, 1, 1]; row i holds i
+    won: np.ndarray  # float64 [W, M, S, R]; the wins of the repeated arms
+    # merging per strategy -> (the slots whose views are the totals, True or
+    # bool [S*R]; the pulls per player and round that their views gain)
+    merged: dict = field(default_factory=dict)
+
+
+def _window_scratch(state: WorldState) -> _Window:
+    _, _, m, n = state.views.shape
+    size, s_n = _window_cap(state), len(state.last_merge)
+    mask = state.comm_mask
+    return _Window(
+        changes=(np.flatnonzero((mask[1:] != mask[:-1]).any(axis=1)) + 1).tolist(),
+        prefix=np.tri(size + 1, size, -1),
+        steps=np.arange(size + 1.0)[:, None, None],
+        won=np.empty((size, m, s_n, n // s_n)),
+    )
+
+
+def _window_length(state: WorldState, t: int, w: int) -> int:
+    """w cut so that every strategy communicates on every round t-1..t+w-1
+    or on none of them: a window ends before the next round whose
+    communication differs from the round before's, and a window that starts
+    on such a round is one round long."""
+    if state._win is None:
+        state._win = _window_scratch(state)
+    changes = state._win.changes
+    i = bisect.bisect_right(changes, t)
+    if i and changes[i - 1] == t:
+        return 1
+    if i < len(changes):
+        w = min(w, changes[i] - t)
+    return min(w, len(state._win.won))
+
+
+def _select_round(state: WorldState, cfg: RunConfig, t: int) -> None:
+    """Select the arms of round t into state.arms, on the stored views."""
+    m = cfg.players
     # while a whole-batch merge has left the views stale, a slot's players hold
     # one view, snapshot and f, hence the same indices: player 0 selects for all
     shared = state._stale
-    if t <= k:
-        # some arm is still unsampled, identically across the batch: the
-        # unpulled-arm rule forces arm t-1 for every player
-        arms.fill(t - 1)
-    else:
-        if cfg.policy.exploration.variant == LN2T:
-            # evaluated at the round index, so one value serves every strategy
-            f = exploration_budget(cfg.policy, m, t, None)
+    f = _budgets(state, cfg, t)
+    count, total, snap, out = state._buf.select[shared]
+    _, denom = select_batch(cfg.policy, m, f, count, total, snap, out=out)
+    if shared and m > 1:
+        state.arms[1:] = state.arms[0]
+    if cfg.policy.rule == DKLUCB:
+        # the claims are checked for every player, shared or not
+        _check_claims(state, np.repeat(denom, m, axis=1) if shared else denom, cfg)
+
+
+def _select_window(state: WorldState, cfg: RunConfig, t: int, w: int, u: np.ndarray):
+    """Select rounds t..t+w-1 at once, speculating that every player repeats
+    its arm in state.arms, and commit the j rounds before the first whose arms
+    differ (all w when none does). Returns j and that round's arms, [M, S*R]
+    or [1, S*R] (while the views are stale), or None when none differs.
+
+    Row i of the window is the view before round t+i: the stored one plus i
+    rounds of the repeated pulls, a player's own or, for a strategy that
+    merges on every round of the window, every pull of its slot, as its
+    stored view is then the totals. Every count and sum is an integer below
+    2**53, so the rows hold exactly the floats the rounds would, and the index
+    ufuncs give them the same values whatever the batch shape.
+    """
+    _, k, m, n = state.views.shape
+    r_n = state.keys.shape[0]
+    win, buf, arms = state._win, state._buf, state.arms
+    merging = state.comm_mask[t].tolist()
+    if not all(merging):
+        # views left stale by a merge between rounds are private from now on
+        state._sync_views()
+    rows = w + 1  # row w is the view after the window, for its commit
+    lanes = 1 if state._stale else m
+    pulled = np.equal(arms, buf.arm_ids, out=buf.pulled[0])[:, None, :lanes]
+    state.means.take(arms, out=buf.p, mode="clip")
+    won = np.less(u[:w, :, None, :], buf.p3, out=win.won[:w]).reshape(w, m, n)
+    steps = win.steps[:rows]
+    merged = all(merging)  # the slots whose views are the totals: False, True or bool [S*R]
+    if any(merging):
+        # a strategy that merges on every round gives its players one view,
+        # the totals, which gains every pull of its slot; taking them as its
+        # players' own assumes they repeat one arm, and when they do not,
+        # their one view makes some player switch in the window's first round
+        key = tuple(merging)
+        if key not in win.merged:
+            mask = merged or np.repeat(merging, r_n)
+            win.merged[key] = mask, np.where(mask, float(m), 1.0)
+        merged, pulls = win.merged[key]
+        np.copyto(won, won.sum(axis=1, keepdims=True), where=merged)
+        steps = steps * pulls
+    # the pulls [0] and wins [1] of each arm in the first i rounds, row i, if
+    # every arm repeats: [2, K, rows, M or 1, S*R]
+    added = np.empty((2, k, rows, lanes, n))
+    np.multiply(steps, pulled, out=added[0])
+    wins = win.prefix[:rows, :w] @ won[:, :lanes].reshape(w, -1)
+    np.multiply(wins.reshape(rows, lanes, n), pulled, out=added[1])
+    # [0]: the counts, [1]: the reward sums
+    views = state.views[:, :, None, :lanes] + added
+
+    def team(rows):
+        """The pulls and wins per slot in the first i rounds, i in rows."""
+        if merged is True:
+            return added[:, :, rows, 0]
+        summed = added[:, :, rows].sum(axis=-2)
+        return summed if merged is False else np.where(merged, added[:, :, rows, 0], summed)
+
+    counts, sums = views[0, :, :w], views[1, :, :w]
+    snap = state.snapshot[:, None, None]
+    if cfg.policy.rule == DKLUCB and any(merging):
+        # a merging strategy's snapshot is its view's counts
+        snap = np.where(merged, counts[:, :, :1], snap)
+    f = _budgets(state, cfg, t, w, merging)
+    chosen, denom = select_batch(cfg.policy, m, f, counts, sums, snap)
+    differs = chosen != arms  # [w, M, S*R]
+    first = int(differs.argmax())
+    switched = bool(differs.flat[first])
+    j = first // (m * n) if switched else w
+    if cfg.policy.rule == DKLUCB:
+        c = min(j + 1, w)
+        n_prime = denom[:, :c]
+        if state._stale:
+            n_prime = np.repeat(n_prime, m, axis=2)
+        totals = state.totals[0][:, None] + team(slice(c))[0]
+        _check_claims(state, n_prime, cfg, counts[:, :c], totals)
+    if j:
+        # rounds t..t+j-1 repeated every arm
+        np.add(state.totals, team(j), out=state.totals, casting="unsafe")
+        if state._stale:
+            merge_views(state)
         else:
-            # the sample count a player holds depends on its strategy's merges
-            f = [
-                exploration_budget(cfg.policy, m, t, (t - 1) + (m - 1) * last)
-                for last in state.last_merge
-            ]
-            f = f[0] if len(f) == 1 else np.repeat(f, r_n)
-        count, total, snap, out = buf.select[shared]
-        _, denom = select_batch(cfg.policy, m, f, count, total, snap, out=out)
-        if shared and m > 1:
-            arms[1:] = arms[0]
-        if cfg.policy.rule == DKLUCB:
-            # the claims are checked for every player, shared or not
-            _check_claims(state, np.repeat(denom, m, axis=1) if shared else denom, cfg)
-    u = _next_uniforms(state, cfg.horizon - state.t)
+            np.copyto(state.views, views[:, :, j])
+            if any(merging):
+                np.copyto(state.snapshot, views[0, :, j, 0], where=merged)
+        for s, on in enumerate(merging):
+            if on:
+                state.last_merge[s] = t + j - 1
+        state.t = t + j - 1
+    return j, chosen[j] if switched else None
+
+
+def _commit_round(state: WorldState, t: int, u: np.ndarray) -> None:
+    """Apply round t's pulls of state.arms, with their [M, R] uniforms, to the
+    totals and views, and merge the strategies that communicate on it."""
+    arms, buf = state.arms, state._buf
+    _, _, m, n = state.views.shape
+    r_n = state.keys.shape[0]
+    # the arms were selected once per slot if the views are stale
+    shared = state._stale
     # every strategy reads the same [M, R] uniforms
     state.means.take(arms, out=buf.p, mode="clip")
     np.less(u[:, None, :], buf.p3, out=buf.rewards3)
@@ -544,28 +736,84 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
     for s in merging:
         state.last_merge[s] = t
     state.t = t
+
+
+def _advance(state: WorldState, cfg: RunConfig, w: int) -> int:
+    """Advance the batch by up to w rounds (in place) and return how many;
+    see the module docstring."""
+    if state.t >= cfg.horizon:
+        raise ValueError(f"horizon {cfg.horizon} already reached")
+    t = state.t + 1
+    if state._buf is None:
+        state._buf = _round_buffers(state)
+    u = _next_uniforms(state, cfg.horizon - state.t)
+    j = 0
+    if t <= state.views.shape[1]:
+        # some arm is still unsampled, identically across the batch: the
+        # unpulled-arm rule forces arm t-1 for every player
+        state.arms.fill(t - 1)
+    else:
+        if w > 1:
+            w = _window_length(state, t, min(w, len(u)))
+        if w == 1:
+            _select_round(state, cfg, t)
+        else:
+            j, chosen = _select_window(state, cfg, t, w, u)
+            if chosen is None:
+                # every round of the window repeated every arm
+                state._pos += j
+                return j
+            np.copyto(state.arms, chosen)
+    _commit_round(state, t + j, u[j])
+    state._pos += j + 1
+    return j + 1
+
+
+def step(state: WorldState, cfg: RunConfig) -> WorldState:
+    """Advance the batch by one round (in place); see the module docstring."""
+    _advance(state, cfg, 1)
     return state
+
+
+def _window_cap(state: WorldState) -> int:
+    """The most rounds a window of this batch spans: _WINDOW_ROUNDS when that
+    many [K, M, S*R] float64 rows fit in _WINDOW_BYTES, else 1."""
+    _, k, m, n = state.views.shape
+    return _WINDOW_ROUNDS if _WINDOW_ROUNDS * 8 * k * m * n <= _WINDOW_BYTES else 1
 
 
 def _simulate(cfgs, replication_indices, record_actions: bool = False):
     """The round loop for one batch: the configs, equal but for their
     schedules, are stacked strategy-major over the replications. Returns the
     int64 global counts at the checkpoints, [C, S*R, K], and the selected
-    arms, [horizon, S*R, M] (None without record_actions). init_state and
-    step are called through the module globals, so rebinding them (as timing
-    shims do) reaches this loop."""
+    arms, [horizon, S*R, M] (None without record_actions).
+
+    The loop advances by windows (_advance), not by step, and a window ends at
+    a checkpoint. A window is one round at first, twice as long as the last
+    after one that switched no arm, up to _window_cap, and one round again
+    after a switch. init_state and _advance are called through the module
+    globals, so rebinding them (as timing shims do) reaches this loop;
+    rebinding step does not."""
     cfg = cfgs[0]
     state = init_state(cfg, replication_indices, schedules=[c.schedule for c in cfgs])
     _, k, m, n = state.views.shape
-    cp_slot = {t: i for i, t in enumerate(cfg.checkpoints)}
     counts = np.zeros((len(cfg.checkpoints), n, k), dtype=np.int64)
     actions = np.zeros((cfg.horizon, n, m), np.int64) if record_actions else None
-    for t in range(1, cfg.horizon + 1):
-        step(state, cfg)
-        if actions is not None:
-            actions[t - 1] = state.arms.T
-        slot = cp_slot.get(t)
-        if slot is not None:
+    cap, w = _window_cap(state), 1
+    for slot, stop in enumerate((*cfg.checkpoints, cfg.horizon)):
+        while state.t < stop:
+            t0 = state.t
+            if actions is not None:
+                # the rounds before the last committed repeat the last arms
+                actions[t0 : t0 + w] = state.arms.T
+            if cap > 1:
+                before = state.arms.tobytes()
+            c = _advance(state, cfg, min(w, stop - t0))
+            if actions is not None:
+                actions[t0 + c - 1] = state.arms.T
+            if cap > 1:
+                w = min(2 * w, cap) if state.arms.tobytes() == before else 1
+        if slot < len(counts):
             counts[slot] = state.totals[0].T
     return counts, actions
 

@@ -3,6 +3,8 @@ the command-line runner's files, exit codes, and determinism."""
 
 import csv
 import logging
+import os
+import stat
 
 import pytest
 
@@ -327,6 +329,16 @@ schedule = none
         ]
         assert all(float(r[3]) == 0.0 for r in rows)  # one replication -> no spread
         assert all(float(r[4]) == 0.0 for r in rows)  # single arm -> no regret
+
+    def test_csvs_get_the_mode_of_a_plain_open(self, tmp_path):
+        out = tmp_path / "results"
+        old = os.umask(0o022)
+        try:
+            assert main(["--config", write_config(tmp_path, SMALL), "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        for name in ("combined.csv", "full.csv"):
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o644
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL)

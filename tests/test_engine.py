@@ -19,6 +19,7 @@ from distbandit.engine import (
     InvariantViolation,
     RunConfig,
     WorldState,
+    _advance,
     _aggregate,
     _check_claims,
     _simulate,
@@ -197,7 +198,7 @@ class TestRngContract:
 
         def recording(state, rounds_left):
             u = real(state, rounds_left)
-            if state._pos == 1:
+            if state._pos == 0:  # refilled: no round of the block is read yet
                 blocks.append(state._block)
             return u
 
@@ -549,10 +550,15 @@ class TestStateInvariants:
         state = init_state(cfg, range(4))
         for _ in range(20):
             step(state, cfg)
+        # copied after a window of two or more rounds, which leaves its scratch
+        while _advance(state, cfg, 16) < 2:
+            pass
+        assert state._win is not None
         # copied inside a uniform block, and on full while the views are stale
         assert 0 < state._pos < len(state._block)
         assert state._stale == (schedule == CS.full())
         twin = copier(state)
+        assert twin._win is None and twin._buf is None
         traces = []
         for run in (state, twin):
             trace = []
@@ -995,17 +1001,201 @@ class TestFusedStrategies:
         def breach(state, n_prime, cfg):
             raise InvariantViolation("breach", strategy=1)
 
-        def fail(state, cfg):
+        def fail(state, cfg, w):
             raise MemoryError("no room")
 
         monkeypatch.setattr(engine, "_check_claims", breach)
         with pytest.raises(InvariantViolation) as err:
             run_strategies(cfgs)
         assert err.value.strategy == 2  # the second of the batch [1, 2]
-        monkeypatch.setattr(engine, "step", fail)
+        monkeypatch.setattr(engine, "_advance", fail)  # what the round loop calls
         with pytest.raises(MemoryError) as err:
             run_strategies(cfgs)
         assert err.value.strategies == (0,)
+
+
+WINDOW_POLICIES = {
+    "ucb-ln2t": PolicySpec(UCB, ExplorationFunction.ln2t()),
+    "ucb-standard": PolicySpec(UCB),
+    "klucb": PolicySpec(KLUCB),
+    "dklucb-0": PolicySpec(DKLUCB, alpha=0.0),
+    "dklucb-0.5": PolicySpec(DKLUCB, alpha=0.5),
+    "dklucb-1": PolicySpec(DKLUCB, alpha=1.0),
+}
+
+# every schedule kind fused, full alone (its views stay stale), doubleexp
+# alone (stale after each merge, private again after it) and none, full and
+# explicit fused; merges and checkpoints fall inside would-be windows
+MERGES = CS.explicit([9, 40, 41, 150, 151, 152])
+WINDOW_GROUPS = (
+    (
+        CS.none(), CS.full(), CS.oneshot(33), CS.linear(7), CS.exponential(1.5),
+        CS.double_exponential(2.0, 1.0), MERGES,
+    ),
+    (CS.full(),),
+    (CS.double_exponential(2.0, 1.0),),
+    (CS.none(), CS.full(), MERGES),
+)
+WINDOW_MEANS = {2: (0.9, 0.2), 5: (0.95, 0.7, 0.7, 0.3, 0.0)}
+WINDOW_CHECKPOINTS = (1, 2, 7, 30, 31, 100, 177, 200)
+
+
+def stepped(cfgs, reps):
+    """_simulate's counts and actions, from step called round by round."""
+    cfg = cfgs[0]
+    state = init_state(cfg, reps, schedules=[c.schedule for c in cfgs])
+    counts, actions = [], []
+    while state.t < cfg.horizon:
+        step(state, cfg)
+        actions.append(state.last_actions.copy())
+        if state.t in cfg.checkpoints:
+            counts.append(state.total_count.copy())
+    return np.stack(counts), np.stack(actions)
+
+
+class TestWindows:
+    """The round loop advances by speculative windows of up to _WINDOW_ROUNDS
+    rounds; whatever their length, the trajectory is the one step gives."""
+
+    @pytest.mark.parametrize("policy", WINDOW_POLICIES.values(), ids=WINDOW_POLICIES)
+    @pytest.mark.parametrize("players, k", [(1, 2), (1, 5), (3, 2), (3, 5)])
+    def test_windows_equal_rounds(self, monkeypatch, policy, players, k):
+        from distbandit import engine
+
+        reps = [3, 11]
+        longest = {}
+        real = engine._advance
+
+        def recording(state, cfg, w):
+            c = real(state, cfg, w)
+            longest[cap] = max(longest.get(cap, 0), c)
+            return c
+
+        monkeypatch.setattr(engine, "_advance", recording)
+        for group in WINDOW_GROUPS:
+            cap = 1  # step advances one round
+            cfgs = [
+                make_cfg(
+                    means=WINDOW_MEANS[k], players=players, horizon=200, schedule=schedule,
+                    policy=policy, checkpoints=WINDOW_CHECKPOINTS, replications=len(reps),
+                )
+                for schedule in group
+            ]
+            want_counts, want_actions = stepped(cfgs, reps)
+            for cap in (1, 2, 7, 64):
+                monkeypatch.setattr(engine, "_WINDOW_ROUNDS", cap)
+                counts, actions = _simulate(cfgs, reps, record_actions=True)
+                assert np.array_equal(counts, want_counts), (group, cap)
+                assert np.array_equal(actions, want_actions), (group, cap)
+        # windows of every cap but the longest were committed whole
+        assert [longest[cap] for cap in (1, 2, 7)] == [1, 2, 7]
+
+    @pytest.mark.parametrize("schedule", [CS.none(), CS.full()], ids=["none", "full"])
+    def test_a_settled_batch_commits_whole_windows(self, monkeypatch, schedule):
+        # arm 0 always pays and arm 1 never does: the players seldom switch,
+        # so the windows double up to the cap
+        from distbandit import engine
+
+        cfg = make_cfg(
+            means=(1.0, 0.0), players=3, horizon=300, schedule=schedule,
+            policy=PolicySpec(UCB), checkpoints=(100, 300), replications=2,
+        )
+        committed = []
+        real = engine._advance
+
+        def recording(state, cfg, w):
+            committed.append(real(state, cfg, w))
+            return committed[-1]
+
+        want_counts, want_actions = stepped([cfg], range(2))
+        monkeypatch.setattr(engine, "_advance", recording)
+        counts, actions = _simulate([cfg], range(2), record_actions=True)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(actions, want_actions)
+        assert sum(committed) == cfg.horizon
+        assert max(committed) == 64
+
+    CLAIM_CFG = make_cfg(
+        means=(0.9, 0.2), players=2, horizon=200, schedule=CS.none(),
+        policy=PolicySpec(DKLUCB, alpha=0.5), checkpoints=(200,), replications=2,
+    )
+
+    def inflate(self, monkeypatch, target, rows=range(64)):
+        """Make count_prediction_batch report N' = 1e9 for replication 1,
+        player 1, arm 0 at round target, when that round is one of the given
+        rows of the selection (row 0 is the first round selected). Returns the
+        rows it was inflated at and the states it runs on."""
+        from distbandit import engine, policies
+
+        hits, states = [], []
+        real_init, real_prediction = engine.init_state, policies.count_prediction_batch
+
+        def init(*args, **kwargs):
+            states.append(real_init(*args, **kwargs))
+            return states[-1]
+
+        def prediction(known_count, snapshot_count, m, alpha):
+            n_prime = real_prediction(known_count, snapshot_count, m, alpha)
+            row = target - states[-1].t - 1
+            windowed = n_prime.ndim == 4  # [K, rows, M, S*R]; [K, M, S*R] for one round
+            if row in rows and row < (n_prime.shape[1] if windowed else 1):
+                n_prime[(0, row, 1, 1) if windowed else (0, 1, 1)] = 1e9
+                hits.append(row)
+            return n_prime
+
+        monkeypatch.setattr(engine, "init_state", init)
+        monkeypatch.setattr(policies, "count_prediction_batch", prediction)
+        return hits, states
+
+    def windows(self, monkeypatch):
+        """(first round, rounds committed) of every window of CLAIM_CFG's run,
+        and its action trace."""
+        from distbandit import engine
+
+        spans = []
+        real = engine._advance
+
+        def recording(state, cfg, w):
+            t = state.t + 1
+            spans.append((t, real(state, cfg, w)))
+            return spans[-1][1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_advance", recording)
+            _, actions = _simulate([self.CLAIM_CFG], range(2), record_actions=True)
+        return spans, actions
+
+    def test_a_breach_past_the_commit_point_does_not_raise(self, monkeypatch):
+        spans, actions = self.windows(monkeypatch)
+        switches = {t + 1 for t in range(1, len(actions)) if (actions[t] != actions[t - 1]).any()}
+        # a switch at round tau ends its window's commit there; round tau+1 of
+        # a window that started before it is speculative
+        tau = next(t + c - 1 for t, c in spans if c > 1 and t + c - 1 in switches)
+        hits, _ = self.inflate(monkeypatch, tau + 1, rows=range(1, 64))
+        _simulate([self.CLAIM_CFG], range(2))
+        assert hits and all(row >= 1 for row in hits)
+
+    def test_a_breach_in_a_committed_row_raises_as_the_round_would(self, monkeypatch):
+        spans, _ = self.windows(monkeypatch)
+        # round k = 2 of a window that commits at least 3 rounds
+        target = next(t + 2 for t, c in spans if c >= 3)
+        cfg = self.CLAIM_CFG
+        hits, _ = self.inflate(monkeypatch, target)
+        with pytest.raises(InvariantViolation) as windowed:
+            _simulate([cfg], range(2))
+        assert hits[-1] == 2
+        from distbandit import engine
+
+        state = engine.init_state(cfg, range(2))
+        with pytest.raises(InvariantViolation) as stepped_err:
+            while True:
+                step(state, cfg)
+        assert hits[-1] == 0 and state.t == target - 1
+        assert str(windowed.value) == str(stepped_err.value)
+        assert str(windowed.value).startswith(
+            f"count prediction exceeded its per-player bound at round {target}: "
+            "replication 1, player 1, arm 0, N' = 1000000000.0 > "
+        )
 
 
 class TestAggregation:
