@@ -29,19 +29,27 @@ snapshot and exploration value, so player 0's indices are theirs, float for
 float, and its arms are given to all M players.
 
 step advances the batch by one round. The run loop advances by windows
-(_advance): speculating that every player repeats its arm of the last round
-for the next W rounds, it builds each of those rounds' views from the stored
-ones and the uniforms, selects all W rounds with one select_batch call, and
-commits the rounds up to and including the first whose arms differ, exactly
-as that many steps would. Nothing is rolled back, as nothing is written past
-the commit point (optimistic execution as in Jefferson, "Virtual Time", ACM
-TOPLAS 7(3), 1985). A window ends at a checkpoint, at the end of the uniform
-block and before a round whose communication differs from the round before's,
-so every strategy either merges on every round of a window or on none; the
-first K rounds, forced, are one round each. W starts at 1, doubles after a
-window that switched no arm, up to _WINDOW_ROUNDS, and drops back to 1 at a
-switch; a batch too wide for a window of _WINDOW_ROUNDS rows as one
-[K, W, M, S*R] float64 array of _WINDOW_BYTES advances by single rounds. The
+(_advance), on the slots' own rounds: a slot (one replication of one
+strategy) is coupled to its own M players alone, so between two sync rounds
+every slot s runs at its own round ts[s]. The sync rounds are the
+checkpoints, the end of the uniform block and the horizon. A window
+speculates that every player repeats its arm of its slot's last round for
+the next W rounds; it builds each of those rounds' views from the stored ones
+and the uniforms, at each slot's own rows of the block, selects rounds
+ts[s]+1..ts[s]+W of every slot with one select_batch call, and commits each
+slot's rounds up to and including its own first whose arms differ, exactly as
+that many steps would. Nothing is rolled back, as nothing is written past a
+slot's commit point; a slot that reaches the sync round waits there until
+every slot has (optimistic execution on local virtual time, as in Jefferson,
+"Virtual Time", ACM TOPLAS 7(3), 1985). A claim breach is reported only then,
+as the earliest of those found, since a slot behind may break a claim at an
+earlier round. W is _WINDOW_ROUNDS, or the rounds the slowest slot has left
+to the sync round when fewer. A slot's window ends at the first round whose
+communication differs from that of the slot's last round, so the slot merges
+on every round before its window's last or on none of them; the window's last
+round is committed alone, with its own merge. The first K rounds, forced, are
+one round each, and a batch too wide for a window of _WINDOW_ROUNDS rows as
+one [K, W, M, S*R] float64 array of _WINDOW_BYTES advances by single rounds. The
 window's counts and sums are integers below 2**53, exact in float64, and the
 index ufuncs give an element the same value whatever the array's shape, so a
 window selects exactly the arms the rounds would.
@@ -51,7 +59,9 @@ rounds, so a round reads its uniforms from one contiguous row. A stream's L
 uniforms are one column of the block, so they are drawn into a small staging
 tile of whole stream rows, and each tile is copied into its columns while it
 is still in cache. Every refill is drawn into the first block's buffer, so a
-run never holds two blocks.
+run never holds two blocks. The exploration value f of every round of the
+block is filled with it, one exploration_budget call per strategy and round,
+and a round, or a window row, reads its slot's f from that table.
 
 Aggregation works on exact integer totals, so it is independent of
 replication order and of how replications are batched.
@@ -59,7 +69,6 @@ replication order and of how replications are batched.
 
 from __future__ import annotations
 
-import bisect
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
@@ -104,12 +113,16 @@ class InvariantViolation(RuntimeError):
 
     strategy is the index of the config whose trace broke it: within the
     batch where the check raises, and among the configs passed to
-    run_strategies once it leaves that call; None when unknown.
+    run_strategies once it leaves that call; None when unknown. order is the
+    breach's (round, kind, slot, player, arm), kind 0 for a per-player claim
+    and 1 for a summed one, by which the first of several breaches is the
+    one reported; None when unknown.
     """
 
-    def __init__(self, message: str, strategy: int | None = None):
+    def __init__(self, message: str, strategy: int | None = None, order: tuple | None = None):
         super().__init__(message)
         self.strategy = strategy
+        self.order = order
 
 
 def _default_checkpoints(horizon: int) -> tuple[int, ...]:
@@ -197,9 +210,11 @@ class WorldState:
     they are copied from it when they are next read or updated. While the
     views are stale, a round selects once per slot, on player 0's view.
 
+    t is the last round every slot has committed: the loop returns from
+    _advance only at a sync round, where all slots stand at the same round.
     A copy (copy.deepcopy, pickle) leaves out the round buffers, which view
     this state's arrays, and the window scratch; the copy builds its own when
-    it next advances. The window length is the run loop's, not the state's.
+    it next advances.
     """
 
     t: int
@@ -207,7 +222,6 @@ class WorldState:
     snapshot: np.ndarray  # float64 [K, S*R]; the same for every player of a slot
     totals: np.ndarray  # int64 [2, K, S*R]; [0]: the global counts, [1]: their reward sums
     arms: np.ndarray  # int64 [M, S*R]; the arms selected in round t
-    last_merge: list[int]  # [S]; each strategy's last communication round (0: none yet)
     keys: np.ndarray  # uint64 [R, M, 2]; the streams' Philox keys, shared by the strategies
     means: np.ndarray  # float64 [K]
     replication_indices: tuple[int, ...]  # the replication each slot runs
@@ -219,6 +233,15 @@ class WorldState:
     # refill is a leading slice of the first block's buffer
     _block: np.ndarray | None = field(default=None, repr=False)
     _pos: int = 0  # the rounds of _block already read
+    # float64 [L, S], or [L, 1] for ln2t, which reads the round alone; the
+    # exploration value f of each round of _block per strategy (none for the
+    # forced rounds), filled with the block
+    _f: np.ndarray | None = field(default=None, repr=False)
+    # [S]; each strategy's last communication round before the next refill,
+    # kept for the f columns it is read for
+    _last_comm: list[int] = field(default_factory=list, repr=False)
+    # int64 [horizon, S*R, M]; the arms of every round, when the run records them
+    _actions: np.ndarray | None = field(default=None, repr=False)
     # draws every stream, keyed and positioned per stream
     _rng: np.random.Generator = field(
         default_factory=lambda: np.random.Generator(np.random.Philox(key=0)), repr=False
@@ -375,11 +398,11 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
         snapshot=np.zeros((k, n)),
         totals=np.zeros((2, k, n), dtype=np.int64),
         arms=np.zeros((m, n), dtype=np.int64),
-        last_merge=[0] * len(schedules),
         keys=_stream_keys(cfg.seed, reps, m),
         means=np.asarray(cfg.arm_model.means, dtype=np.float64),
         replication_indices=tuple(reps) * len(schedules),
         comm_mask=np.stack([s.comm_mask(cfg.horizon) for s in schedules], axis=1),
+        _last_comm=[0] * len(schedules),
     )
 
 
@@ -401,9 +424,9 @@ def _round_buffers(state: WorldState) -> _RoundBuffers:
     return _RoundBuffers(
         select=select,
         p=p,
-        p3=p.reshape(m, len(state.last_merge), -1),
+        p3=p.reshape(m, state.comm_mask.shape[1], -1),
         rewards=rewards,
-        rewards3=rewards.reshape(m, len(state.last_merge), -1),
+        rewards3=rewards.reshape(m, state.comm_mask.shape[1], -1),
         pulled=np.empty((2, k, m, n), dtype=bool),
         arm_ids=np.arange(k)[:, None, None],
         slot_ids=np.arange(n),
@@ -416,8 +439,8 @@ def merge_views(state: WorldState, slots: slice = slice(None)) -> WorldState:
     """Give every player of the given slots (all by default) the full global
     history and refresh the snapshots.
 
-    Idempotent; the caller is responsible for updating last_merge when this
-    happens as part of a communication round.
+    Idempotent. A merge between rounds changes no exploration value: f
+    counts the merges of the schedule alone.
     """
     # a whole-batch merge writes player 0's view and leaves the rest stale
     whole = slots == slice(None)
@@ -477,122 +500,109 @@ def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
 
 
 def _check_claims(
-    state: WorldState, n_prime: np.ndarray, cfg: RunConfig, counts=None, totals=None
+    state: WorldState, n_prime: np.ndarray, cfg: RunConfig, counts=None, totals=None, rounds=None
 ) -> None:
-    """Raise on the first breach, in (round, slot, player, arm) order, of
-    either count-prediction claim by the predictions N' of the rounds from
-    state.t + 1 on: [K, M, S*R] for that round alone, checked against the
-    state's view and global counts, or [K, c, M, S*R] for c rounds with their
-    view counts [K, c, M or 1, S*R] and global counts [K, c, S*R]."""
+    """Raise on the first breach, in (round, kind, slot, player, arm) order, a
+    per-player breach before a summed one, of either count-prediction claim
+    by the predictions N': [K, M, S*R] for round state.t + 1 alone, checked
+    against the state's view and global counts, or [K, c, M, S*R] for c rows
+    with their view counts [K, c, M or 1, S*R], int64 global counts
+    [K, c, S*R] and rounds [c, S*R], the round each slot's row is at (0: not
+    checked)."""
     m, alpha = cfg.players, cfg.policy.alpha
     r_n = state.keys.shape[0]
-    if counts is None:
-        # the counts selection read: while the views are stale (after a merge
-        # of the whole batch) player 0's stand for every player's
+    if n_prime.ndim == 3:
+        # one round: the counts selection read (while the views are stale,
+        # after a merge of the whole batch, player 0's stand for every
+        # player's), with a row axis
         counts = state.views[0, :, :1] if state._stale else state.views[0]
-        totals = state.totals[0]
+        n_prime, counts, totals = n_prime[:, None], counts[:, None], state.totals[0][:, None]
+        rounds = np.full((1, n_prime.shape[-1]), state.t + 1)
+    checked = rounds > 0
     bound = dklucb_scale(m, alpha) * counts
-    over = n_prime > bound + 1e-9
+    over = (n_prime > bound + 1e-9) & checked[:, None]
     summed = n_prime.sum(axis=-2)
     limit = m * totals
-    over_sum = summed > limit + 1e-9
+    over_sum = (summed > limit + 1e-9) & checked
     if not (over.any() or over_sum.any()):
         return
-    if n_prime.ndim == 3:
-        # one round: the report reads every array by round
-        n_prime, bound, over, summed, limit, over_sum = (
-            x[:, None] for x in (n_prime, bound, over, summed, limit, over_sum)
-        )
-    row = int(np.argmax(over.any(axis=(0, 2, 3)) | over_sum.any(axis=(0, 2))))
-    t = state.t + 1 + row
-    if over[:, row].any():
-        r, p, a = np.argwhere(over[:, row].T)[0]
+    # every breach as (round, kind, slot, player, arm, row), per-player ones first
+    breaches = [(rounds[i, s], 0, s, p, a, i) for a, i, p, s in zip(*np.nonzero(over))]
+    breaches += [(rounds[i, s], 1, s, 0, a, i) for a, i, s in zip(*np.nonzero(over_sum))]
+    t, kind, slot, player, arm, row = (int(x) for x in min(breaches))
+    where = f"at round {t}: replication {state.replication_indices[slot]}"
+    if kind == 0:
         bound = np.broadcast_to(bound, n_prime.shape)
-        raise InvariantViolation(
-            f"count prediction exceeded its per-player bound at round {t}: "
-            f"replication {state.replication_indices[r]}, player {p}, arm {a}, "
-            f"N' = {n_prime[a, row, p, r]} > {bound[a, row, p, r]}",
-            strategy=int(r) // r_n,
+        message = (
+            f"count prediction exceeded its per-player bound {where}, player {player}, "
+            f"arm {arm}, N' = {n_prime[arm, row, player, slot]} > {bound[arm, row, player, slot]}"
         )
-    r, a = np.argwhere(over_sum[:, row].T)[0]
-    raise InvariantViolation(
-        f"summed count predictions exceeded M times the global count at round {t}: "
-        f"replication {state.replication_indices[r]}, arm {a}, "
-        f"sum of N' = {summed[a, row, r]} > {limit[a, row, r]}",
-        strategy=int(r) // r_n,
-    )
+    else:
+        message = (
+            f"summed count predictions exceeded M times the global count {where}, "
+            f"arm {arm}, sum of N' = {summed[arm, row, slot]} > {limit[arm, row, slot]}"
+        )
+    raise InvariantViolation(message, strategy=slot // r_n, order=(t, kind, slot, player, arm))
 
 
-def _budgets(state: WorldState, cfg: RunConfig, t: int, rows: int = 1, merging=()):
-    """The exploration values f of rounds t..t+rows-1: a scalar or an [S*R]
-    row for one round, [rows, 1, 1] or [rows, 1, S*R] for more. merging[s]: does
-    strategy s communicate on every round t-1..t+rows-2 (else on none of
-    t..t+rows-2)."""
-    policy, m = cfg.policy, cfg.players
-    if policy.exploration.variant == LN2T:
-        # evaluated at the round index, so one value serves every strategy
-        if rows == 1:
-            return exploration_budget(policy, m, t, None)
-        return np.array([exploration_budget(policy, m, t + j, None) for j in range(rows)])[
-            :, None, None
-        ]
-    # the sample count a player holds depends on its strategy's last merge
-    # (round t+j-1 for a strategy that merges on every round)
-    merging = merging or [False] * len(state.last_merge)
-    f = [
-        [
-            exploration_budget(policy, m, t + j, (t + j - 1) + (m - 1) * (last + on * j))
-            for last, on in zip(state.last_merge, merging)
-        ]
-        for j in range(rows)
-    ]
-    r_n = state.keys.shape[0]
-    if rows == 1:
-        return f[0][0] if len(f[0]) == 1 else np.repeat(f[0], r_n)
-    f = np.array(f)[:, None]
-    return f if f.shape[2] == 1 else f.repeat(r_n, axis=2)
+def _fill_budgets(state: WorldState, cfg: RunConfig) -> None:
+    """Fill state._f with the exploration value f of every round of the block
+    just drawn, from round state.t + 1 on: one exploration_budget call per
+    round and strategy, or per round for ln2t, which reads the round index
+    alone. At round t a player holds t-1 samples of its own and M-1 more per
+    round up to its strategy's last merge before t. The forced rounds read no
+    f and get none."""
+    policy, m, k = cfg.policy, cfg.players, state.views.shape[1]
+    first, length = state.t + 1, len(state._block)
+    # ln2t reads the round alone, so one column serves every strategy
+    width = 1 if policy.exploration.variant == LN2T else len(state._last_comm)
+    # no block is longer than the first, so the first table holds every refill's
+    f = np.zeros((length, width)) if state._f is None else state._f[:length]
+    rounds = range(first, first + length)
+    for s, comm in enumerate(state.comm_mask[first : first + length, :width].T.tolist()):
+        last = state._last_comm[s]
+        column = []
+        for t, on in zip(rounds, comm):
+            column.append(
+                exploration_budget(policy, m, t, (t - 1) + (m - 1) * last) if t > k else 0.0
+            )
+            if on:
+                last = t
+        f[:, s] = column
+        state._last_comm[s] = last
+    state._f = f
 
 
 @dataclass
 class _Window:
-    """What a window of more than one round reuses; built by _window_scratch
-    on the first such window, and left out of a copy of the state."""
+    """The slots' own rounds in a windowed advance and the arrays its windows
+    reuse; built by _window_scratch on the first window, and left out of a
+    copy of the state."""
 
-    changes: list[int]  # the rounds whose communication differs from the round before's
-    prefix: np.ndarray  # float64 [W+1, W]; row i sums the first i rows (strictly lower ones)
-    steps: np.ndarray  # float64 [W+1, 1, 1]; row i holds i
-    won: np.ndarray  # float64 [W, M, S, R]; the wins of the repeated arms
-    # merging per strategy -> (the slots whose views are the totals, True or
-    # bool [S*R]; the pulls per player and round that their views gain)
-    merged: dict = field(default_factory=dict)
+    ts: np.ndarray  # int64 [S*R]; the last round each slot has committed
+    sync: int  # the round every slot reaches before the advance returns
+    breach: InvariantViolation | None  # the first claim breach seen since the last sync
+    rows: np.ndarray  # int64 [W+1, 1]; row i holds i
+    prefix: np.ndarray  # float64 [W, W]; row i sums the first i rows (strictly lower ones)
+    won: np.ndarray  # float64 [W, M, S*R]; the wins of the repeated arms
+    strategy: np.ndarray  # int64 [S*R]; each slot's strategy
+    uniform_at: np.ndarray  # int64 [M, S*R]; each stream's offset in a uniform block row
 
 
 def _window_scratch(state: WorldState) -> _Window:
     _, _, m, n = state.views.shape
-    size, s_n = _window_cap(state), len(state.last_merge)
-    mask = state.comm_mask
+    size, r_n = _window_cap(state), state.keys.shape[0]
+    slots = np.arange(n)
     return _Window(
-        changes=(np.flatnonzero((mask[1:] != mask[:-1]).any(axis=1)) + 1).tolist(),
-        prefix=np.tri(size + 1, size, -1),
-        steps=np.arange(size + 1.0)[:, None, None],
-        won=np.empty((size, m, s_n, n // s_n)),
+        ts=np.zeros(n, dtype=np.int64),
+        sync=0,
+        breach=None,
+        rows=np.arange(size + 1)[:, None],
+        prefix=np.tri(size, size, -1),
+        won=np.empty((size, m, n)),
+        strategy=slots // r_n,
+        uniform_at=np.arange(m)[:, None] * r_n + slots % r_n,
     )
-
-
-def _window_length(state: WorldState, t: int, w: int) -> int:
-    """w cut so that every strategy communicates on every round t-1..t+w-1
-    or on none of them: a window ends before the next round whose
-    communication differs from the round before's, and a window that starts
-    on such a round is one round long."""
-    if state._win is None:
-        state._win = _window_scratch(state)
-    changes = state._win.changes
-    i = bisect.bisect_right(changes, t)
-    if i and changes[i - 1] == t:
-        return 1
-    if i < len(changes):
-        w = min(w, changes[i] - t)
-    return min(w, len(state._win.won))
 
 
 def _select_round(state: WorldState, cfg: RunConfig, t: int) -> None:
@@ -601,7 +611,8 @@ def _select_round(state: WorldState, cfg: RunConfig, t: int) -> None:
     # while a whole-batch merge has left the views stale, a slot's players hold
     # one view, snapshot and f, hence the same indices: player 0 selects for all
     shared = state._stale
-    f = _budgets(state, cfg, t)
+    f = state._f[state._pos]
+    f = f[0] if len(f) == 1 else np.repeat(f, state.keys.shape[0])
     count, total, snap, out = state._buf.select[shared]
     _, denom = select_batch(cfg.policy, m, f, count, total, snap, out=out)
     if shared and m > 1:
@@ -611,93 +622,136 @@ def _select_round(state: WorldState, cfg: RunConfig, t: int) -> None:
         _check_claims(state, np.repeat(denom, m, axis=1) if shared else denom, cfg)
 
 
-def _select_window(state: WorldState, cfg: RunConfig, t: int, w: int, u: np.ndarray):
-    """Select rounds t..t+w-1 at once, speculating that every player repeats
-    its arm in state.arms, and commit the j rounds before the first whose arms
-    differ (all w when none does). Returns j and that round's arms, [M, S*R]
-    or [1, S*R] (while the views are stale), or None when none differs.
+def _select_window(state: WorldState, cfg: RunConfig, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Advance every slot s behind the sync round by one window: select its
+    rounds ts[s]+1..ts[s]+W at once, speculating that every player repeats
+    its arm in state.arms, and commit them up to and including the first
+    whose arms differ, or all it may commit when none does. Returns the
+    rounds each slot committed. u and f are the uniforms and exploration
+    values of the rounds from state.t + 1 on, where every slot stood at the
+    last sync.
 
-    Row i of the window is the view before round t+i: the stored one plus i
-    rounds of the repeated pulls, a player's own or, for a strategy that
-    merges on every round of the window, every pull of its slot, as its
-    stored view is then the totals. Every count and sum is an integer below
-    2**53, so the rows hold exactly the floats the rounds would, and the index
-    ufuncs give them the same values whatever the batch shape.
+    Row i of a slot is its view before its round ts+1+i: the stored one plus
+    i rounds of the repeated pulls, a player's own or, for a slot whose
+    strategy communicated at round ts and on every round since, every pull
+    of the slot, as its stored view is then the totals. Every count and sum
+    is an integer below 2**53, so the rows hold exactly the floats the rounds
+    would, and the index ufuncs give them the same values whatever the batch
+    shape. A slot may commit the rows before the first round whose
+    communication differs from its round ts's, and none past the sync round.
     """
-    _, k, m, n = state.views.shape
-    r_n = state.keys.shape[0]
     win, buf, arms = state._win, state._buf, state.arms
-    merging = state.comm_mask[t].tolist()
-    if not all(merging):
-        # views left stale by a merge between rounds are private from now on
+    _, k, m, n = state.views.shape
+    ts, slots = win.ts, buf.slot_ids
+    w = min(len(win.prefix), win.sync - int(ts.min()))
+    i = win.rows[:w]
+    s_n = state.comm_mask.shape[1]
+    # comm[j, s]: does slot s's strategy communicate at round ts[s] + j
+    at = ts + win.rows[: w + 1]
+    comm = state.comm_mask.reshape(-1).take(at * s_n + win.strategy, mode="clip")
+    merged = comm[0]  # the slots whose views are the totals
+    changed = comm[1:] != merged
+    valid = np.where(changed.any(axis=0), changed.argmax(axis=0) + 1, w)
+    np.minimum(valid, np.maximum(win.sync - ts, 0), out=valid)
+    active = valid > 0
+    if state._stale and not (merged | ~active).all():
+        # views left stale by a merge are private from now on
         state._sync_views()
-    rows = w + 1  # row w is the view after the window, for its commit
     lanes = 1 if state._stale else m
-    pulled = np.equal(arms, buf.arm_ids, out=buf.pulled[0])[:, None, :lanes]
+    # each slot's rows of the uniform block and of f
+    start = (ts - state.t)[None] + i
+    u = u.reshape(-1).take(start[:, None] * u[0].size + win.uniform_at, mode="clip")
+    column = win.strategy if f.shape[1] > 1 else 0
+    f = f.reshape(-1).take(start * f.shape[1] + column, mode="clip")
+    pulled = np.equal(arms, buf.arm_ids, out=buf.pulled[0])
     state.means.take(arms, out=buf.p, mode="clip")
-    won = np.less(u[:w, :, None, :], buf.p3, out=win.won[:w]).reshape(w, m, n)
-    steps = win.steps[:rows]
-    merged = all(merging)  # the slots whose views are the totals: False, True or bool [S*R]
-    if any(merging):
-        # a strategy that merges on every round gives its players one view,
-        # the totals, which gains every pull of its slot; taking them as its
-        # players' own assumes they repeat one arm, and when they do not,
-        # their one view makes some player switch in the window's first round
-        key = tuple(merging)
-        if key not in win.merged:
-            mask = merged or np.repeat(merging, r_n)
-            win.merged[key] = mask, np.where(mask, float(m), 1.0)
-        merged, pulls = win.merged[key]
-        np.copyto(won, won.sum(axis=1, keepdims=True), where=merged)
-        steps = steps * pulls
-    # the pulls [0] and wins [1] of each arm in the first i rounds, row i, if
-    # every arm repeats: [2, K, rows, M or 1, S*R]
-    added = np.empty((2, k, rows, lanes, n))
+    won = np.less(u, buf.p, out=win.won[:w])
+    steps = i[:, :, None]
+    if any_merged := merged.any():
+        # a merged slot's players hold one view, the totals, which gains every
+        # pull of the slot; its rows take every player to repeat player 0's
+        # arm, and when one did not, their one view makes it switch in the
+        # slot's first row
+        np.copyto(pulled, pulled[:, :1], where=merged)
+        won = np.where(merged, won.sum(axis=1, keepdims=True), won)
+        steps = steps * np.where(merged, float(m), 1.0)
+    pulled = pulled[:, None, :lanes]
+    # the pulls [0] and wins [1] of each arm in a slot's first i rounds, row i,
+    # if every arm repeats: [2, K, W, M or 1, S*R]
+    added = np.empty((2, k, w, lanes, n))
     np.multiply(steps, pulled, out=added[0])
-    wins = win.prefix[:rows, :w] @ won[:, :lanes].reshape(w, -1)
-    np.multiply(wins.reshape(rows, lanes, n), pulled, out=added[1])
+    wins = win.prefix[:w, :w] @ won[:, :lanes].reshape(w, -1)
+    np.multiply(wins.reshape(w, lanes, n), pulled, out=added[1])
     # [0]: the counts, [1]: the reward sums
     views = state.views[:, :, None, :lanes] + added
+    counts, sums = views[0], views[1]
 
-    def team(rows):
-        """The pulls and wins per slot in the first i rounds, i in rows."""
-        if merged is True:
-            return added[:, :, rows, 0]
-        summed = added[:, :, rows].sum(axis=-2)
-        return summed if merged is False else np.where(merged, added[:, :, rows, 0], summed)
+    def team(added):
+        """The pulls or wins per slot in added [..., M or 1, S*R]: player 0's
+        where a slot is merged, as they count all of its pulls."""
+        summed = added.sum(axis=-2)
+        if any_merged:
+            np.copyto(summed, added[..., 0, :], where=merged)
+        return summed
 
-    counts, sums = views[0, :, :w], views[1, :, :w]
     snap = state.snapshot[:, None, None]
-    if cfg.policy.rule == DKLUCB and any(merging):
-        # a merging strategy's snapshot is its view's counts
+    if cfg.policy.rule == DKLUCB and any_merged:
+        # a merged slot's snapshot is its view's counts
         snap = np.where(merged, counts[:, :, :1], snap)
-    f = _budgets(state, cfg, t, w, merging)
-    chosen, denom = select_batch(cfg.policy, m, f, counts, sums, snap)
-    differs = chosen != arms  # [w, M, S*R]
-    first = int(differs.argmax())
-    switched = bool(differs.flat[first])
-    j = first // (m * n) if switched else w
+    chosen, denom = select_batch(cfg.policy, m, f[:, None], counts, sums, snap)
+    # every player's arm: a merge can leave players of one view on different arms
+    differs = (chosen != arms).any(axis=1) & (i < valid)
+    first = differs.argmax(axis=0)
+    # the row each slot commits up to: its first switch, else its last valid
+    # row (-1 for a slot at the sync round)
+    last = np.where(differs[first, slots], first, valid - 1)
     if cfg.policy.rule == DKLUCB:
-        c = min(j + 1, w)
-        n_prime = denom[:, :c]
-        if state._stale:
-            n_prime = np.repeat(n_prime, m, axis=2)
-        totals = state.totals[0][:, None] + team(slice(c))[0]
-        _check_claims(state, n_prime, cfg, counts[:, :c], totals)
-    if j:
-        # rounds t..t+j-1 repeated every arm
-        np.add(state.totals, team(j), out=state.totals, casting="unsafe")
-        if state._stale:
-            merge_views(state)
-        else:
-            np.copyto(state.views, views[:, :, j])
-            if any(merging):
-                np.copyto(state.snapshot, views[0, :, j, 0], where=merged)
-        for s, on in enumerate(merging):
-            if on:
-                state.last_merge[s] = t + j - 1
-        state.t = t + j - 1
-    return j, chosen[j] if switched else None
+        n_prime = denom if lanes == m else np.repeat(denom, m, axis=2)
+        totals = state.totals[0][:, None] + team(added[0]).astype(np.int64)
+        rounds = np.where(i <= last, ts + 1 + i, 0)
+        try:
+            _check_claims(state, n_prime, cfg, counts, totals, rounds)
+        except InvariantViolation as exc:
+            # a breach is reported once every slot has passed its round, as a
+            # slot behind may break a claim at an earlier round
+            if exc.order is None:
+                raise
+            if win.breach is None or exc.order < win.breach.order:
+                win.breach = exc
+                win.sync = min(win.sync, exc.order[0])
+    if state._actions is not None:
+        row, slot = np.nonzero(i <= last)
+        state._actions[ts[slot] + row, slot] = chosen[row, :, slot]
+    # the e rows before each slot's last repeated every arm: its row e is the
+    # view after them
+    e = np.maximum(last, 0)
+    added = np.moveaxis(added[:, :, e, :, slots], 0, -1)
+    state.views[:, :, :lanes] += added
+    np.add(state.totals, team(added), out=state.totals, casting="unsafe")
+    if any_merged:
+        np.copyto(state.snapshot, state.views[0, :, 0], where=merged)
+    # the last row is a round of its own: its arms, its pulls, its merge
+    np.copyto(arms, chosen[e, :, slots].T, where=active)
+    state.means.take(arms, out=buf.p, mode="clip")
+    np.less(u[e, :, slots].T, buf.p, out=buf.rewards)
+    np.equal(arms, buf.arm_ids, out=buf.pulled[0])
+    buf.pulled[0] &= active
+    np.logical_and(buf.pulled[0], buf.rewards, out=buf.pulled[1])
+    state.totals += np.add.reduce(buf.pulled, axis=2)
+    merging = comm[e + 1, slots] & active
+    if (merging == active).all() and (state._stale or active.all()):
+        # every slot that moved merges: player 0's view stands for all
+        np.copyto(state.views[:, :, 0], state.totals, where=active)
+        np.copyto(state.snapshot, state.totals[0], where=active)
+        state._stale = True
+    else:
+        state._sync_views()
+        state.views += buf.pulled
+        if merging.any():
+            np.copyto(state.views, state.totals[:, :, None], where=merging)
+            np.copyto(state.snapshot, state.totals[0], where=merging)
+    ts += last + 1
+    return last + 1
 
 
 def _commit_round(state: WorldState, t: int, u: np.ndarray) -> None:
@@ -712,7 +766,7 @@ def _commit_round(state: WorldState, t: int, u: np.ndarray) -> None:
     state.means.take(arms, out=buf.p, mode="clip")
     np.less(u[:, None, :], buf.p3, out=buf.rewards3)
     merging = [s for s, on in enumerate(state.comm_mask[t].tolist()) if on]
-    whole = len(merging) == len(state.last_merge)
+    whole = len(merging) == state.comm_mask.shape[1]
     if shared and whole:
         # the players of a slot pulled its one arm and the views are about to
         # be overwritten: add the slot's M pulls and its winners at once
@@ -733,8 +787,8 @@ def _commit_round(state: WorldState, t: int, u: np.ndarray) -> None:
         state.views += buf.pulled
         for s in merging:
             merge_views(state, slice(s * r_n, (s + 1) * r_n))
-    for s in merging:
-        state.last_merge[s] = t
+    if state._actions is not None:
+        state._actions[t - 1] = arms.T
     state.t = t
 
 
@@ -747,26 +801,34 @@ def _advance(state: WorldState, cfg: RunConfig, w: int) -> int:
     if state._buf is None:
         state._buf = _round_buffers(state)
     u = _next_uniforms(state, cfg.horizon - state.t)
-    j = 0
+    if state._pos == 0:
+        # a refill: no round of the block is read yet
+        _fill_budgets(state, cfg)
     if t <= state.views.shape[1]:
         # some arm is still unsampled, identically across the batch: the
         # unpulled-arm rule forces arm t-1 for every player
         state.arms.fill(t - 1)
+    elif w == 1 or _window_cap(state) == 1:
+        _select_round(state, cfg, t)
     else:
-        if w > 1:
-            w = _window_length(state, t, min(w, len(u)))
-        if w == 1:
-            _select_round(state, cfg, t)
-        else:
-            j, chosen = _select_window(state, cfg, t, w, u)
-            if chosen is None:
-                # every round of the window repeated every arm
-                state._pos += j
-                return j
-            np.copyto(state.arms, chosen)
-    _commit_round(state, t + j, u[j])
-    state._pos += j + 1
-    return j + 1
+        # every slot advances to the sync round on its own rounds
+        if state._win is None:
+            state._win = _window_scratch(state)
+        win = state._win
+        win.ts.fill(state.t)
+        win.sync, win.breach = state.t + min(w, len(u)), None
+        f = state._f[state._pos :]
+        while win.ts.min() < win.sync:
+            _select_window(state, cfg, u, f)
+        if win.breach is not None:
+            raise win.breach
+        w = win.sync - state.t
+        state.t = win.sync
+        state._pos += w
+        return w
+    _commit_round(state, t, u[0])
+    state._pos += 1
+    return 1
 
 
 def step(state: WorldState, cfg: RunConfig) -> WorldState:
@@ -788,34 +850,23 @@ def _simulate(cfgs, replication_indices, record_actions: bool = False):
     int64 global counts at the checkpoints, [C, S*R, K], and the selected
     arms, [horizon, S*R, M] (None without record_actions).
 
-    The loop advances by windows (_advance), not by step, and a window ends at
-    a checkpoint. A window is one round at first, twice as long as the last
-    after one that switched no arm, up to _window_cap, and one round again
-    after a switch. init_state and _advance are called through the module
-    globals, so rebinding them (as timing shims do) reaches this loop;
-    rebinding step does not."""
+    Every checkpoint is a sync round: a batch that fits a window advances to
+    the next one by _advance, whose slots run on their own rounds in between,
+    and a wider batch advances round by round. init_state and _advance are
+    called through the module globals, so rebinding them (as timing shims do)
+    reaches this loop; rebinding step does not."""
     cfg = cfgs[0]
     state = init_state(cfg, replication_indices, schedules=[c.schedule for c in cfgs])
     _, k, m, n = state.views.shape
     counts = np.zeros((len(cfg.checkpoints), n, k), dtype=np.int64)
-    actions = np.zeros((cfg.horizon, n, m), np.int64) if record_actions else None
-    cap, w = _window_cap(state), 1
+    if record_actions:
+        state._actions = np.zeros((cfg.horizon, n, m), np.int64)
     for slot, stop in enumerate((*cfg.checkpoints, cfg.horizon)):
         while state.t < stop:
-            t0 = state.t
-            if actions is not None:
-                # the rounds before the last committed repeat the last arms
-                actions[t0 : t0 + w] = state.arms.T
-            if cap > 1:
-                before = state.arms.tobytes()
-            c = _advance(state, cfg, min(w, stop - t0))
-            if actions is not None:
-                actions[t0 + c - 1] = state.arms.T
-            if cap > 1:
-                w = min(2 * w, cap) if state.arms.tobytes() == before else 1
+            _advance(state, cfg, stop - state.t)
         if slot < len(counts):
             counts[slot] = state.totals[0].T
-    return counts, actions
+    return counts, state._actions
 
 
 def run_once(cfg: RunConfig, replication_index: int, record_actions: bool = False):

@@ -6,6 +6,7 @@ import copy
 import math
 import pickle
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -998,7 +999,7 @@ class TestFusedStrategies:
             make_cfg(schedule=CS.linear(5), policy=dklucb),
         ]
 
-        def breach(state, n_prime, cfg):
+        def breach(state, n_prime, cfg, *rows):
             raise InvariantViolation("breach", strategy=1)
 
         def fail(state, cfg, w):
@@ -1024,8 +1025,9 @@ WINDOW_POLICIES = {
 }
 
 # every schedule kind fused, full alone (its views stay stale), doubleexp
-# alone (stale after each merge, private again after it) and none, full and
-# explicit fused; merges and checkpoints fall inside would-be windows
+# alone (stale after each merge, private again after it), explicit alone
+# (stale over runs of merges that players enter on different arms) and none,
+# full and explicit fused; merges and checkpoints fall inside would-be windows
 MERGES = CS.explicit([9, 40, 41, 150, 151, 152])
 WINDOW_GROUPS = (
     (
@@ -1034,6 +1036,7 @@ WINDOW_GROUPS = (
     ),
     (CS.full(),),
     (CS.double_exponential(2.0, 1.0),),
+    (MERGES,),
     (CS.none(), CS.full(), MERGES),
 )
 WINDOW_MEANS = {2: (0.9, 0.2), 5: (0.95, 0.7, 0.7, 0.3, 0.0)}
@@ -1054,8 +1057,9 @@ def stepped(cfgs, reps):
 
 
 class TestWindows:
-    """The round loop advances by speculative windows of up to _WINDOW_ROUNDS
-    rounds; whatever their length, the trajectory is the one step gives."""
+    """Between sync rounds every slot advances on its own rounds by
+    speculative windows of up to _WINDOW_ROUNDS rounds; whatever their
+    length, the trajectory is the one step gives."""
 
     @pytest.mark.parametrize("policy", WINDOW_POLICIES.values(), ids=WINDOW_POLICIES)
     @pytest.mark.parametrize("players, k", [(1, 2), (1, 5), (3, 2), (3, 5)])
@@ -1064,14 +1068,14 @@ class TestWindows:
 
         reps = [3, 11]
         longest = {}
-        real = engine._advance
+        real = engine._select_window
 
-        def recording(state, cfg, w):
-            c = real(state, cfg, w)
-            longest[cap] = max(longest.get(cap, 0), c)
+        def recording(*args):
+            c = real(*args)
+            longest[cap] = max(longest.get(cap, 0), int(c.max()))
             return c
 
-        monkeypatch.setattr(engine, "_advance", recording)
+        monkeypatch.setattr(engine, "_select_window", recording)
         for group in WINDOW_GROUPS:
             cap = 1  # step advances one round
             cfgs = [
@@ -1087,44 +1091,84 @@ class TestWindows:
                 counts, actions = _simulate(cfgs, reps, record_actions=True)
                 assert np.array_equal(counts, want_counts), (group, cap)
                 assert np.array_equal(actions, want_actions), (group, cap)
-        # windows of every cap but the longest were committed whole
-        assert [longest[cap] for cap in (1, 2, 7)] == [1, 2, 7]
+        # a cap of 1 runs round by round; some slot committed a whole window
+        # at every other cap but the longest
+        assert 1 not in longest and [longest[cap] for cap in (2, 7)] == [2, 7]
+
+    def windows(self, monkeypatch, cfgs, reps):
+        """Every window of the run of cfgs as (the slots' rounds before it, its
+        sync round, the rounds each slot committed), and the run's counts and
+        action trace."""
+        from distbandit import engine
+
+        spans = []
+        real = engine._select_window
+
+        def recording(state, *args):
+            ts, sync = state._win.ts.copy(), state._win.sync
+            spans.append((ts, sync, real(state, *args)))
+            return spans[-1][2]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_select_window", recording)
+            counts, actions = _simulate(cfgs, reps, record_actions=True)
+        return spans, counts, actions
 
     @pytest.mark.parametrize("schedule", [CS.none(), CS.full()], ids=["none", "full"])
     def test_a_settled_batch_commits_whole_windows(self, monkeypatch, schedule):
         # arm 0 always pays and arm 1 never does: the players seldom switch,
-        # so the windows double up to the cap
-        from distbandit import engine
-
+        # so the slots commit whole windows
         cfg = make_cfg(
             means=(1.0, 0.0), players=3, horizon=300, schedule=schedule,
             policy=PolicySpec(UCB), checkpoints=(100, 300), replications=2,
         )
-        committed = []
-        real = engine._advance
-
-        def recording(state, cfg, w):
-            committed.append(real(state, cfg, w))
-            return committed[-1]
-
         want_counts, want_actions = stepped([cfg], range(2))
-        monkeypatch.setattr(engine, "_advance", recording)
-        counts, actions = _simulate([cfg], range(2), record_actions=True)
+        spans, counts, actions = self.windows(monkeypatch, [cfg], range(2))
         assert np.array_equal(counts, want_counts)
         assert np.array_equal(actions, want_actions)
-        assert sum(committed) == cfg.horizon
-        assert max(committed) == 64
+        committed = np.array([c for _, _, c in spans])
+        k = cfg.arm_model.k  # the forced rounds run before the first window
+        assert committed.sum(axis=0).tolist() == [cfg.horizon - k] * 2
+        assert committed.max() == 64
+
+    def test_a_settled_slot_is_not_held_back(self, monkeypatch):
+        # none and full fused on arms (0.6, 0.5): after round 300 the full
+        # slot never switches, while the none slot still does
+        cfgs = [
+            make_cfg(
+                means=(0.6, 0.5), players=2, horizon=600, schedule=schedule,
+                policy=PolicySpec(UCB, ExplorationFunction.ln2t()), checkpoints=(100, 600),
+            )
+            for schedule in (CS.none(), CS.full())
+        ]
+        want_counts, want_actions = stepped(cfgs, [0])
+        spans, counts, actions = self.windows(monkeypatch, cfgs, [0])
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(actions, want_actions)
+        changed = (actions[1:] != actions[:-1]).any(axis=2)  # [t - 2, slot]: round t switched
+        assert changed[300:, 1].sum() == 0 and changed[300:, 0].sum() > 0
+        for ts, sync, committed in spans:
+            w = min(64, sync - ts.min())
+            for s, c in enumerate(committed):
+                # a slot commits up to and including its own first switch, or
+                # all w rows; none past the sync round
+                left = max(0, min(w, sync - ts[s]))
+                switch = np.flatnonzero(changed[ts[s] - 1 : ts[s] - 1 + left, s])
+                assert c == (switch[0] + 1 if len(switch) else left)
+        # the settled slot commits whole windows while the other one switches
+        assert sum(c[1] == 64 and 0 < c[0] < 64 for _, _, c in spans) >= 3
 
     CLAIM_CFG = make_cfg(
         means=(0.9, 0.2), players=2, horizon=200, schedule=CS.none(),
         policy=PolicySpec(DKLUCB, alpha=0.5), checkpoints=(200,), replications=2,
     )
 
-    def inflate(self, monkeypatch, target, rows=range(64)):
-        """Make count_prediction_batch report N' = 1e9 for replication 1,
-        player 1, arm 0 at round target, when that round is one of the given
-        rows of the selection (row 0 is the first round selected). Returns the
-        rows it was inflated at and the states it runs on."""
+    def inflate(self, monkeypatch, targets, rows=range(64)):
+        """Make count_prediction_batch report N' = 1e9 for player 1, arm 0 of
+        every slot s in targets at round targets[s], when that round is one of
+        the given rows of the slot's selection (row 0 is the first round it
+        selects). Returns the (slot, row)s it was inflated at and the states
+        it runs on."""
         from distbandit import engine, policies
 
         hits, states = [], []
@@ -1136,64 +1180,84 @@ class TestWindows:
 
         def prediction(known_count, snapshot_count, m, alpha):
             n_prime = real_prediction(known_count, snapshot_count, m, alpha)
-            row = target - states[-1].t - 1
+            state = states[-1]
             windowed = n_prime.ndim == 4  # [K, rows, M, S*R]; [K, M, S*R] for one round
-            if row in rows and row < (n_prime.shape[1] if windowed else 1):
-                n_prime[(0, row, 1, 1) if windowed else (0, 1, 1)] = 1e9
-                hits.append(row)
+            for slot, target in targets.items():
+                row = target - (state._win.ts[slot] if windowed else state.t) - 1
+                if row in rows and row < (n_prime.shape[1] if windowed else 1):
+                    n_prime[(0, row, 1, slot) if windowed else (0, 1, slot)] = 1e9
+                    hits.append((slot, row))
             return n_prime
 
         monkeypatch.setattr(engine, "init_state", init)
         monkeypatch.setattr(policies, "count_prediction_batch", prediction)
         return hits, states
 
-    def windows(self, monkeypatch):
-        """(first round, rounds committed) of every window of CLAIM_CFG's run,
-        and its action trace."""
+    def stepped_breach(self, cfg):
+        """The InvariantViolation step raises on cfg's batch, and the state."""
         from distbandit import engine
 
-        spans = []
-        real = engine._advance
-
-        def recording(state, cfg, w):
-            t = state.t + 1
-            spans.append((t, real(state, cfg, w)))
-            return spans[-1][1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(engine, "_advance", recording)
-            _, actions = _simulate([self.CLAIM_CFG], range(2), record_actions=True)
-        return spans, actions
-
-    def test_a_breach_past_the_commit_point_does_not_raise(self, monkeypatch):
-        spans, actions = self.windows(monkeypatch)
-        switches = {t + 1 for t in range(1, len(actions)) if (actions[t] != actions[t - 1]).any()}
-        # a switch at round tau ends its window's commit there; round tau+1 of
-        # a window that started before it is speculative
-        tau = next(t + c - 1 for t, c in spans if c > 1 and t + c - 1 in switches)
-        hits, _ = self.inflate(monkeypatch, tau + 1, rows=range(1, 64))
-        _simulate([self.CLAIM_CFG], range(2))
-        assert hits and all(row >= 1 for row in hits)
-
-    def test_a_breach_in_a_committed_row_raises_as_the_round_would(self, monkeypatch):
-        spans, _ = self.windows(monkeypatch)
-        # round k = 2 of a window that commits at least 3 rounds
-        target = next(t + 2 for t, c in spans if c >= 3)
-        cfg = self.CLAIM_CFG
-        hits, _ = self.inflate(monkeypatch, target)
-        with pytest.raises(InvariantViolation) as windowed:
-            _simulate([cfg], range(2))
-        assert hits[-1] == 2
-        from distbandit import engine
-
-        state = engine.init_state(cfg, range(2))
-        with pytest.raises(InvariantViolation) as stepped_err:
+        state = engine.init_state(cfg, range(cfg.replications))
+        with pytest.raises(InvariantViolation) as err:
             while True:
                 step(state, cfg)
-        assert hits[-1] == 0 and state.t == target - 1
-        assert str(windowed.value) == str(stepped_err.value)
+        return err.value, state
+
+    def test_a_breach_past_the_commit_point_does_not_raise(self, monkeypatch):
+        spans, _, actions = self.windows(monkeypatch, [self.CLAIM_CFG], range(2))
+        switched = (actions[1:, 1] != actions[:-1, 1]).any(axis=1)
+        switches = set(np.flatnonzero(switched) + 2)
+        # a switch at round tau ends replication 1's commit there; round tau+1
+        # of a window that started before it is speculative
+        tau = next(ts[1] + c[1] for ts, _, c in spans if c[1] > 1 and ts[1] + c[1] in switches)
+        hits, _ = self.inflate(monkeypatch, {1: tau + 1}, rows=range(1, 64))
+        _simulate([self.CLAIM_CFG], range(2))
+        assert hits and all(row >= 1 for _, row in hits)
+
+    def test_a_breach_in_a_committed_row_raises_as_the_round_would(self, monkeypatch):
+        spans, _, _ = self.windows(monkeypatch, [self.CLAIM_CFG], range(2))
+        # round k = 2 of a window in which replication 1 commits at least 3 rounds
+        target = next(ts[1] + 3 for ts, _, c in spans if c[1] >= 3)
+        cfg = self.CLAIM_CFG
+        hits, _ = self.inflate(monkeypatch, {1: target})
+        with pytest.raises(InvariantViolation) as windowed:
+            _simulate([cfg], range(2))
+        assert hits[-1] == (1, 2)
+        stepped_err, state = self.stepped_breach(cfg)
+        assert hits[-1] == (1, 0) and state.t == target - 1
+        assert str(windowed.value) == str(stepped_err)
         assert str(windowed.value).startswith(
             f"count prediction exceeded its per-player bound at round {target}: "
+            "replication 1, player 1, arm 0, N' = 1000000000.0 > "
+        )
+
+    def test_the_earliest_breach_of_drifted_slots_is_reported(self, monkeypatch):
+        # slot 0 runs ahead of slot 1 and breaks a claim at a round slot 1 has
+        # not reached; slot 1 breaks one at an earlier round, which step
+        # reports first, so the windowed run must too
+        cfg = replace(self.CLAIM_CFG, arm_model=BernoulliArmModel((0.9, 0.85)), horizon=600)
+        spans, _, _ = self.windows(monkeypatch, [cfg], range(2))
+        seen = 0  # the last round slot 1 has selected so far
+        for ts, sync, c in spans:
+            seen = max(seen, ts[1] + min(64, sync - ts.min()))
+            # slot 0's last committed round of this window, and a later round
+            # of slot 1 before it
+            late, early = ts[0] + c[0], seen + 1
+            if c[0] and early < late:
+                break
+        else:
+            pytest.fail("slot 0 never ran ahead of every round slot 1 selected")
+        hits, _ = self.inflate(monkeypatch, {0: late, 1: early})
+        with pytest.raises(InvariantViolation) as windowed:
+            _simulate([cfg], range(2))
+        # slot 0's breach was committed in a window before slot 1's was seen
+        assert hits.index((0, c[0] - 1)) < next(i for i, (s, _) in enumerate(hits) if s == 1)
+        stepped_err, _ = self.stepped_breach(cfg)
+        assert str(windowed.value) == str(stepped_err)
+        assert windowed.value.strategy == stepped_err.strategy == 0
+        assert windowed.value.order == stepped_err.order == (early, 0, 1, 1, 0)
+        assert str(windowed.value).startswith(
+            f"count prediction exceeded its per-player bound at round {early}: "
             "replication 1, player 1, arm 0, N' = 1000000000.0 > "
         )
 
