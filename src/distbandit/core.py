@@ -31,7 +31,8 @@ def kl_bernoulli(p: float, q: float) -> float:
         return -math.log1p(-q)
     if p == 1.0:
         return -math.log(q)
-    return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
+    # within a few ulps of p the two terms cancel, to a tiny negative at worst
+    return max(0.0, p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q)))
 
 
 def kl_truncated(p: float, q: float) -> float:

@@ -47,21 +47,24 @@ earlier round. W is _WINDOW_ROUNDS, or the rounds the slowest slot has left
 to the sync round when fewer. A slot's window ends at the first round whose
 communication differs from that of the slot's last round, so the slot merges
 on every round before its window's last or on none of them; the window's last
-round is committed alone, with its own merge. The first K rounds, forced, are
-one round each, and a batch too wide for a window of _WINDOW_ROUNDS rows as
-one [K, W, M, S*R] float64 array of _WINDOW_BYTES advances by single rounds. The
-window's counts and sums are integers below 2**53, exact in float64, and the
-index ufuncs give an element the same value whatever the array's shape, so a
-window selects exactly the arms the rounds would.
+round is committed alone, by the rule that commits every round
+(_commit_round), with the slots at the sync round masked. The first K
+rounds, forced, are one round each, and a batch too wide for a window of
+_WINDOW_ROUNDS rows as one [K, W, M, S*R] float64 array of _WINDOW_BYTES
+advances by single rounds. The window's counts and sums are integers below
+2**53, exact in float64, and the index ufuncs give an element the same value
+whatever the array's shape, so a window selects exactly the arms the rounds
+would.
 
 The uniforms are held round-major, in an [L, M, R] block of the next L
 rounds, so a round reads its uniforms from one contiguous row. A stream's L
 uniforms are one column of the block, so they are drawn into a small staging
 tile of whole stream rows, and each tile is copied into its columns while it
 is still in cache. Every refill is drawn into the first block's buffer, so a
-run never holds two blocks. The exploration value f of every round of the
-block is filled with it, one exploration_budget call per strategy and round,
-and a round, or a window row, reads its slot's f from that table.
+run never holds two blocks. Each strategy's communication flags and
+exploration value f (one exploration_budget call per round) of every round of
+the block are filled with it, and a round, or a window row, reads its slot's
+from these tables: no state grows with the horizon.
 
 Aggregation works on exact integer totals, so it is independent of
 replication order and of how replications are batched.
@@ -189,6 +192,7 @@ class _RoundBuffers:
     pulled: np.ndarray  # bool [2, K, M, S*R]; [0]: (player, slot) pulled arm a, [1]: and won
     arm_ids: np.ndarray  # int64 [K, 1, 1]
     slot_ids: np.ndarray  # int64 [S*R]
+    strategy: np.ndarray  # int64 [S*R]; each slot's strategy
     flat: np.ndarray  # int64 [S*R]
     winners: np.ndarray  # int64 [S*R]
 
@@ -208,7 +212,9 @@ class WorldState:
     horizon * players below 2**53; the global totals are int64. A merge of
     the whole batch writes player 0's view only and marks the others stale;
     they are copied from it when they are next read or updated. While the
-    views are stale, a round selects once per slot, on player 0's view.
+    views are stale, a round selects once per slot, on player 0's view. The
+    communication flags are filled with each uniform block from schedules,
+    and every round, a window's last included, is committed by _commit_round.
 
     t is the last round every slot has committed: the loop returns from
     _advance only at a sync round, where all slots stand at the same round.
@@ -225,7 +231,7 @@ class WorldState:
     keys: np.ndarray  # uint64 [R, M, 2]; the streams' Philox keys, shared by the strategies
     means: np.ndarray  # float64 [K]
     replication_indices: tuple[int, ...]  # the replication each slot runs
-    comm_mask: np.ndarray  # bool [horizon+1, S]; [t, s]: does strategy s communicate at round t
+    schedules: tuple[CommunicationSchedule, ...]  # [S]; each strategy's schedule
     _buf: _RoundBuffers | None = field(default=None, repr=False)  # built by the first round
     _win: _Window | None = field(default=None, repr=False)  # built by the first window
     _stale: bool = False  # players 1.. of every slot are to hold player 0's view
@@ -237,9 +243,9 @@ class WorldState:
     # exploration value f of each round of _block per strategy (none for the
     # forced rounds), filled with the block
     _f: np.ndarray | None = field(default=None, repr=False)
-    # [S]; each strategy's last communication round before the next refill,
-    # kept for the f columns it is read for
-    _last_comm: list[int] = field(default_factory=list, repr=False)
+    # bool [L+1, S]; [j, s]: does strategy s communicate at the j-th round of
+    # _block, row 0 being the round before it; filled with the block
+    _comm: np.ndarray | None = field(default=None, repr=False)
     # int64 [horizon, S*R, M]; the arms of every round, when the run records them
     _actions: np.ndarray | None = field(default=None, repr=False)
     # draws every stream, keyed and positioned per stream
@@ -401,8 +407,7 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
         keys=_stream_keys(cfg.seed, reps, m),
         means=np.asarray(cfg.arm_model.means, dtype=np.float64),
         replication_indices=tuple(reps) * len(schedules),
-        comm_mask=np.stack([s.comm_mask(cfg.horizon) for s in schedules], axis=1),
-        _last_comm=[0] * len(schedules),
+        schedules=schedules,
     )
 
 
@@ -424,30 +429,29 @@ def _round_buffers(state: WorldState) -> _RoundBuffers:
     return _RoundBuffers(
         select=select,
         p=p,
-        p3=p.reshape(m, state.comm_mask.shape[1], -1),
+        p3=p.reshape(m, len(state.schedules), -1),
         rewards=rewards,
-        rewards3=rewards.reshape(m, state.comm_mask.shape[1], -1),
+        rewards3=rewards.reshape(m, len(state.schedules), -1),
         pulled=np.empty((2, k, m, n), dtype=bool),
         arm_ids=np.arange(k)[:, None, None],
         slot_ids=np.arange(n),
+        strategy=np.arange(n) // state.keys.shape[0],
         flat=np.empty(n, dtype=np.int64),
         winners=np.empty(n, dtype=np.int64),
     )
 
 
-def merge_views(state: WorldState, slots: slice = slice(None)) -> WorldState:
-    """Give every player of the given slots (all by default) the full global
-    history and refresh the snapshots.
+def merge_views(state: WorldState) -> WorldState:
+    """Give every player of the batch the full global history and refresh the
+    snapshots.
 
     Idempotent. A merge between rounds changes no exploration value: f
     counts the merges of the schedule alone.
     """
-    # a whole-batch merge writes player 0's view and leaves the rest stale
-    whole = slots == slice(None)
-    players = slice(0, 1) if whole else slice(None)
-    np.copyto(state.views[:, :, players, slots], state.totals[:, :, None, slots])
-    np.copyto(state.snapshot[:, slots], state.totals[0, :, slots])
-    state._stale |= whole
+    # player 0's view is written and the rest left stale
+    np.copyto(state.views[:, :, :1], state.totals[:, :, None])
+    np.copyto(state.snapshot, state.totals[0])
+    state._stale = True
     return state
 
 
@@ -500,24 +504,15 @@ def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
 
 
 def _check_claims(
-    state: WorldState, n_prime: np.ndarray, cfg: RunConfig, counts=None, totals=None, rounds=None
+    state: WorldState, n_prime: np.ndarray, cfg: RunConfig, counts, totals, rounds
 ) -> None:
     """Raise on the first breach, in (round, kind, slot, player, arm) order, a
     per-player breach before a summed one, of either count-prediction claim
-    by the predictions N': [K, M, S*R] for round state.t + 1 alone, checked
-    against the state's view and global counts, or [K, c, M, S*R] for c rows
-    with their view counts [K, c, M or 1, S*R], int64 global counts
-    [K, c, S*R] and rounds [c, S*R], the round each slot's row is at (0: not
-    checked)."""
+    by the predictions N' [K, c, M, S*R] of c rows, checked against their view
+    counts [K, c, M or 1, S*R] and int64 global counts [K, c, S*R]; rounds
+    [c, S*R] is the round each slot's row is at (0: not checked)."""
     m, alpha = cfg.players, cfg.policy.alpha
     r_n = state.keys.shape[0]
-    if n_prime.ndim == 3:
-        # one round: the counts selection read (while the views are stale,
-        # after a merge of the whole batch, player 0's stand for every
-        # player's), with a row axis
-        counts = state.views[0, :, :1] if state._stale else state.views[0]
-        n_prime, counts, totals = n_prime[:, None], counts[:, None], state.totals[0][:, None]
-        rounds = np.full((1, n_prime.shape[-1]), state.t + 1)
     checked = rounds > 0
     bound = dklucb_scale(m, alpha) * counts
     over = (n_prime > bound + 1e-9) & checked[:, None]
@@ -546,21 +541,24 @@ def _check_claims(
 
 
 def _fill_budgets(state: WorldState, cfg: RunConfig) -> None:
-    """Fill state._f with the exploration value f of every round of the block
-    just drawn, from round state.t + 1 on: one exploration_budget call per
-    round and strategy, or per round for ln2t, which reads the round index
-    alone. At round t a player holds t-1 samples of its own and M-1 more per
-    round up to its strategy's last merge before t. The forced rounds read no
-    f and get none."""
+    """Fill state._comm with each strategy's communication flags of rounds
+    state.t to the block's last, and state._f with the exploration value f of
+    the block's rounds: one exploration_budget call per round and strategy, or
+    per round for ln2t, which reads the round index alone. At round t a player
+    holds t-1 samples of its own and M-1 more per round up to its strategy's
+    last merge before t. The forced rounds read no f and get none."""
     policy, m, k = cfg.policy, cfg.players, state.views.shape[1]
     first, length = state.t + 1, len(state._block)
+    state._comm = np.stack(
+        [s.comm_mask(first - 1, first + length) for s in state.schedules], axis=1
+    )
     # ln2t reads the round alone, so one column serves every strategy
-    width = 1 if policy.exploration.variant == LN2T else len(state._last_comm)
+    width = 1 if policy.exploration.variant == LN2T else len(state.schedules)
     # no block is longer than the first, so the first table holds every refill's
     f = np.zeros((length, width)) if state._f is None else state._f[:length]
     rounds = range(first, first + length)
-    for s, comm in enumerate(state.comm_mask[first : first + length, :width].T.tolist()):
-        last = state._last_comm[s]
+    for s, comm in enumerate(state._comm[1:, :width].T.tolist()):
+        last = state.schedules[s].last_comm_leq(first - 1)
         column = []
         for t, on in zip(rounds, comm):
             column.append(
@@ -569,7 +567,6 @@ def _fill_budgets(state: WorldState, cfg: RunConfig) -> None:
             if on:
                 last = t
         f[:, s] = column
-        state._last_comm[s] = last
     state._f = f
 
 
@@ -585,7 +582,6 @@ class _Window:
     rows: np.ndarray  # int64 [W+1, 1]; row i holds i
     prefix: np.ndarray  # float64 [W, W]; row i sums the first i rows (strictly lower ones)
     won: np.ndarray  # float64 [W, M, S*R]; the wins of the repeated arms
-    strategy: np.ndarray  # int64 [S*R]; each slot's strategy
     uniform_at: np.ndarray  # int64 [M, S*R]; each stream's offset in a uniform block row
 
 
@@ -600,7 +596,6 @@ def _window_scratch(state: WorldState) -> _Window:
         rows=np.arange(size + 1)[:, None],
         prefix=np.tri(size, size, -1),
         won=np.empty((size, m, n)),
-        strategy=slots // r_n,
         uniform_at=np.arange(m)[:, None] * r_n + slots % r_n,
     )
 
@@ -618,18 +613,20 @@ def _select_round(state: WorldState, cfg: RunConfig, t: int) -> None:
     if shared and m > 1:
         state.arms[1:] = state.arms[0]
     if cfg.policy.rule == DKLUCB:
-        # the claims are checked for every player, shared or not
-        _check_claims(state, np.repeat(denom, m, axis=1) if shared else denom, cfg)
+        # the claims are checked for every player, shared or not, as one row
+        n_prime = np.repeat(denom, m, axis=1) if shared else denom
+        _check_claims(
+            state, n_prime[:, None], cfg, count[:, None], state.totals[0][:, None],
+            np.full((1, n_prime.shape[-1]), t),
+        )
 
 
-def _select_window(state: WorldState, cfg: RunConfig, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _select_window(state: WorldState, cfg: RunConfig) -> np.ndarray:
     """Advance every slot s behind the sync round by one window: select its
     rounds ts[s]+1..ts[s]+W at once, speculating that every player repeats
     its arm in state.arms, and commit them up to and including the first
     whose arms differ, or all it may commit when none does. Returns the
-    rounds each slot committed. u and f are the uniforms and exploration
-    values of the rounds from state.t + 1 on, where every slot stood at the
-    last sync.
+    rounds each slot committed.
 
     Row i of a slot is its view before its round ts+1+i: the stored one plus
     i rounds of the repeated pulls, a player's own or, for a slot whose
@@ -645,10 +642,14 @@ def _select_window(state: WorldState, cfg: RunConfig, u: np.ndarray, f: np.ndarr
     ts, slots = win.ts, buf.slot_ids
     w = min(len(win.prefix), win.sync - int(ts.min()))
     i = win.rows[:w]
-    s_n = state.comm_mask.shape[1]
+    # the block's uniforms and f from round state.t + 1 on, where every slot
+    # stood at the last sync, and its flags from round state.t on
+    u, f, comm = (x[state._pos :] for x in (state._block, state._f, state._comm))
+    # each slot's rows of them
+    start = (ts - state.t)[None] + i
     # comm[j, s]: does slot s's strategy communicate at round ts[s] + j
-    at = ts + win.rows[: w + 1]
-    comm = state.comm_mask.reshape(-1).take(at * s_n + win.strategy, mode="clip")
+    at = start[:1] + win.rows[: w + 1]
+    comm = comm.reshape(-1).take(at * comm.shape[1] + buf.strategy, mode="clip")
     merged = comm[0]  # the slots whose views are the totals
     changed = comm[1:] != merged
     valid = np.where(changed.any(axis=0), changed.argmax(axis=0) + 1, w)
@@ -658,10 +659,8 @@ def _select_window(state: WorldState, cfg: RunConfig, u: np.ndarray, f: np.ndarr
         # views left stale by a merge are private from now on
         state._sync_views()
     lanes = 1 if state._stale else m
-    # each slot's rows of the uniform block and of f
-    start = (ts - state.t)[None] + i
     u = u.reshape(-1).take(start[:, None] * u[0].size + win.uniform_at, mode="clip")
-    column = win.strategy if f.shape[1] > 1 else 0
+    column = buf.strategy if f.shape[1] > 1 else 0
     f = f.reshape(-1).take(start * f.shape[1] + column, mode="clip")
     pulled = np.equal(arms, buf.arm_ids, out=buf.pulled[0])
     state.means.take(arms, out=buf.p, mode="clip")
@@ -730,46 +729,33 @@ def _select_window(state: WorldState, cfg: RunConfig, u: np.ndarray, f: np.ndarr
     np.add(state.totals, team(added), out=state.totals, casting="unsafe")
     if any_merged:
         np.copyto(state.snapshot, state.views[0, :, 0], where=merged)
-    # the last row is a round of its own: its arms, its pulls, its merge
+    # the last row is a round of its own: its arms, its uniforms, its merge
     np.copyto(arms, chosen[e, :, slots].T, where=active)
-    state.means.take(arms, out=buf.p, mode="clip")
-    np.less(u[e, :, slots].T, buf.p, out=buf.rewards)
-    np.equal(arms, buf.arm_ids, out=buf.pulled[0])
-    buf.pulled[0] &= active
-    np.logical_and(buf.pulled[0], buf.rewards, out=buf.pulled[1])
-    state.totals += np.add.reduce(buf.pulled, axis=2)
     merging = comm[e + 1, slots] & active
-    if (merging == active).all() and (state._stale or active.all()):
-        # every slot that moved merges: player 0's view stands for all
-        np.copyto(state.views[:, :, 0], state.totals, where=active)
-        np.copyto(state.snapshot, state.totals[0], where=active)
-        state._stale = True
-    else:
-        state._sync_views()
-        state.views += buf.pulled
-        if merging.any():
-            np.copyto(state.views, state.totals[:, :, None], where=merging)
-            np.copyto(state.snapshot, state.totals[0], where=merging)
+    _commit_round(state, u[e, :, slots].T.reshape(buf.p3.shape), merging, active)
     ts += last + 1
     return last + 1
 
 
-def _commit_round(state: WorldState, t: int, u: np.ndarray) -> None:
-    """Apply round t's pulls of state.arms, with their [M, R] uniforms, to the
-    totals and views, and merge the strategies that communicate on it."""
+def _commit_round(
+    state: WorldState, u: np.ndarray, merging: np.ndarray, active: np.ndarray | None = None
+) -> None:
+    """Commit a round of the active slots (every slot by default): apply the
+    pulls of state.arms, with their uniforms u [M, S, R] (broadcast), to the
+    totals and views, and merge the views of the merging ones. merging and
+    active are bool [S*R]."""
     arms, buf = state.arms, state._buf
     _, _, m, n = state.views.shape
-    r_n = state.keys.shape[0]
-    # the arms were selected once per slot if the views are stale
-    shared = state._stale
-    # every strategy reads the same [M, R] uniforms
+    every = active is None or active.all()
     state.means.take(arms, out=buf.p, mode="clip")
-    np.less(u[:, None, :], buf.p3, out=buf.rewards3)
-    merging = [s for s, on in enumerate(state.comm_mask[t].tolist()) if on]
-    whole = len(merging) == state.comm_mask.shape[1]
-    if shared and whole:
-        # the players of a slot pulled its one arm and the views are about to
-        # be overwritten: add the slot's M pulls and its winners at once
+    np.less(u, buf.p3, out=buf.rewards3)
+    # every slot that moves merges, and the views of the others are stale or
+    # there are none: player 0's view stands for all
+    whole = merging.all() if every else state._stale and (merging == active).all()
+    if whole and every and state._stale:
+        # the players of a slot pulled its one arm, selected once per slot,
+        # and the views are about to be overwritten: add the slot's M pulls
+        # and its winners at once
         np.multiply(arms[0], n, out=buf.flat)
         buf.flat += buf.slot_ids
         np.add.reduce(buf.rewards, axis=0, out=buf.winners)
@@ -777,19 +763,21 @@ def _commit_round(state: WorldState, t: int, u: np.ndarray) -> None:
         state.totals[1].reshape(-1)[buf.flat] += buf.winners
     else:
         np.equal(arms, buf.arm_ids, out=buf.pulled[0])
+        if not every:
+            buf.pulled[0] &= active
         np.logical_and(buf.pulled[0], buf.rewards, out=buf.pulled[1])
         # players of one slot may pick the same arm: sum their pulls first
         state.totals += np.add.reduce(buf.pulled, axis=2)
-    if whole:
-        merge_views(state)
-    else:
+    if not whole:
         state._sync_views()
         state.views += buf.pulled
-        for s in merging:
-            merge_views(state, slice(s * r_n, (s + 1) * r_n))
-    if state._actions is not None:
-        state._actions[t - 1] = arms.T
-    state.t = t
+    if whole and every:
+        merge_views(state)
+    elif merging.any():
+        # a merge by slot mask; while the views are stale player 0's stands for all
+        views = state.views[:, :, :1] if state._stale else state.views
+        np.copyto(views, state.totals[:, :, None], where=merging)
+        np.copyto(state.snapshot, state.totals[0], where=merging)
 
 
 def _advance(state: WorldState, cfg: RunConfig, w: int) -> int:
@@ -817,16 +805,20 @@ def _advance(state: WorldState, cfg: RunConfig, w: int) -> int:
         win = state._win
         win.ts.fill(state.t)
         win.sync, win.breach = state.t + min(w, len(u)), None
-        f = state._f[state._pos :]
         while win.ts.min() < win.sync:
-            _select_window(state, cfg, u, f)
+            _select_window(state, cfg)
         if win.breach is not None:
             raise win.breach
         w = win.sync - state.t
         state.t = win.sync
         state._pos += w
         return w
-    _commit_round(state, t, u[0])
+    # every strategy reads the same [M, R] uniforms
+    merging = state._comm[state._pos + 1].take(state._buf.strategy)
+    _commit_round(state, u[0][:, None], merging)
+    if state._actions is not None:
+        state._actions[t - 1] = state.arms.T
+    state.t = t
     state._pos += 1
     return 1
 

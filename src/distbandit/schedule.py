@@ -1,17 +1,18 @@
 """Communication schedules: membership and last-round queries, counting, density.
 
 A schedule describes the set of rounds at whose end every player's reward
-history is merged. One rule, CommunicationSchedule._rounds(n), gives the
-communication rounds in {1..n} in ascending order; the element list,
-last-round, counting, membership and mask queries all read it. Grid families
-are generated lazily by rounding the real grid points to integers and
-deduplicating, so the stored object stays small no matter the horizon.
+history is merged. One rule, CommunicationSchedule._rounds(n, start), gives
+the communication rounds in {start..n} in ascending order, at a cost in
+proportion to the rounds it returns whatever the start; the element list,
+last-round, counting, membership and span-mask queries all read it. Grid
+families are generated lazily by rounding the real grid points to integers
+and deduplicating, so the stored object stays small no matter the horizon.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,30 +98,33 @@ class CommunicationSchedule:
 
     # -- the rounds rule and the queries derived from it -------------------
 
-    def _rounds(self, n: int):
-        """The communication rounds in {1..n}, ascending: a range for full and
-        linear, so its length and last element cost O(1) at any n."""
+    def _rounds(self, n: int, start: int = 1):
+        """The communication rounds in {start..n}, ascending: a range for full
+        and linear, so its length and last element cost O(1) at any n."""
+        start = max(start, 1)
         if self.kind == FULL:
-            return range(1, n + 1)
+            return range(start, n + 1)
         if self.kind == LINEAR:
-            return range(self.params[0], n + 1, self.params[0])
+            (d,) = self.params
+            return range(d, n + 1, d)[(start - 1) // d :]
         if self.kind in (ONESHOT, EXPLICIT):
-            return self.params[: bisect_right(self.params, n)]
+            return self.params[bisect_left(self.params, start) : bisect_right(self.params, n)]
         if self.kind == NONE:
             return ()
         out: list[int] = []
         # The points never decrease, and none rounds above the last one, v,
-        # before the grid reaches v + 0.5: after each new point, skip to one
-        # index short of that, a margin far above the logs' rounding error.
+        # before the grid reaches v + 0.5, or to start or above before it
+        # reaches start - 0.5: skip to one index short of that, first and
+        # after each new point, a margin far above the logs' rounding error.
         if self.kind == EXP:
             (q,) = self.params
             log_q = math.log(q)
-            k = 1
+            k = max(1, math.floor(math.log(start - 0.5) / log_q) - 1)
             while True:
                 v = math.floor(q**k + 0.5)
                 if v > n:
                     break
-                if not out or v > out[-1]:
+                if v >= start and (not out or v > out[-1]):
                     out.append(v)
                     k = max(k, math.floor(math.log(v + 0.5) / log_q) - 1)
                 k += 1
@@ -128,13 +132,16 @@ class CommunicationSchedule:
             q, eps = self.params
             base, log_q = 1.0 + eps, math.log(q)
             k = 1
+            if start > 1:
+                x = math.log(math.log(start - 0.5) / log_q) / math.log(base)
+                k = max(k, math.floor(x) - 1)
             log_n = math.log(n + 0.5)
             while True:
                 e = base**k
                 if e * log_q > log_n:
                     break
                 v = math.floor(q**e + 0.5)
-                if v <= n and (not out or v > out[-1]):
+                if start <= v <= n and (not out or v > out[-1]):
                     out.append(v)
                     x = math.log(math.log(v + 0.5) / log_q) / math.log(base)
                     k = max(k, math.floor(x) - 1)
@@ -149,13 +156,16 @@ class CommunicationSchedule:
         """True iff round t is a communication round."""
         if t < 1:
             raise ValueError(f"round index must be >= 1, got {t!r}")
-        return self.last_comm_leq(t) == t
+        return bool(self._rounds(t, t))
 
     def last_comm_leq(self, t: int) -> int:
         """Largest communication round <= t, or 0 if there is none."""
         if t < 0:
             raise ValueError(f"round index must be >= 0, got {t!r}")
-        rounds = self._rounds(t)
+        # spans of doubling length back from t: a grid is generated near t only
+        span = 1
+        while not (rounds := self._rounds(t, t - span + 1)) and span < t:
+            span *= 2
         return rounds[-1] if rounds else 0
 
     def counting_function(self, n: int) -> int:
@@ -164,14 +174,17 @@ class CommunicationSchedule:
             raise ValueError(f"n must be >= 1, got {n!r}")
         return len(self._rounds(n))
 
-    def comm_mask(self, horizon: int) -> np.ndarray:
-        """Boolean array of length horizon+1; entry t is is_comm_round(t)."""
-        mask = np.zeros(horizon + 1, dtype=bool)
-        rounds = self._rounds(horizon)
+    def comm_mask(self, start: int, stop: int) -> np.ndarray:
+        """Boolean array over rounds start..stop-1; entry i is
+        is_comm_round(start + i), and False for round 0."""
+        if not 0 <= start <= stop:
+            raise ValueError(f"expected 0 <= start <= stop, got start={start!r}, stop={stop!r}")
+        mask = np.zeros(stop - start, dtype=bool)
+        rounds = self._rounds(max(stop - 1, 0), start)
         if isinstance(rounds, range):
-            mask[rounds.start :: rounds.step] = True
+            mask[rounds.start - start :: rounds.step] = True
         else:
-            mask[np.asarray(rounds, dtype=np.intp)] = True
+            mask[np.asarray(rounds, dtype=np.intp) - start] = True
         return mask
 
     # -- density -----------------------------------------------------------

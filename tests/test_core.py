@@ -71,6 +71,11 @@ class TestKlBernoulli:
         if p <= q1:
             assert kl_bernoulli(p, q1) <= kl_bernoulli(p, q2)
 
+    def test_never_negative_where_the_terms_cancel(self):
+        # q one ulp above p: the two terms cancel to -2.2e-22 in float64
+        assert kl_bernoulli(1e-06, 1.0000000000000002e-06) == 0.0
+        assert kl_bernoulli(1e-06, 1e-06) == 0.0
+
     def test_strictly_increasing_sample(self):
         qs = np.linspace(0.3, 0.99, 25)
         vals = [kl_bernoulli(0.3, q) for q in qs]

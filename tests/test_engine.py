@@ -5,6 +5,7 @@ statistical sanity of the Monte Carlo aggregates, and config validation."""
 import copy
 import math
 import pickle
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_sim import reference_run
 
+from distbandit import experiment_runs, figure1_preset
 from distbandit.core import BernoulliArmModel, ExplorationFunction
 from distbandit.engine import (
     InvariantViolation,
@@ -172,6 +174,28 @@ class TestRngContract:
                     for p in range(m):
                         assert np.array_equal(state._block[:, p, r], want[r][p][rounds])
         assert starts == [0, 66, 132]
+
+    @pytest.mark.parametrize("horizon", [2**23, 2**40], ids=["2^23", "2^40"])
+    def test_memory_is_flat_in_the_horizon(self, horizon):
+        # the five figure1 strategies fused: the state holds no array as long
+        # as the horizon, so a run of any horizon the config accepts starts
+        runs = experiment_runs(figure1_preset(replications=1))
+        cfg = replace(runs[0][1], horizon=horizon, checkpoints=())
+        schedules = [c.schedule for _, c in runs]
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            state = init_state(cfg, [0], schedules=schedules)
+            for _ in range(300):
+                step(state, cfg)
+            _advance(state, cfg, 300)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.t > 300
+        assert peak < 5e6, f"{peak / 1e6:.1f} MB"
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
 
     def test_refills_reuse_the_first_block(self, monkeypatch):
         # 64-round blocks: the run draws 4 blocks, and a refill must not
@@ -387,6 +411,43 @@ class TestAgainstReferenceImplementation:
     )
     def test_trace_equality(self, case):
         assert_trace_equals_reference(*case[1:])
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [CS.explicit([63, 64, 65, 128, 129, 192]), CS.linear(64), CS.full()],
+        ids=str,
+    )
+    @pytest.mark.parametrize(
+        "rule, alpha", [(UCB, 1.0), (DKLUCB, 0.5)], ids=["ucb-standard", "dklucb-0.5"]
+    )
+    @pytest.mark.parametrize("cap", [1, 64], ids=["rounds", "windows"])
+    def test_merges_on_block_edges(self, monkeypatch, schedule, rule, alpha, cap):
+        # 64-round blocks: rounds 64, 128 and 192 end one, and the flags and
+        # f of the rounds after them come from the next block's tables
+        from distbandit import engine
+
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(engine, "_WINDOW_ROUNDS", cap)
+        windows, blocks = [], []
+        real_window, real_fill = engine._select_window, engine._fill_budgets
+
+        def window(*args):
+            windows.append(1)
+            return real_window(*args)
+
+        def fill(state, cfg):
+            blocks.append((state.t, len(state._block)))
+            real_fill(state, cfg)
+
+        monkeypatch.setattr(engine, "_select_window", window)
+        monkeypatch.setattr(engine, "_fill_budgets", fill)
+        horizon = 300
+        assert_trace_equals_reference(
+            (0.9, 0.8, 0.6), 2, horizon, schedule, set(schedule.elements_up_to(horizon)),
+            rule, "standard", alpha,
+        )
+        assert blocks == [(0, 64), (64, 64), (128, 64), (192, 64), (256, 44)]
+        assert bool(windows) == (cap > 1)
 
     def test_degenerate_means_pin_the_suboptimal_count(self):
         cfg = make_cfg(means=(1.0, 0.0), horizon=32, schedule=CS.full(), checkpoints=(32,))
@@ -761,6 +822,17 @@ class TestSelectionConsistency:
             assert np.array_equal(counts_d, counts_k)
 
 
+def check_round(state, n_prime, cfg):
+    """_check_claims on the [S*R, M, K] predictions n_prime for round
+    state.t + 1, passed as its one row with the counts selection reads (while
+    the views are stale, player 0's stand for every player's) and the global
+    counts."""
+    counts = state.views[0, :, :1] if state._stale else state.views[0]
+    rounds = np.full((1, len(n_prime)), state.t + 1)
+    totals = state.totals[0][:, None]
+    _check_claims(state, n_prime.T[:, None], cfg, counts[:, None], totals, rounds)
+
+
 class TestClaims:
     @pytest.mark.parametrize("players", [2, 3])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -836,7 +908,7 @@ class TestClaims:
         doctored = np.zeros((2, 2, 2))
         doctored[1, 1, 0] = 1e9
         with pytest.raises(InvariantViolation) as err:
-            _check_claims(state, doctored.T, cfg)
+            check_round(state, doctored, cfg)
         bound = 2 / 1.5 * state.known_count[1, 1, 0]
         assert str(err.value) == (
             "count prediction exceeded its per-player bound at round 7: "
@@ -853,26 +925,26 @@ class TestClaims:
             step(state, cfg)
         inflated = state.known_count * 10.0
         with pytest.raises(InvariantViolation, match="per-player bound"):
-            _check_claims(state, inflated.T, cfg)
+            check_round(state, inflated, cfg)
         # the report names the first breach: replication, player, arm, round,
         # the prediction N' and the bound it broke
         doctored = state.known_count.astype(float)
         doctored[1, 1, 0] *= 10.0
         n, bound = doctored[1, 1, 0], 2 / 1.5 * state.known_count[1, 1, 0]
         with pytest.raises(InvariantViolation) as err:
-            _check_claims(state, doctored.T, cfg)
+            check_round(state, doctored, cfg)
         assert str(err.value) == (
             "count prediction exceeded its per-player bound at round 7: "
             f"replication 9, player 1, arm 0, N' = {n} > {bound}"
         )
         state.total_count[:] = 0
         with pytest.raises(InvariantViolation, match="global count"):
-            _check_claims(state, state.known_count.astype(float).T, cfg)
+            check_round(state, state.known_count.astype(float), cfg)
         state.total_count[:] = state.known_count.sum(axis=1)
         state.total_count[1, 1] = 0
         summed = float(state.known_count[1, :, 1].sum())
         with pytest.raises(InvariantViolation) as err:
-            _check_claims(state, state.known_count.astype(float).T, cfg)
+            check_round(state, state.known_count.astype(float), cfg)
         assert str(err.value) == (
             "summed count predictions exceeded M times the global count at round 7: "
             f"replication 9, arm 1, sum of N' = {summed} > 0"
@@ -964,7 +1036,11 @@ class TestFusedStrategies:
         assert state._block.shape == (30, cfg.players, 2)
         assert state.known_count.shape == (len(FUSED_SCHEDULES) * 2, cfg.players, 2)
         assert state.replication_indices == (5, 8) * len(FUSED_SCHEDULES)
-        assert state.comm_mask.shape == (31, len(FUSED_SCHEDULES))
+        assert state.schedules == FUSED_SCHEDULES
+        assert state._comm.shape == (31, len(FUSED_SCHEDULES))
+        # the block's flags, from the round before it to its last
+        want = np.stack([sched.comm_mask(0, 31) for sched in FUSED_SCHEDULES], axis=1)
+        assert np.array_equal(state._comm, want)
 
     def test_claim_breach_names_the_strategy_and_replication(self):
         cfg = make_cfg(
@@ -978,7 +1054,7 @@ class TestFusedStrategies:
         doctored[2 * 2 + 1, 0, 1] *= 10.0  # strategy 2, replication 9
         n, bound = doctored[5, 0, 1], 2 / 1.5 * state.known_count[5, 0, 1]
         with pytest.raises(InvariantViolation) as err:
-            _check_claims(state, doctored.T, cfg)
+            check_round(state, doctored, cfg)
         assert err.value.strategy == 2
         assert str(err.value) == (
             "count prediction exceeded its per-player bound at round 7: "
@@ -986,7 +1062,7 @@ class TestFusedStrategies:
         )
         state.total_count[2] = 0  # strategy 1, replication 4
         with pytest.raises(InvariantViolation, match="replication 4, arm 0") as err:
-            _check_claims(state, state.known_count.astype(float).T, cfg)
+            check_round(state, state.known_count.astype(float), cfg)
         assert err.value.strategy == 1
 
     def test_run_strategies_reports_the_failing_input_index(self, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for communication schedules: queries, counting, density, grammar."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestMembership:
 
     @given(s=small_schedules(), horizon=st.integers(min_value=1, max_value=300))
     def test_mask_matches_membership(self, s, horizon):
-        mask = s.comm_mask(horizon)
+        mask = s.comm_mask(0, horizon + 1)
         assert mask.shape == (horizon + 1,)
         assert not mask[0]
         for t in range(1, horizon + 1):
@@ -104,7 +105,7 @@ class TestAgainstReference:
         assert s.elements_up_to(n) == want
         assert s.counting_function(n) == len(want)
         members = set(want)
-        assert s.comm_mask(n).tolist() == [t in members for t in range(n + 1)]
+        assert s.comm_mask(0, n + 1).tolist() == [t in members for t in range(n + 1)]
         last = 0
         assert s.last_comm_leq(0) == 0
         for t in range(1, n + 1):
@@ -125,6 +126,81 @@ class TestAgainstReference:
             assert s.counting_function(n) == count
             assert s.last_comm_leq(n) == last
             assert s.is_comm_round(n) == member
+
+
+def _membership(s, start, stop):
+    return [t > 0 and s.is_comm_round(t) for t in range(start, stop)]
+
+
+class TestSpanMask:
+    """comm_mask(start, stop) is the membership of rounds start..stop-1."""
+
+    @given(
+        s=small_schedules(),
+        start=st.integers(min_value=0, max_value=300),
+        length=st.integers(min_value=0, max_value=300),
+    )
+    def test_span_matches_membership(self, s, start, length):
+        mask = s.comm_mask(start, start + length)
+        assert mask.dtype == bool
+        assert mask.tolist() == _membership(s, start, start + length)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            S.full(),
+            S.linear(3),
+            S.oneshot(5),
+            S.exponential(1.5),
+            S.double_exponential(2.0, 1.0),
+            S.explicit([2, 4, 16, 256]),
+        ],
+        ids=str,
+    )
+    def test_spans_straddling_grid_points(self, s):
+        for p in s.elements_up_to(300):
+            for start, stop in ((p - 1, p + 1), (p, p + 1), (p - 1, p), (p + 1, p + 4)):
+                assert s.comm_mask(start, stop).tolist() == _membership(s, start, stop)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            S.full(),
+            S.linear(7),
+            S.exponential(1.000001),
+            S.double_exponential(2.0, 1.0),
+            S.explicit([3, 2**40 + 5, 2**40 + 4000, 2**41]),
+        ],
+        ids=str,
+    )
+    def test_a_span_far_out_costs_the_span(self, s):
+        # a grid is generated from near the start: exp:1.000001 has about
+        # 2.8e7 points below 2**40
+        start = 2**40
+        t0 = time.perf_counter()
+        mask = s.comm_mask(start, start + 4097)
+        last = s.last_comm_leq(start)
+        assert time.perf_counter() - t0 < 0.05
+        assert mask.tolist() == _membership(s, start, start + 4097)
+        assert last <= start and (last == 0 or s.is_comm_round(last))
+        assert not s._rounds(start, last + 1)
+
+    @pytest.mark.parametrize(
+        "s", [S.exponential(1.0001), S.double_exponential(1.0001, 0.0001)], ids=str
+    )
+    def test_a_grid_from_a_start_is_the_grid_from_one(self, s):
+        n = 2**30
+        whole = s.elements_up_to(n)
+        for start in (0, 1000, 2**20 + 7, 2**29 + 3, whole[-2], n - 5000, n):
+            assert list(s._rounds(n, start)) == [r for r in whole if r >= start]
+        assert s.last_comm_leq(n) == whole[-1]
+        assert s.last_comm_leq(whole[-1] - 1) == whole[-2]
+
+    def test_rejects_a_reversed_span(self):
+        with pytest.raises(ValueError):
+            S.full().comm_mask(5, 4)
+        with pytest.raises(ValueError):
+            S.full().comm_mask(-1, 4)
 
 
 class TestLastCommRound:
