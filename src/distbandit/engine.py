@@ -74,18 +74,13 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .core import LN2T, BernoulliArmModel, dklucb_scale
-from .policies import (
-    DKLUCB,
-    PolicySpec,
-    SelectionBuffers,
-    exploration_budget,
-    select_batch,
-)
+from .policies import DKLUCB, PolicySpec, exploration_budget, select_batch
 from .schedule import CommunicationSchedule
 
 # uniform prefetch budget per block (32 MiB); a block also ends at the horizon
@@ -119,13 +114,17 @@ class InvariantViolation(RuntimeError):
     run_strategies once it leaves that call; None when unknown. order is the
     breach's (round, kind, slot, player, arm), kind 0 for a per-player claim
     and 1 for a summed one, by which the first of several breaches is the
-    one reported; None when unknown.
+    one reported.
     """
 
-    def __init__(self, message: str, strategy: int | None = None, order: tuple | None = None):
+    def __init__(self, message: str, strategy: int | None = None, *, order: tuple):
         super().__init__(message)
         self.strategy = strategy
         self.order = order
+
+    def __reduce__(self):
+        # order is keyword-only: a copy or an unpickle passes it by name
+        return partial(type(self), order=self.order), self.args, self.__dict__
 
 
 def _default_checkpoints(horizon: int) -> tuple[int, ...]:
@@ -182,9 +181,9 @@ class RunConfig:
 
 @dataclass
 class _RoundBuffers:
-    """Arrays and views every round reuses, built by _round_buffers."""
+    """Arrays every round reuses, built by _round_buffers; p3 and rewards3
+    view p and rewards, and none views the state's arrays."""
 
-    select: tuple  # select_batch's (counts, sums, snapshots, out): [0] all players, [1] player 0
     p: np.ndarray  # float64 [M, S*R]; the means of the selected arms
     p3: np.ndarray  # p as [M, S, R]
     rewards: np.ndarray  # bool [M, S*R]
@@ -218,9 +217,9 @@ class WorldState:
 
     t is the last round every slot has committed: the loop returns from
     _advance only at a sync round, where all slots stand at the same round.
-    A copy (copy.deepcopy, pickle) leaves out the round buffers, which view
-    this state's arrays, and the window scratch; the copy builds its own when
-    it next advances.
+    A copy (copy.deepcopy, pickle) leaves out the round buffers, some of
+    which view each other (a copy would split them apart), and the window
+    scratch; the copy builds its own when it next advances.
     """
 
     t: int
@@ -412,22 +411,12 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
 
 
 def _round_buffers(state: WorldState) -> _RoundBuffers:
-    """The buffers every round reuses, built on this state's own arrays."""
+    """The buffers every round reuses, shaped by this state's arrays but
+    holding none of them."""
     _, k, m, n = state.views.shape
-    out = replace(SelectionBuffers.empty((k, m, n)), arm=state.arms)
-    select = tuple(
-        (
-            state.views[0, :, :p_n],
-            state.views[1, :, :p_n],
-            state.snapshot[:, None],
-            SelectionBuffers(*(getattr(out, f.name)[..., :p_n, :] for f in fields(out))),
-        )
-        for p_n in (m, 1)
-    )
     p = np.empty((m, n))
     rewards = np.empty((m, n), dtype=bool)
     return _RoundBuffers(
-        select=select,
         p=p,
         p3=p.reshape(m, len(state.schedules), -1),
         rewards=rewards,
@@ -608,10 +597,9 @@ def _select_round(state: WorldState, cfg: RunConfig, t: int) -> None:
     shared = state._stale
     f = state._f[state._pos]
     f = f[0] if len(f) == 1 else np.repeat(f, state.keys.shape[0])
-    count, total, snap, out = state._buf.select[shared]
-    _, denom = select_batch(cfg.policy, m, f, count, total, snap, out=out)
-    if shared and m > 1:
-        state.arms[1:] = state.arms[0]
+    count, total = state.views[:, :, : 1 if shared else m]
+    arms, denom = select_batch(cfg.policy, m, f, count, total, state.snapshot[:, None])
+    state.arms[:] = arms
     if cfg.policy.rule == DKLUCB:
         # the claims are checked for every player, shared or not, as one row
         n_prime = np.repeat(denom, m, axis=1) if shared else denom
@@ -713,8 +701,6 @@ def _select_window(state: WorldState, cfg: RunConfig) -> np.ndarray:
         except InvariantViolation as exc:
             # a breach is reported once every slot has passed its round, as a
             # slot behind may break a claim at an earlier round
-            if exc.order is None:
-                raise
             if win.breach is None or exc.order < win.breach.order:
                 win.breach = exc
                 win.sync = min(win.sync, exc.order[0])

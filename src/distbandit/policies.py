@@ -198,42 +198,17 @@ def exploration_budget(
     return f
 
 
-@dataclass(frozen=True)
-class SelectionBuffers:
-    """The arrays select_batch writes into for one [K, ...] batch: the
-    empirical means and indices [K, ...], and the running maximum, the arm
-    and a scratch row [...]."""
-
-    mean: np.ndarray  # float64
-    index: np.ndarray  # float64
-    best: np.ndarray  # float64
-    arm: np.ndarray  # int64
-    scratch: np.ndarray  # int64
-
-    @classmethod
-    def empty(cls, shape) -> SelectionBuffers:
-        """Buffers for a batch of this [K, ...] shape."""
-        return cls(
-            mean=np.empty(shape),
-            index=np.empty(shape),
-            best=np.empty(shape[1:]),
-            arm=np.empty(shape[1:], dtype=np.int64),
-            scratch=np.empty(shape[1:], dtype=np.int64),
-        )
-
-
-def _first_argmax(index: np.ndarray, out: SelectionBuffers) -> np.ndarray:
-    """The scan select_batch documents, over the first axis, into out.arm;
-    branch-free: the arm only grows, so max(arm, a * beats) selects it."""
+def _first_argmax(index: np.ndarray) -> np.ndarray:
+    """The scan select_batch documents, over the first axis, as a fresh int64
+    array; branch-free: the arm only grows, so max(arm, a * beats) selects it.
+    The running rows are arrays even for a [K] index, whose rows are 0-d."""
     k = len(index)
-    arm = out.arm
     if k == 1:
-        arm.fill(0)
-        return arm
-    np.greater(index[1], index[0], out=arm)
+        return np.zeros(index.shape[1:], dtype=np.int64)
+    arm = np.greater(index[1], index[0], out=np.empty(index.shape[1:], dtype=np.int64))
     if k > 2:
-        best, beats = out.best, out.scratch
-        np.maximum(index[0], index[1], out=best)
+        best = np.maximum(index[0], index[1], out=np.empty(arm.shape))
+        beats = np.empty_like(arm)
         for a in range(2, k):
             np.greater(index[a], best, out=beats)
             np.multiply(beats, a, out=beats)
@@ -244,7 +219,7 @@ def _first_argmax(index: np.ndarray, out: SelectionBuffers) -> np.ndarray:
 
 
 def select_batch(
-    spec: PolicySpec, m: int, f, known_count, known_sum, snapshot_count, out=None
+    spec: PolicySpec, m: int, f, known_count, known_sum, snapshot_count
 ) -> tuple[np.ndarray, np.ndarray]:
     """The index rule over a [K, ...] batch of views whose counts are all >= 1;
     one player's view is a [K] array, a batch of shape ().
@@ -253,9 +228,8 @@ def select_batch(
     sample-count denominator the indices used: the count prediction N' for
     dklucb, the float counts otherwise. f is a scalar or broadcasts against
     the batch, and snapshot_count need only broadcast against known_count.
-    The means, UCB indices and arms are written into out, a SelectionBuffers
-    for this batch shape (fresh ones by default); the arms returned are
-    out.arm.
+    The arms are a fresh int64 array of the batch shape, and no input is
+    written to, so the caller may keep them.
 
     The arm is found by a scan from arm 0 that moves to arm a only when its
     index is strictly greater than the running maximum, so the lowest of
@@ -265,16 +239,14 @@ def select_batch(
     is nan (np.argmax would take the first nan). Counts of at least 1 give
     no nan.
     """
-    if out is None:
-        out = SelectionBuffers.empty(np.shape(known_count))
     counts = np.asarray(known_count, dtype=np.float64)
-    mu_hat = np.divide(known_sum, counts, out=out.mean)
+    mu_hat = np.divide(known_sum, counts)
     if spec.rule == UCB:
-        index = ucb_index_batch(mu_hat, counts, f, out=out.index)
-        return _first_argmax(index, out), counts
+        index = ucb_index_batch(mu_hat, counts, f, out=np.empty(counts.shape))
+        return _first_argmax(index), counts
     denom = counts
     if spec.rule == DKLUCB:
         denom = count_prediction_batch(known_count, snapshot_count, m, spec.alpha)
     index = klucb_index_batch(mu_hat, f / denom)
-    return _first_argmax(index, out), denom
+    return _first_argmax(index), denom
 

@@ -492,7 +492,9 @@ class TestCliErrors:
 
     def test_runtime_error_names_the_failing_strategy(self, tmp_path, monkeypatch, capsys):
         def fail_on_second(run_cfgs):
-            raise InvariantViolation("count prediction exceeded its bound", strategy=1)
+            raise InvariantViolation(
+                "count prediction exceeded its bound", strategy=1, order=(1, 0, 1, 0, 0)
+            )
 
         monkeypatch.setattr("distbandit.cli.run_strategies", fail_on_second)
         code = main(["--config", write_config(tmp_path, SMALL), "--out", str(tmp_path)])
@@ -505,7 +507,9 @@ class TestCliErrors:
         self, tmp_path, monkeypatch, caplog, capsys
     ):
         def fail(run_cfgs):
-            raise InvariantViolation("count prediction exceeded its bound", strategy=0)
+            raise InvariantViolation(
+                "count prediction exceeded its bound", strategy=0, order=(1, 0, 0, 0, 0)
+            )
 
         monkeypatch.setattr("distbandit.cli.run_strategies", fail)
         with caplog.at_level(logging.DEBUG, logger="distbandit.cli"):

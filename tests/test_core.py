@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distbandit.core import (
@@ -61,9 +61,19 @@ class TestKlBernoulli:
             kl_bernoulli(0.5, 1.1)
 
     @given(p=probs, q=inner_probs)
+    @example(p=0.3, q=math.nextafter(0.3, 1.0))
+    @example(p=1e-06, q=math.nextafter(1e-06, 1.0))
     def test_positive_off_diagonal(self, p, q):
-        if p != q:
-            assert kl_bernoulli(p, q) > 0.0
+        kl = kl_bernoulli(p, q)
+        assert kl >= 0.0
+        # K(p, q) integrates (x - p) / (x (1 - x)) from p to q, and x (1 - x)
+        # <= max(p, q) there, so K(p, q) >= (q - p)^2 / (2 max(p, q)). A gap of
+        # 1e-3 max(p, q) then gives K >= 5e-7 q >= 5e-13 (q >= 1e-6 here),
+        # over 2000 times the few ulps of 1 (2.2e-16 each) the cancelling log
+        # terms can lose; pairs closer than rounding, such as neighbouring
+        # floats, may give exactly 0
+        if abs(q - p) >= 1e-3 * max(p, q):
+            assert kl > 0.0
 
     @given(p=probs, lo=inner_probs, hi=inner_probs)
     def test_increasing_in_q_above_p(self, p, lo, hi):
@@ -74,6 +84,7 @@ class TestKlBernoulli:
     def test_never_negative_where_the_terms_cancel(self):
         # q one ulp above p: the two terms cancel to -2.2e-22 in float64
         assert kl_bernoulli(1e-06, 1.0000000000000002e-06) == 0.0
+        assert kl_bernoulli(0.3, math.nextafter(0.3, 1.0)) == 0.0
         assert kl_bernoulli(1e-06, 1e-06) == 0.0
 
     def test_strictly_increasing_sample(self):

@@ -7,7 +7,7 @@ import math
 import pickle
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +27,7 @@ from distbandit.engine import (
     _check_claims,
     _simulate,
     _stream_keys,
+    _window_cap,
     init_state,
     merge_views,
     run_monte_carlo,
@@ -632,6 +633,45 @@ class TestStateInvariants:
         assert np.array_equal(twin.total_count, state.total_count)
         assert np.array_equal(twin.total_sum, state.total_sum)
 
+    @pytest.mark.parametrize("schedule", [CS.none(), CS.full()], ids=["none", "full"])
+    @pytest.mark.parametrize("replications", [50, 4], ids=["round", "window"])
+    def test_the_round_scratch_holds_no_view_of_the_state(self, replications, schedule):
+        # a view of the state kept in the scratch would go stale in a copy,
+        # which leaves the scratch out, or when the state replaces an array
+        cfg = make_cfg(
+            means=(0.9, 0.8, 0.7), players=2, horizon=200, schedule=schedule,
+            policy=PolicySpec(UCB), checkpoints=(200,), replications=replications,
+        )
+        state = init_state(cfg, range(replications))
+        arms = state.arms
+        windowed = _window_cap(state) > 1
+        assert windowed == (replications == 4)
+        for _ in range(20):
+            step(state, cfg)
+        if windowed:
+            while _advance(state, cfg, 16) < 2:
+                pass
+            assert state._win is not None
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif is_dataclass(obj):
+                for f in fields(obj):
+                    yield from arrays(getattr(obj, f.name))
+            elif isinstance(obj, tuple):
+                for item in obj:
+                    yield from arrays(item)
+
+        scratch = [*arrays(state._buf), *arrays(state._win)]
+        assert scratch
+        for name in ("views", "snapshot", "totals", "arms"):
+            held = getattr(state, name)
+            assert not any(np.shares_memory(a, held) for a in scratch), name
+        # rounds write their arms into the state's array, so last_actions
+        # stays a view of it
+        assert state.arms is arms
+
     def test_a_merge_between_steps_reaches_the_next_selection(self):
         # merge_views called between steps leaves players 1.. stale; the next
         # selection must see the merged views, as it does once they are read
@@ -914,6 +954,11 @@ class TestClaims:
             "count prediction exceeded its per-player bound at round 7: "
             f"replication 9, player 1, arm 0, N' = 1000000000.0 > {bound}"
         )
+        # copies keep the message, strategy and order, which is keyword-only
+        for twin in (copy.deepcopy(err.value), pickle.loads(pickle.dumps(err.value))):
+            assert type(twin) is InvariantViolation and str(twin) == str(err.value)
+            assert (twin.strategy, twin.order) == (err.value.strategy, err.value.order)
+            assert twin.order is not None
 
     def test_claim_checker_rejects_doctored_predictions(self):
         cfg = make_cfg(
@@ -1075,8 +1120,11 @@ class TestFusedStrategies:
             make_cfg(schedule=CS.linear(5), policy=dklucb),
         ]
 
-        def breach(state, n_prime, cfg, *rows):
-            raise InvariantViolation("breach", strategy=1)
+        def breach(state, n_prime, cfg, counts, totals, rounds):
+            # a breach of strategy 1 at the first round checked, ordered as
+            # the real check orders it
+            order = (int(rounds[rounds > 0].min()), 0, state.keys.shape[0], 0, 0)
+            raise InvariantViolation("breach", strategy=1, order=order)
 
         def fail(state, cfg, w):
             raise MemoryError("no room")
