@@ -7,7 +7,18 @@ value type), shared by the index policies and the analysis layer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+
+def _as_int(name: str, value) -> int:
+    """value as an int, numpy integers included; a bool or any other type is a TypeError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_unit(x: float, name: str) -> None:

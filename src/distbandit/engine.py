@@ -72,14 +72,13 @@ replication order and of how replications are batched.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .core import LN2T, BernoulliArmModel, dklucb_scale
+from .core import LN2T, BernoulliArmModel, _as_int, dklucb_scale
 from .policies import DKLUCB, PolicySpec, exploration_budget, select_batch
 from .schedule import CommunicationSchedule
 
@@ -131,14 +130,6 @@ def _default_checkpoints(horizon: int) -> tuple[int, ...]:
     return tuple(2**k for k in range(horizon.bit_length()) if 2**k <= horizon)
 
 
-def _as_int(name: str, value) -> int:
-    """value as an int, numpy integers included; other types raise a TypeError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a Monte Carlo run depends on; hashable and immutable."""
@@ -180,23 +171,6 @@ class RunConfig:
 
 
 @dataclass
-class _RoundBuffers:
-    """Arrays every round reuses, built by _round_buffers; p3 and rewards3
-    view p and rewards, and none views the state's arrays."""
-
-    p: np.ndarray  # float64 [M, S*R]; the means of the selected arms
-    p3: np.ndarray  # p as [M, S, R]
-    rewards: np.ndarray  # bool [M, S*R]
-    rewards3: np.ndarray  # rewards as [M, S, R]
-    pulled: np.ndarray  # bool [2, K, M, S*R]; [0]: (player, slot) pulled arm a, [1]: and won
-    arm_ids: np.ndarray  # int64 [K, 1, 1]
-    slot_ids: np.ndarray  # int64 [S*R]
-    strategy: np.ndarray  # int64 [S*R]; each slot's strategy
-    flat: np.ndarray  # int64 [S*R]
-    winners: np.ndarray  # int64 [S*R]
-
-
-@dataclass
 class WorldState:
     """Mutable per-batch simulation state.
 
@@ -217,9 +191,6 @@ class WorldState:
 
     t is the last round every slot has committed: the loop returns from
     _advance only at a sync round, where all slots stand at the same round.
-    A copy (copy.deepcopy, pickle) leaves out the round buffers, some of
-    which view each other (a copy would split them apart), and the window
-    scratch; the copy builds its own when it next advances.
     """
 
     t: int
@@ -231,8 +202,6 @@ class WorldState:
     means: np.ndarray  # float64 [K]
     replication_indices: tuple[int, ...]  # the replication each slot runs
     schedules: tuple[CommunicationSchedule, ...]  # [S]; each strategy's schedule
-    _buf: _RoundBuffers | None = field(default=None, repr=False)  # built by the first round
-    _win: _Window | None = field(default=None, repr=False)  # built by the first window
     _stale: bool = False  # players 1.. of every slot are to hold player 0's view
     # float64 [L, M, R]; the uniforms of the next L rounds, round-major; every
     # refill is a leading slice of the first block's buffer
@@ -259,9 +228,6 @@ class WorldState:
         stream by setting its key and counter on one shared generator, which
         gives the same uniforms."""
         return ContractStreams(self.keys.reshape(-1, 2))
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_buf": None, "_win": None}
 
     def _sync_views(self) -> None:
         if self._stale:
@@ -391,7 +357,7 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
     """The batch before round 1: one strategy per schedule, stacked
     strategy-major over the replications (by default cfg.schedule alone)."""
     schedules = (cfg.schedule,) if schedules is None else tuple(schedules)
-    reps = [int(r) for r in replication_indices]
+    reps = [_as_int("replication_indices", r) for r in replication_indices]
     if not reps or min(reps) < 0:
         raise ValueError(f"expected one or more nonnegative replication indices, got {reps}")
     if not schedules:
@@ -407,26 +373,6 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
         means=np.asarray(cfg.arm_model.means, dtype=np.float64),
         replication_indices=tuple(reps) * len(schedules),
         schedules=schedules,
-    )
-
-
-def _round_buffers(state: WorldState) -> _RoundBuffers:
-    """The buffers every round reuses, shaped by this state's arrays but
-    holding none of them."""
-    _, k, m, n = state.views.shape
-    p = np.empty((m, n))
-    rewards = np.empty((m, n), dtype=bool)
-    return _RoundBuffers(
-        p=p,
-        p3=p.reshape(m, len(state.schedules), -1),
-        rewards=rewards,
-        rewards3=rewards.reshape(m, len(state.schedules), -1),
-        pulled=np.empty((2, k, m, n), dtype=bool),
-        arm_ids=np.arange(k)[:, None, None],
-        slot_ids=np.arange(n),
-        strategy=np.arange(n) // state.keys.shape[0],
-        flat=np.empty(n, dtype=np.int64),
-        winners=np.empty(n, dtype=np.int64),
     )
 
 
@@ -559,36 +505,6 @@ def _fill_budgets(state: WorldState, cfg: RunConfig) -> None:
     state._f = f
 
 
-@dataclass
-class _Window:
-    """The slots' own rounds in a windowed advance and the arrays its windows
-    reuse; built by _window_scratch on the first window, and left out of a
-    copy of the state."""
-
-    ts: np.ndarray  # int64 [S*R]; the last round each slot has committed
-    sync: int  # the round every slot reaches before the advance returns
-    breach: InvariantViolation | None  # the first claim breach seen since the last sync
-    rows: np.ndarray  # int64 [W+1, 1]; row i holds i
-    prefix: np.ndarray  # float64 [W, W]; row i sums the first i rows (strictly lower ones)
-    won: np.ndarray  # float64 [W, M, S*R]; the wins of the repeated arms
-    uniform_at: np.ndarray  # int64 [M, S*R]; each stream's offset in a uniform block row
-
-
-def _window_scratch(state: WorldState) -> _Window:
-    _, _, m, n = state.views.shape
-    size, r_n = _window_cap(state), state.keys.shape[0]
-    slots = np.arange(n)
-    return _Window(
-        ts=np.zeros(n, dtype=np.int64),
-        sync=0,
-        breach=None,
-        rows=np.arange(size + 1)[:, None],
-        prefix=np.tri(size, size, -1),
-        won=np.empty((size, m, n)),
-        uniform_at=np.arange(m)[:, None] * r_n + slots % r_n,
-    )
-
-
 def _select_round(state: WorldState, cfg: RunConfig, t: int) -> None:
     """Select the arms of round t into state.arms, on the stored views."""
     m = cfg.players
@@ -609,12 +525,20 @@ def _select_round(state: WorldState, cfg: RunConfig, t: int) -> None:
         )
 
 
-def _select_window(state: WorldState, cfg: RunConfig) -> np.ndarray:
+def _select_window(
+    state: WorldState, cfg: RunConfig, ts: np.ndarray, sync: int,
+    rows: np.ndarray, prefix: np.ndarray, strategy: np.ndarray, uniform_at: np.ndarray,
+) -> tuple[np.ndarray, InvariantViolation | None]:
     """Advance every slot s behind the sync round by one window: select its
     rounds ts[s]+1..ts[s]+W at once, speculating that every player repeats
     its arm in state.arms, and commit them up to and including the first
     whose arms differ, or all it may commit when none does. Returns the
-    rounds each slot committed.
+    rounds each slot committed and the first claim breach in them, or None.
+
+    ts [S*R] is each slot's last committed round; rows [W+1, 1] (row i holds
+    i), prefix [W, W] (row i sums the rows before i), each slot's strategy
+    [S*R] and each stream's offset in a uniform block row [M, S*R] are the
+    same for every window of an advance.
 
     Row i of a slot is its view before its round ts+1+i: the stored one plus
     i rounds of the repeated pulls, a player's own or, for a slot whose
@@ -625,34 +549,33 @@ def _select_window(state: WorldState, cfg: RunConfig) -> np.ndarray:
     shape. A slot may commit the rows before the first round whose
     communication differs from its round ts's, and none past the sync round.
     """
-    win, buf, arms = state._win, state._buf, state.arms
+    arms = state.arms
     _, k, m, n = state.views.shape
-    ts, slots = win.ts, buf.slot_ids
-    w = min(len(win.prefix), win.sync - int(ts.min()))
-    i = win.rows[:w]
+    slots = np.arange(n)
+    w = min(len(prefix), sync - int(ts.min()))
+    i = rows[:w]
     # the block's uniforms and f from round state.t + 1 on, where every slot
     # stood at the last sync, and its flags from round state.t on
     u, f, comm = (x[state._pos :] for x in (state._block, state._f, state._comm))
     # each slot's rows of them
     start = (ts - state.t)[None] + i
     # comm[j, s]: does slot s's strategy communicate at round ts[s] + j
-    at = start[:1] + win.rows[: w + 1]
-    comm = comm.reshape(-1).take(at * comm.shape[1] + buf.strategy, mode="clip")
+    at = start[:1] + rows[: w + 1]
+    comm = comm.reshape(-1).take(at * comm.shape[1] + strategy, mode="clip")
     merged = comm[0]  # the slots whose views are the totals
     changed = comm[1:] != merged
     valid = np.where(changed.any(axis=0), changed.argmax(axis=0) + 1, w)
-    np.minimum(valid, np.maximum(win.sync - ts, 0), out=valid)
+    np.minimum(valid, np.maximum(sync - ts, 0), out=valid)
     active = valid > 0
     if state._stale and not (merged | ~active).all():
         # views left stale by a merge are private from now on
         state._sync_views()
     lanes = 1 if state._stale else m
-    u = u.reshape(-1).take(start[:, None] * u[0].size + win.uniform_at, mode="clip")
-    column = buf.strategy if f.shape[1] > 1 else 0
+    u = u.reshape(-1).take(start[:, None] * u[0].size + uniform_at, mode="clip")
+    column = strategy if f.shape[1] > 1 else 0
     f = f.reshape(-1).take(start * f.shape[1] + column, mode="clip")
-    pulled = np.equal(arms, buf.arm_ids, out=buf.pulled[0])
-    state.means.take(arms, out=buf.p, mode="clip")
-    won = np.less(u, buf.p, out=win.won[:w])
+    pulled = arms == np.arange(k)[:, None, None]
+    won = np.less(u, state.means.take(arms, mode="clip"), out=np.empty(u.shape))
     steps = i[:, :, None]
     if any_merged := merged.any():
         # a merged slot's players hold one view, the totals, which gains every
@@ -667,7 +590,7 @@ def _select_window(state: WorldState, cfg: RunConfig) -> np.ndarray:
     # if every arm repeats: [2, K, W, M or 1, S*R]
     added = np.empty((2, k, w, lanes, n))
     np.multiply(steps, pulled, out=added[0])
-    wins = win.prefix[:w, :w] @ won[:, :lanes].reshape(w, -1)
+    wins = prefix[:w, :w] @ won[:, :lanes].reshape(w, -1)
     np.multiply(wins.reshape(w, lanes, n), pulled, out=added[1])
     # [0]: the counts, [1]: the reward sums
     views = state.views[:, :, None, :lanes] + added
@@ -692,6 +615,7 @@ def _select_window(state: WorldState, cfg: RunConfig) -> np.ndarray:
     # the row each slot commits up to: its first switch, else its last valid
     # row (-1 for a slot at the sync round)
     last = np.where(differs[first, slots], first, valid - 1)
+    breach = None
     if cfg.policy.rule == DKLUCB:
         n_prime = denom if lanes == m else np.repeat(denom, m, axis=2)
         totals = state.totals[0][:, None] + team(added[0]).astype(np.int64)
@@ -699,11 +623,7 @@ def _select_window(state: WorldState, cfg: RunConfig) -> np.ndarray:
         try:
             _check_claims(state, n_prime, cfg, counts, totals, rounds)
         except InvariantViolation as exc:
-            # a breach is reported once every slot has passed its round, as a
-            # slot behind may break a claim at an earlier round
-            if win.breach is None or exc.order < win.breach.order:
-                win.breach = exc
-                win.sync = min(win.sync, exc.order[0])
+            breach = exc
     if state._actions is not None:
         row, slot = np.nonzero(i <= last)
         state._actions[ts[slot] + row, slot] = chosen[row, :, slot]
@@ -718,9 +638,8 @@ def _select_window(state: WorldState, cfg: RunConfig) -> np.ndarray:
     # the last row is a round of its own: its arms, its uniforms, its merge
     np.copyto(arms, chosen[e, :, slots].T, where=active)
     merging = comm[e + 1, slots] & active
-    _commit_round(state, u[e, :, slots].T.reshape(buf.p3.shape), merging, active)
-    ts += last + 1
-    return last + 1
+    _commit_round(state, u[e, :, slots].T.reshape(m, len(state.schedules), -1), merging, active)
+    return last + 1, breach
 
 
 def _commit_round(
@@ -730,11 +649,11 @@ def _commit_round(
     pulls of state.arms, with their uniforms u [M, S, R] (broadcast), to the
     totals and views, and merge the views of the merging ones. merging and
     active are bool [S*R]."""
-    arms, buf = state.arms, state._buf
-    _, _, m, n = state.views.shape
+    arms = state.arms
+    _, k, m, n = state.views.shape
     every = active is None or active.all()
-    state.means.take(arms, out=buf.p, mode="clip")
-    np.less(u, buf.p3, out=buf.rewards3)
+    p = state.means.take(arms, mode="clip")
+    rewards = (u < p.reshape(m, len(state.schedules), -1)).reshape(m, n)
     # every slot that moves merges, and the views of the others are stale or
     # there are none: player 0's view stands for all
     whole = merging.all() if every else state._stale and (merging == active).all()
@@ -742,21 +661,21 @@ def _commit_round(
         # the players of a slot pulled its one arm, selected once per slot,
         # and the views are about to be overwritten: add the slot's M pulls
         # and its winners at once
-        np.multiply(arms[0], n, out=buf.flat)
-        buf.flat += buf.slot_ids
-        np.add.reduce(buf.rewards, axis=0, out=buf.winners)
-        state.totals[0].reshape(-1)[buf.flat] += m
-        state.totals[1].reshape(-1)[buf.flat] += buf.winners
+        flat = arms[0] * n + np.arange(n)
+        state.totals[0].reshape(-1)[flat] += m
+        state.totals[1].reshape(-1)[flat] += rewards.sum(axis=0)
     else:
-        np.equal(arms, buf.arm_ids, out=buf.pulled[0])
+        # [0]: (player, slot) pulled arm a, [1]: and won
+        pulled = np.empty((2, k, m, n), dtype=bool)
+        np.equal(arms, np.arange(k)[:, None, None], out=pulled[0])
         if not every:
-            buf.pulled[0] &= active
-        np.logical_and(buf.pulled[0], buf.rewards, out=buf.pulled[1])
+            pulled[0] &= active
+        np.logical_and(pulled[0], rewards, out=pulled[1])
         # players of one slot may pick the same arm: sum their pulls first
-        state.totals += np.add.reduce(buf.pulled, axis=2)
+        state.totals += np.add.reduce(pulled, axis=2)
     if not whole:
         state._sync_views()
-        state.views += buf.pulled
+        state.views += pulled
     if whole and every:
         merge_views(state)
     elif merging.any():
@@ -772,8 +691,6 @@ def _advance(state: WorldState, cfg: RunConfig, w: int) -> int:
     if state.t >= cfg.horizon:
         raise ValueError(f"horizon {cfg.horizon} already reached")
     t = state.t + 1
-    if state._buf is None:
-        state._buf = _round_buffers(state)
     u = _next_uniforms(state, cfg.horizon - state.t)
     if state._pos == 0:
         # a refill: no round of the block is read yet
@@ -786,21 +703,29 @@ def _advance(state: WorldState, cfg: RunConfig, w: int) -> int:
         _select_round(state, cfg, t)
     else:
         # every slot advances to the sync round on its own rounds
-        if state._win is None:
-            state._win = _window_scratch(state)
-        win = state._win
-        win.ts.fill(state.t)
-        win.sync, win.breach = state.t + min(w, len(u)), None
-        while win.ts.min() < win.sync:
-            _select_window(state, cfg)
-        if win.breach is not None:
-            raise win.breach
-        w = win.sync - state.t
-        state.t = win.sync
+        _, _, m, n = state.views.shape
+        r_n, cap = state.keys.shape[0], _window_cap(state)
+        slots = np.arange(n)
+        rows, prefix = np.arange(cap + 1)[:, None], np.tri(cap, cap, -1)
+        strategy, uniform_at = slots // r_n, np.arange(m)[:, None] * r_n + slots % r_n
+        ts, sync, breach = np.full(n, state.t), state.t + min(w, len(u)), None
+        while ts.min() < sync:
+            committed, found = _select_window(
+                state, cfg, ts, sync, rows, prefix, strategy, uniform_at
+            )
+            ts += committed
+            # a breach is reported once every slot has passed its round, as a
+            # slot behind may break a claim at an earlier round
+            if found is not None and (breach is None or found.order < breach.order):
+                breach, sync = found, min(sync, found.order[0])
+        if breach is not None:
+            raise breach
+        w = sync - state.t
+        state.t = sync
         state._pos += w
         return w
     # every strategy reads the same [M, R] uniforms
-    merging = state._comm[state._pos + 1].take(state._buf.strategy)
+    merging = np.repeat(state._comm[state._pos + 1], state.keys.shape[0])
     _commit_round(state, u[0][:, None], merging)
     if state._actions is not None:
         state._actions[t - 1] = state.arms.T

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _as_int
+
 NONE = "none"
 FULL = "full"
 ONESHOT = "oneshot"
@@ -64,15 +66,17 @@ class CommunicationSchedule:
 
     @classmethod
     def oneshot(cls, round_: int) -> "CommunicationSchedule":
+        round_ = _as_int("oneshot round", round_)
         if round_ < 1:
             raise ValueError(f"oneshot round must be >= 1, got {round_!r}")
-        return cls(ONESHOT, (int(round_),))
+        return cls(ONESHOT, (round_,))
 
     @classmethod
     def linear(cls, d: int) -> "CommunicationSchedule":
+        d = _as_int("linear grid step", d)
         if d < 1:
             raise ValueError(f"linear grid step must be >= 1, got {d!r}")
-        return cls(LINEAR, (int(d),))
+        return cls(LINEAR, (d,))
 
     @classmethod
     def exponential(cls, q: float) -> "CommunicationSchedule":
@@ -87,7 +91,7 @@ class CommunicationSchedule:
 
     @classmethod
     def explicit(cls, rounds) -> "CommunicationSchedule":
-        rounds = tuple(int(r) for r in rounds)
+        rounds = tuple(_as_int("explicit round", r) for r in rounds)
         if not rounds:
             raise ValueError("explicit schedule needs at least one round")
         if rounds[0] < 1:

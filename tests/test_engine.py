@@ -5,9 +5,10 @@ statistical sanity of the Monte Carlo aggregates, and config validation."""
 import copy
 import math
 import pickle
+import re
 import time
 import tracemalloc
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -613,15 +614,13 @@ class TestStateInvariants:
         state = init_state(cfg, range(4))
         for _ in range(20):
             step(state, cfg)
-        # copied after a window of two or more rounds, which leaves its scratch
+        # copied after a window of two or more rounds
         while _advance(state, cfg, 16) < 2:
             pass
-        assert state._win is not None
         # copied inside a uniform block, and on full while the views are stale
         assert 0 < state._pos < len(state._block)
         assert state._stale == (schedule == CS.full())
         twin = copier(state)
-        assert twin._win is None and twin._buf is None
         traces = []
         for run in (state, twin):
             trace = []
@@ -635,9 +634,9 @@ class TestStateInvariants:
 
     @pytest.mark.parametrize("schedule", [CS.none(), CS.full()], ids=["none", "full"])
     @pytest.mark.parametrize("replications", [50, 4], ids=["round", "window"])
-    def test_the_round_scratch_holds_no_view_of_the_state(self, replications, schedule):
-        # a view of the state kept in the scratch would go stale in a copy,
-        # which leaves the scratch out, or when the state replaces an array
+    def test_no_two_arrays_of_the_state_share_memory(self, replications, schedule):
+        # an array of the state viewing another would be split apart by a
+        # copy, and would go stale when the state replaces the one it views
         cfg = make_cfg(
             means=(0.9, 0.8, 0.7), players=2, horizon=200, schedule=schedule,
             policy=PolicySpec(UCB), checkpoints=(200,), replications=replications,
@@ -651,23 +650,15 @@ class TestStateInvariants:
         if windowed:
             while _advance(state, cfg, 16) < 2:
                 pass
-            assert state._win is not None
-
-        def arrays(obj):
-            if isinstance(obj, np.ndarray):
-                yield obj
-            elif is_dataclass(obj):
-                for f in fields(obj):
-                    yield from arrays(getattr(obj, f.name))
-            elif isinstance(obj, tuple):
-                for item in obj:
-                    yield from arrays(item)
-
-        scratch = [*arrays(state._buf), *arrays(state._win)]
-        assert scratch
-        for name in ("views", "snapshot", "totals", "arms"):
-            held = getattr(state, name)
-            assert not any(np.shares_memory(a, held) for a in scratch), name
+        held = {
+            f.name: getattr(state, f.name)
+            for f in fields(state)
+            if isinstance(getattr(state, f.name), np.ndarray)
+        }
+        assert {"views", "snapshot", "totals", "arms", "_block", "_f", "_comm"} <= set(held)
+        for i, (name, a) in enumerate(held.items()):
+            for other, b in list(held.items())[i + 1 :]:
+                assert not np.shares_memory(a, b), (name, other)
         # rounds write their arms into the state's array, so last_actions
         # stays a view of it
         assert state.arms is arms
@@ -1195,9 +1186,9 @@ class TestWindows:
         real = engine._select_window
 
         def recording(*args):
-            c = real(*args)
-            longest[cap] = max(longest.get(cap, 0), int(c.max()))
-            return c
+            committed, breach = real(*args)
+            longest[cap] = max(longest.get(cap, 0), int(committed.max()))
+            return committed, breach
 
         monkeypatch.setattr(engine, "_select_window", recording)
         for group in WINDOW_GROUPS:
@@ -1228,10 +1219,11 @@ class TestWindows:
         spans = []
         real = engine._select_window
 
-        def recording(state, *args):
-            ts, sync = state._win.ts.copy(), state._win.sync
-            spans.append((ts, sync, real(state, *args)))
-            return spans[-1][2]
+        def recording(state, cfg, ts, sync, *args):
+            before = ts.copy()
+            committed, breach = real(state, cfg, ts, sync, *args)
+            spans.append((before, sync, committed))
+            return committed, breach
 
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_select_window", recording)
@@ -1295,25 +1287,31 @@ class TestWindows:
         it runs on."""
         from distbandit import engine, policies
 
-        hits, states = [], []
+        hits, states, window = [], [], []
         real_init, real_prediction = engine.init_state, policies.count_prediction_batch
+        real_window = engine._select_window
 
         def init(*args, **kwargs):
             states.append(real_init(*args, **kwargs))
             return states[-1]
+
+        def select_window(state, cfg, ts, *args):
+            window[:] = [ts]  # the slots' rounds before the window
+            return real_window(state, cfg, ts, *args)
 
         def prediction(known_count, snapshot_count, m, alpha):
             n_prime = real_prediction(known_count, snapshot_count, m, alpha)
             state = states[-1]
             windowed = n_prime.ndim == 4  # [K, rows, M, S*R]; [K, M, S*R] for one round
             for slot, target in targets.items():
-                row = target - (state._win.ts[slot] if windowed else state.t) - 1
+                row = target - (window[0][slot] if windowed else state.t) - 1
                 if row in rows and row < (n_prime.shape[1] if windowed else 1):
                     n_prime[(0, row, 1, slot) if windowed else (0, 1, slot)] = 1e9
                     hits.append((slot, row))
             return n_prime
 
         monkeypatch.setattr(engine, "init_state", init)
+        monkeypatch.setattr(engine, "_select_window", select_window)
         monkeypatch.setattr(policies, "count_prediction_batch", prediction)
         return hits, states
 
@@ -1499,3 +1497,20 @@ class TestRunConfig:
     def test_a_float_checkpoint_is_not_truncated(self):
         with pytest.raises(TypeError, match=r"^checkpoints must be an integer, got 2\.5$"):
             make_cfg(checkpoints=(2.5, 10))
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1"], ids=repr)
+    def test_a_non_integer_replication_index_is_a_type_error(self, index):
+        # int() would run replication 1 for any of these
+        cfg = make_cfg(horizon=8, checkpoints=(8,))
+        message = rf"^replication_indices must be an integer, got {re.escape(repr(index))}$"
+        with pytest.raises(TypeError, match=message):
+            init_state(cfg, [0, index])
+        with pytest.raises(TypeError, match=message):
+            run_once(cfg, index)
+
+    def test_numpy_replication_indices_are_plain_ints(self):
+        cfg = make_cfg(horizon=8, checkpoints=(8,))
+        state = init_state(cfg, np.arange(2, 4, dtype=np.uint32))
+        assert state.replication_indices == (2, 3)
+        assert all(type(r) is int for r in state.replication_indices)
+        assert np.array_equal(run_once(cfg, np.int64(3)), run_once(cfg, 3))

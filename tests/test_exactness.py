@@ -6,8 +6,15 @@ an element's value does not depend on the array's length, offset, stride or
 dimension, nor on which SIMD kernel numpy dispatches for it. Each check names
 the ufunc and the layout that broke it."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import distbandit
 
 N = 1037  # odd, so every vector kernel also runs its scalar tail
 
@@ -127,3 +134,51 @@ def test_the_per_slot_row_gather_copies_the_bits(layout):
         [[[u[start[i, s], p, s % r_n] for s in slots] for p in range(m)] for i in range(w)]
     )
     _check("take (per-slot row gather)", want, got, layout)
+
+
+def _cpu_dispatch():
+    """numpy's dispatch targets, beyond its baseline, and the CPU features."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_dispatch__, umath.__cpu_features__
+
+
+# runs in the subprocess: fail unless every given target is off, then run pytest
+_ON_BASELINE = """
+import sys
+from test_exactness import _cpu_dispatch
+
+on = [t for t in sys.argv[1].split() if _cpu_dispatch()[1].get(t)]
+if on:
+    sys.exit(f"dispatch targets still enabled: {on}")
+import pytest
+
+sys.exit(pytest.main(sys.argv[2:]))
+"""
+
+
+def test_the_golden_digests_hold_on_the_baseline_kernels():
+    # the windows are exact only if the kernels numpy dispatches and its
+    # baseline ones give every element the same bits: rerun the golden
+    # digests with every dispatch target this CPU runs switched off
+    targets, features = _cpu_dispatch()
+    enabled = " ".join(t for t in targets if features.get(t))
+    if not enabled:
+        pytest.skip("numpy dispatches no target beyond its baseline on this CPU")
+    tests = Path(__file__).resolve().parent
+    path = [str(Path(distbandit.__file__).resolve().parents[1]), str(tests)]
+    # the golden tests need no plugin: loading none saves a second of start-up
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=enabled, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+    env["PYTHONPATH"] = os.pathsep.join(path + [env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _ON_BASELINE, enabled,
+         "-q", "-p", "no:cacheprovider", str(tests / "test_golden.py")],
+        cwd=tests.parent, env=env, capture_output=True, text=True, timeout=600,
+    )
+    if done.returncode:
+        pytest.fail(
+            f"with NPY_DISABLE_CPU_FEATURES={enabled!r}:\n{done.stdout}{done.stderr}",
+            pytrace=False,
+        )

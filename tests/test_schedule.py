@@ -485,3 +485,37 @@ class TestGridParameterFloor:
         assert S.double_exponential(2.0, 1e-6).density() == 1.0 / (1.0 + 1e-6)
         # round(q^(2^k)) for k >= 1, deduplicated
         assert S.double_exponential(1.000001, 1.0).elements_up_to(64) == [1, 2, 3, 8]
+
+
+class TestIntegerParameters:
+    """oneshot, linear and explicit take integers, numpy ones included; any
+    other value is a TypeError naming the parameter, not truncated."""
+
+    @pytest.mark.parametrize(
+        "build, value, name",
+        [
+            (S.oneshot, 2.7, "oneshot round"),
+            (S.oneshot, 3.0, "oneshot round"),
+            (S.oneshot, True, "oneshot round"),
+            (S.linear, 1.5, "linear grid step"),
+            (S.linear, "4", "linear grid step"),
+            (S.explicit, [1.5, 2.5], "explicit round"),
+            (S.explicit, [1, 1.9], "explicit round"),
+            (S.explicit, np.array([2.0, 5.0]), "explicit round"),
+        ],
+        ids=repr,
+    )
+    def test_a_non_integer_is_a_type_error_naming_it(self, build, value, name):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+            build(value)
+
+    def test_numpy_integers_are_plain_ints(self):
+        cases = [
+            (S.oneshot(np.int64(17)), S.oneshot(17)),
+            (S.linear(np.int32(7)), S.linear(7)),
+            (S.explicit(np.array([3, 10, 50], dtype=np.uint16)), S.explicit([3, 10, 50])),
+        ]
+        for got, want in cases:
+            assert got == want and hash(got) == hash(want)
+            assert got.spec_string() == want.spec_string()
+            assert all(type(p) is int for p in got.params)
