@@ -37,6 +37,11 @@ def _check_pair(mu_a: float, mu_star: float) -> None:
         )
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in _BOUND_KINDS:
+        raise ValueError(f"unknown bound kind {kind!r}; expected one of {_BOUND_KINDS}")
+
+
 def _check_m_alpha(m: int, alpha: float) -> None:
     if m < 1:
         raise ValueError(f"player count must be >= 1, got {m!r}")
@@ -69,8 +74,7 @@ def upper_bound_coefficient(
     The oneshot and dense kinds carry the single-player coefficient
     1 / K(mu_a, mu_star); the sparse kind scales it by M / (1 + (M-1) alpha).
     """
-    if kind not in _BOUND_KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}; expected one of {_BOUND_KINDS}")
+    _check_kind(kind)
     _check_m_alpha(m, alpha)
     _check_pair(mu_a, mu_star)
     divergence = kl_bernoulli(mu_a, mu_star)
@@ -119,6 +123,8 @@ def bound_report(
     checkpoints,
 ) -> BoundReport:
     """Build the per-arm constants and curves for all suboptimal arms."""
+    _check_kind(kind)
+    _check_m_alpha(m, alpha)
     checkpoints = tuple(int(t) for t in checkpoints)
     mu_star = arm_model.best_mean
     arms = tuple(a for a in range(arm_model.k) if arm_model.gaps[a] > 0.0)

@@ -12,6 +12,7 @@ and deduplicating, so the stored object stays small no matter the horizon.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -27,32 +28,65 @@ EXP = "exp"
 DOUBLEEXP = "doubleexp"
 EXPLICIT = "explicit"
 
-_KINDS = (NONE, FULL, ONESHOT, LINEAR, EXP, DOUBLEEXP, EXPLICIT)
-
-# Least growth q - 1 and eps of a grid. Generation skips the grid indices
-# that round to a point it already has, so it takes time in proportion to the
-# points; far below this floor 1 + eps rounds to 1 and the grid never grows.
+# Each kind's parameters as (name, floor) pairs; explicit takes one or more
+# rounds. An int floor marks an integer >= the floor, a float floor a grid's
+# growth (q - 1 or eps), which must be finite and >= floor + _MIN_GROWTH. A
+# grid is generated in time in proportion to its points, but far below this
+# floor 1 + eps rounds to 1 and the grid never grows.
+_PARAMS = {
+    NONE: (),
+    FULL: (),
+    ONESHOT: (("oneshot round", 1),),
+    LINEAR: (("linear grid step", 1),),
+    EXP: (("exponential grid base", 1.0),),
+    DOUBLEEXP: (("double-exponential base", 1.0), ("double-exponential eps", 0.0)),
+    EXPLICIT: (("explicit round", 1),),
+}
 _MIN_GROWTH = 1e-6
 
 
-def _check_growth(name: str, value: float, base: float) -> None:
-    """Reject a non-finite grid parameter, or one below base + _MIN_GROWTH."""
-    if not (math.isfinite(value) and value >= base + _MIN_GROWTH):
+def _checked(name: str, floor, value):
+    """value as an int >= an int floor, or as a finite float >= floor + _MIN_GROWTH."""
+    if isinstance(floor, int):
+        if (value := _as_int(name, value)) < floor:
+            raise ValueError(f"{name} must be >= {floor}, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value := float(value)) and value >= floor + _MIN_GROWTH):
         raise ValueError(
-            f"{name} must be finite and >= {base + _MIN_GROWTH!r}, got {value!r}"
+            f"{name} must be finite and >= {floor + _MIN_GROWTH!r}, got {value!r}"
         )
+    return value
 
 
 @dataclass(frozen=True)
 class CommunicationSchedule:
-    """Immutable description of a communication set; all queries are pure."""
+    """Immutable description of a communication set; all queries are pure.
+
+    Whichever way a schedule is built, its params are checked and normalized
+    to a tuple of ints, or of floats for a grid's q and eps.
+    """
 
     kind: str
     params: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _PARAMS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        params, spec = tuple(self.params), _PARAMS[self.kind]
+        if self.kind == EXPLICIT:
+            if not params:
+                raise ValueError("explicit schedule needs at least one round")
+            spec *= len(params)
+        if len(params) != len(spec):
+            raise ValueError(
+                f"{self.kind} schedule takes {len(spec)} parameter(s), got {len(params)}"
+            )
+        params = tuple(_checked(name, floor, p) for (name, floor), p in zip(spec, params))
+        if self.kind == EXPLICIT and any(b <= a for a, b in zip(params, params[1:])):
+            raise ValueError("explicit rounds must be strictly increasing")
+        object.__setattr__(self, "params", params)
 
     # -- constructors ------------------------------------------------------
 
@@ -66,38 +100,22 @@ class CommunicationSchedule:
 
     @classmethod
     def oneshot(cls, round_: int) -> "CommunicationSchedule":
-        round_ = _as_int("oneshot round", round_)
-        if round_ < 1:
-            raise ValueError(f"oneshot round must be >= 1, got {round_!r}")
         return cls(ONESHOT, (round_,))
 
     @classmethod
     def linear(cls, d: int) -> "CommunicationSchedule":
-        d = _as_int("linear grid step", d)
-        if d < 1:
-            raise ValueError(f"linear grid step must be >= 1, got {d!r}")
         return cls(LINEAR, (d,))
 
     @classmethod
     def exponential(cls, q: float) -> "CommunicationSchedule":
-        _check_growth("exponential grid base", q, 1.0)
-        return cls(EXP, (float(q),))
+        return cls(EXP, (q,))
 
     @classmethod
     def double_exponential(cls, q: float, eps: float) -> "CommunicationSchedule":
-        _check_growth("double-exponential base", q, 1.0)
-        _check_growth("double-exponential eps", eps, 0.0)
-        return cls(DOUBLEEXP, (float(q), float(eps)))
+        return cls(DOUBLEEXP, (q, eps))
 
     @classmethod
     def explicit(cls, rounds) -> "CommunicationSchedule":
-        rounds = tuple(_as_int("explicit round", r) for r in rounds)
-        if not rounds:
-            raise ValueError("explicit schedule needs at least one round")
-        if rounds[0] < 1:
-            raise ValueError(f"rounds must be >= 1, got {rounds[0]!r}")
-        if any(b <= a for a, b in zip(rounds, rounds[1:])):
-            raise ValueError("explicit rounds must be strictly increasing")
         return cls(EXPLICIT, rounds)
 
     # -- the rounds rule and the queries derived from it -------------------
@@ -106,50 +124,37 @@ class CommunicationSchedule:
         """The communication rounds in {start..n}, ascending: a range for full
         and linear, so its length and last element cost O(1) at any n."""
         start = max(start, 1)
-        if self.kind == FULL:
-            return range(start, n + 1)
-        if self.kind == LINEAR:
-            (d,) = self.params
+        if self.kind in (FULL, LINEAR):
+            (d,) = self.params or (1,)
             return range(d, n + 1, d)[(start - 1) // d :]
-        if self.kind in (ONESHOT, EXPLICIT):
+        if self.kind in (NONE, ONESHOT, EXPLICIT):
             return self.params[bisect_left(self.params, start) : bisect_right(self.params, n)]
-        if self.kind == NONE:
-            return ()
-        out: list[int] = []
-        # The points never decrease, and none rounds above the last one, v,
-        # before the grid reaches v + 0.5, or to start or above before it
-        # reaches start - 0.5: skip to one index short of that, first and
+        # A grid's points are round(q**e_k) for k >= 1, with exponents e_k = k
+        # (exp) or (1+eps)**k (doubleexp); q**e_k = x at the real index k =
+        # index(x). The points never decrease, and none rounds above the last
+        # one, v, before the grid reaches v + 0.5, or to start or above before
+        # it reaches start - 0.5: skip to one index short of that, first and
         # after each new point, a margin far above the logs' rounding error.
-        if self.kind == EXP:
-            (q,) = self.params
-            log_q = math.log(q)
-            k = max(1, math.floor(math.log(start - 0.5) / log_q) - 1)
-            while True:
-                v = math.floor(q**k + 0.5)
-                if v > n:
-                    break
-                if v >= start and (not out or v > out[-1]):
-                    out.append(v)
-                    k = max(k, math.floor(math.log(v + 0.5) / log_q) - 1)
-                k += 1
-        else:  # DOUBLEEXP: points q**((1+eps)**k) for k >= 1
-            q, eps = self.params
-            base, log_q = 1.0 + eps, math.log(q)
-            k = 1
-            if start > 1:
-                x = math.log(math.log(start - 0.5) / log_q) / math.log(base)
-                k = max(k, math.floor(x) - 1)
-            log_n = math.log(n + 0.5)
-            while True:
-                e = base**k
-                if e * log_q > log_n:
-                    break
-                v = math.floor(q**e + 0.5)
-                if start <= v <= n and (not out or v > out[-1]):
-                    out.append(v)
-                    x = math.log(math.log(v + 0.5) / log_q) / math.log(base)
-                    k = max(k, math.floor(x) - 1)
-                k += 1
+        q, *eps = self.params
+        log_q = math.log(q)
+        if eps:
+            base = 1.0 + eps[0]
+            exponent = lambda k: base**k
+            index = lambda x: math.log(math.log(x) / log_q) / math.log(base)
+        else:
+            exponent, index = (lambda k: k), (lambda x: math.log(x) / log_q)
+        out: list[int] = []
+        k = max(1, math.floor(index(start - 0.5)) - 1) if start > 1 else 1
+        # past this exponent every point is above n, and q**e is still finite
+        log_cap = math.log(n + 0.5) + 1.0
+        while (e := exponent(k)) * log_q <= log_cap:
+            v = math.floor(q**e + 0.5)
+            if v > n:
+                break
+            if v >= start and (not out or v > out[-1]):
+                out.append(v)
+                k = max(k, math.floor(index(v + 0.5)) - 1)
+            k += 1
         return out
 
     def elements_up_to(self, n: int) -> list[int]:
@@ -206,6 +211,8 @@ class CommunicationSchedule:
         an estimate, see density_is_estimate. None and full use the limit
         conventions 0 and 1.
         """
+        if burn_in is not None and _as_int("burn_in", burn_in) < 0:
+            raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
         if self.kind == NONE:
             return 0.0
         if self.kind in (FULL, LINEAR, EXP):
@@ -213,11 +220,9 @@ class CommunicationSchedule:
         if self.kind == DOUBLEEXP:
             _, eps = self.params
             return 1.0 / (1.0 + eps)
-        if self.kind == ONESHOT:
-            raise ValueError("density is undefined for a single communication round")
-        rounds = self.params
+        rounds = self.params  # oneshot or explicit
         if len(rounds) < 2:
-            raise ValueError("density estimate needs at least two explicit rounds")
+            raise ValueError("density is undefined for fewer than two communication rounds")
         if burn_in is None:
             burn_in = len(rounds) // 4
         burn_in = min(burn_in, len(rounds) - 2)
@@ -301,25 +306,11 @@ def parse_schedule(text: str) -> CommunicationSchedule:
     | explicit:<r1>,<r2>,...
     """
     text = text.strip()
-    if text == NONE:
-        return CommunicationSchedule.none()
-    if text == FULL:
-        return CommunicationSchedule.full()
     kind, sep, arg = text.partition(":")
-    if not sep or not arg:
-        raise ValueError(f"malformed schedule {text!r}")
+    if kind not in _PARAMS:
+        raise ValueError(f"unknown schedule kind {kind!r} in {text!r}")
+    number = float if kind in (EXP, DOUBLEEXP) else int
     try:
-        if kind == ONESHOT:
-            return CommunicationSchedule.oneshot(int(arg))
-        if kind == LINEAR:
-            return CommunicationSchedule.linear(int(arg))
-        if kind == EXP:
-            return CommunicationSchedule.exponential(float(arg))
-        if kind == DOUBLEEXP:
-            q, eps = arg.split(",")
-            return CommunicationSchedule.double_exponential(float(q), float(eps))
-        if kind == EXPLICIT:
-            return CommunicationSchedule.explicit(int(r) for r in arg.split(","))
+        return CommunicationSchedule(kind, [number(a) for a in arg.split(",")] if sep else ())
     except ValueError as exc:
         raise ValueError(f"malformed schedule {text!r}: {exc}") from None
-    raise ValueError(f"unknown schedule kind {kind!r} in {text!r}")

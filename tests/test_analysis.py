@@ -148,6 +148,20 @@ class TestBoundReport:
         assert report.arms == ()
         assert compare(aggregate_for([16], [[8.0, 8.0]]), report) == []
 
+    @pytest.mark.parametrize(
+        "kind, m, alpha, match",
+        [
+            ("bogus", 2, 0.5, "unknown bound kind"),
+            (BOUND_DENSE, 0, 0.5, "player count"),
+            (BOUND_SPARSE, 2, 7.0, "alpha"),
+        ],
+    )
+    def test_arguments_are_checked_with_no_suboptimal_arm(self, kind, m, alpha, match):
+        # the per-arm checks never run when every arm is optimal
+        model = BernoulliArmModel((0.5, 0.5))
+        with pytest.raises(ValueError, match=match):
+            bound_report(model, kind, m, alpha, [1, 2])
+
     def test_degenerate_means_propagate_errors(self):
         model = BernoulliArmModel((1.0, 0.0))
         with pytest.raises(ValueError):

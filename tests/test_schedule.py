@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distbandit.schedule import (
@@ -326,6 +326,35 @@ class TestGridGeneration:
                 k += 1
             assert S.exponential(q).elements_up_to(n) == expected, (q, n)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        growth=st.floats(min_value=3e-5, max_value=30.0),
+        eps=st.none() | st.floats(min_value=1e-6, max_value=5.0),
+        data=st.data(),
+    )
+    def test_rounds_from_a_start_equal_the_per_index_loop(self, growth, eps, data):
+        # exp and doubleexp share one skip-ahead loop; each reference visits
+        # every index, so n is capped where it would visit over 2e4 of them
+        q = 1.0 + growth
+        budget = 2e4
+        if eps is None:
+            s = S.exponential(q)
+            log_n_max = budget * math.log(q)
+        else:
+            s = S.double_exponential(q, eps)
+            log_n_max = math.log(q) * math.exp(min(budget * math.log1p(eps), 50.0))
+        n_max = max(1, int(math.exp(min(log_n_max, 43.0))))
+        n = data.draw(st.integers(min_value=1, max_value=n_max))
+        if eps is None:
+            assume(math.log(n + 0.5) / math.log(q) <= budget)
+            whole = _exponential_per_index(q, n)
+        else:
+            assume(_per_index_steps(q, eps, n) <= budget)
+            whole = _double_exponential_per_index(q, eps, n)
+        near = [p + d for p in whole for d in (-1, 0, 1)]
+        start = data.draw(st.sampled_from([0, 1, n, n + 1, *near]) | st.integers(0, n + 1))
+        assert list(s._rounds(n, start)) == [r for r in whole if r >= start]
+
     def test_exponential_log_ratios_increase_to_one(self):
         elems = S.exponential(3.0).elements_up_to(3**12)
         ratios = [math.log(a) / math.log(b) for a, b in zip(elems, elems[1:])]
@@ -365,6 +394,15 @@ class TestDensity:
             S.oneshot(9).density()
         with pytest.raises(ValueError):
             S.explicit([5]).density()
+
+    def test_burn_in_is_a_nonnegative_integer(self):
+        s = S.explicit([1, 2, 4, 8, 16])
+        assert s.density(burn_in=np.int64(3)) == s.density(burn_in=3)
+        with pytest.raises(ValueError, match=r"^burn_in must be >= 0, got -1$"):
+            s.density(burn_in=-1)
+        for burn_in in (1.5, True, "1"):
+            with pytest.raises(TypeError, match="^burn_in must be an integer"):
+                s.density(burn_in=burn_in)
 
 
 class TestOverExploration:
@@ -519,3 +557,76 @@ class TestIntegerParameters:
             assert got == want and hash(got) == hash(want)
             assert got.spec_string() == want.spec_string()
             assert all(type(p) is int for p in got.params)
+
+
+class TestConstruction:
+    """Every way of building a schedule checks and normalizes its parameters
+    in one place, so equal schedules have equal rounds."""
+
+    @pytest.mark.parametrize(
+        "kind, params, built, spec, number",
+        [
+            ("none", (), S.none(), "none", int),
+            ("full", [], S.full(), "full", int),
+            ("oneshot", (np.int64(256),), S.oneshot(256), "oneshot:256", int),
+            ("linear", [5], S.linear(np.uint8(5)), "linear:5", int),
+            ("exp", (3,), S.exponential(3), "exp:3", float),
+            ("exp", (np.float32(1.5),), S.exponential(1.5), "exp:1.5", float),
+            ("doubleexp", (2, np.float64(1)), S.double_exponential(2.0, 1), "doubleexp:2,1", float),
+            ("explicit", [4, 16], S.explicit((4, 16)), "explicit:4,16", int),
+            ("explicit", np.array([3, 9]), S.explicit(np.array([3, 9])), "explicit:3,9", int),
+        ],
+        ids=repr,
+    )
+    def test_every_route_gives_the_same_schedule(self, kind, params, built, spec, number):
+        direct = S(kind, params)
+        for s in (direct, built, parse_schedule(spec)):
+            assert s == direct and hash(s) == hash(direct)
+            assert type(s.params) is tuple
+            assert [type(p) for p in s.params] == [number] * len(direct.params)
+            assert s._rounds(10**18) == direct._rounds(10**18)
+
+    def test_a_direct_exp_grid_has_the_classmethod_rounds(self):
+        n = 10**18
+        assert S("exp", (3,)).elements_up_to(n) == S.exponential(3.0).elements_up_to(n)
+        # round(3.0**34); an int q would give round(3**34 + 0.5) = ...568
+        assert S("exp", (3,)).elements_up_to(n)[33] == 16677181699666570
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            S("explicit", (5, 3))
+        with pytest.raises(TypeError, match="^oneshot round must be an integer, got 2.7$"):
+            S("oneshot", (2.7,))
+        with pytest.raises(ValueError, match="^explicit round must be >= 1, got 0$"):
+            S("explicit", (0, 3))
+        with pytest.raises(ValueError, match="^explicit schedule needs at least one round$"):
+            S("explicit", ())
+        with pytest.raises(ValueError, match="finite and >="):
+            S("doubleexp", (2.0, 0.0))
+        assert hash(S("explicit", [4, 16])) == hash(S.explicit([4, 16]))
+
+    @pytest.mark.parametrize(
+        "kind, params, takes",
+        [
+            ("none", (1,), 0),
+            ("oneshot", (), 1),
+            ("linear", (2, 3), 1),
+            ("exp", (), 1),
+            ("doubleexp", (2.0,), 2),
+            ("doubleexp", (2.0, 1.0, 1.0), 2),
+        ],
+    )
+    def test_a_wrong_parameter_count_names_the_kind_and_count(self, kind, params, takes):
+        want = rf"{kind} schedule takes {takes} parameter\(s\), got {len(params)}$"
+        with pytest.raises(ValueError, match=want):
+            S(kind, params)
+        spec = kind + (":" + ",".join(map(str, params)) if params else "")
+        with pytest.raises(ValueError, match=rf"^malformed schedule {spec!r}: {want}"):
+            parse_schedule(spec)
+
+    @pytest.mark.parametrize("value", ["2", True, None, 1 + 1j], ids=repr)
+    def test_a_grid_parameter_must_be_a_real_number(self, value):
+        with pytest.raises(TypeError, match=r"^exponential grid base must be a real number, got "):
+            S.exponential(value)
+        with pytest.raises(TypeError, match=r"^double-exponential eps must be a real number"):
+            S.double_exponential(2.0, value)
