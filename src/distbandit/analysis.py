@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BernoulliArmModel, d_inf_bernoulli, kl_bernoulli
+from .core import BernoulliArmModel, _as_int, _as_unit, _at_least, d_inf_bernoulli, kl_bernoulli
 from .engine import RunAggregate
 
 # Upper-bound flavors, keyed by the communication regime they describe:
@@ -42,11 +42,9 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {_BOUND_KINDS}")
 
 
-def _check_m_alpha(m: int, alpha: float) -> None:
-    if m < 1:
-        raise ValueError(f"player count must be >= 1, got {m!r}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
+def _check_m_alpha(m: int, alpha: float) -> tuple[int, float]:
+    """m and alpha as a plain int and float, by the player-count and alpha rules."""
+    return _at_least("player count", m, 1), _as_unit("alpha", alpha)
 
 
 def _scale(m: int, alpha: float) -> float:
@@ -61,7 +59,7 @@ def _scale(m: int, alpha: float) -> float:
 def lower_bound_coefficient(m: int, alpha: float, mu_a: float, mu_star: float) -> float:
     """Leading coefficient of the pull-count lower bound for a suboptimal arm:
     M / (1 + (M-1) alpha) * 1 / d_inf(mu_a, mu_star)."""
-    _check_m_alpha(m, alpha)
+    m, alpha = _check_m_alpha(m, alpha)
     _check_pair(mu_a, mu_star)
     return _scale(m, alpha) / d_inf_bernoulli(mu_a, mu_star)
 
@@ -75,7 +73,7 @@ def upper_bound_coefficient(
     1 / K(mu_a, mu_star); the sparse kind scales it by M / (1 + (M-1) alpha).
     """
     _check_kind(kind)
-    _check_m_alpha(m, alpha)
+    m, alpha = _check_m_alpha(m, alpha)
     _check_pair(mu_a, mu_star)
     divergence = kl_bernoulli(mu_a, mu_star)
     if kind == BOUND_SPARSE:
@@ -124,8 +122,8 @@ def bound_report(
 ) -> BoundReport:
     """Build the per-arm constants and curves for all suboptimal arms."""
     _check_kind(kind)
-    _check_m_alpha(m, alpha)
-    checkpoints = tuple(int(t) for t in checkpoints)
+    m, alpha = _check_m_alpha(m, alpha)
+    checkpoints = tuple(_as_int("checkpoints", t) for t in checkpoints)
     mu_star = arm_model.best_mean
     arms = tuple(a for a in range(arm_model.k) if arm_model.gaps[a] > 0.0)
     lower = []

@@ -3,13 +3,13 @@ error at once, and the bundled figure-1 preset. Either way an experiment is
 its named engine RunConfigs, one per strategy.
 
 Document format (all keys shown; exploration, alpha, seed, replications,
-checkpoints, bounds, and out are optional):
+checkpoints, bounds, and out are optional; a ';' after a space starts a comment):
 
     [experiment]
     means = 0.9, 0.8
     players = 2
     horizon = 65536
-    policy = klucb            ; ucb | klucb | dklucb
+    policy = dklucb           ; ucb | klucb | dklucb
     exploration = standard    ; standard | ln2t
     alpha = 0.5               ; dklucb only; defaults to the schedule density
     seed = 0
@@ -28,12 +28,13 @@ on the same arm model and seed so their random draws are common.
 from __future__ import annotations
 
 import configparser
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import LN2T, STANDARD, VARIANTS, BernoulliArmModel, ExplorationFunction
-from .engine import RunConfig
-from .policies import DKLUCB, RULES, UCB, PolicySpec
+from .core import STANDARD, BernoulliArmModel, ExplorationFunction, _as_unit, _at_least
+from .engine import _FLOORS, RunConfig, _checkpoints
+from .policies import DKLUCB, UCB, PolicySpec
 from .schedule import ONESHOT, CommunicationSchedule, parse_schedule
 
 _EXPERIMENT_KEYS = frozenset(
@@ -80,65 +81,39 @@ def experiment_runs(cfg: ExperimentConfig) -> list[tuple[str, RunConfig]]:
 
 
 def _build_runs(
-    strategies,
-    *,
-    policy: str,
-    exploration: ExplorationFunction,
-    alpha: float | None = None,
-    **shared,
+    strategies, *, policy: PolicySpec, alpha: float | None = None, **shared
 ) -> tuple[tuple[str, RunConfig], ...]:
     """One RunConfig per (name, schedule), all with the RunConfig fields in
     `shared` (one arm model object among them). A dklucb run uses the
     configured alpha, or else its schedule's exact density."""
     runs = []
     for name, schedule in strategies:
-        if policy == DKLUCB:
-            spec = PolicySpec(DKLUCB, alpha=schedule.density() if alpha is None else alpha)
-        else:
-            spec = PolicySpec(policy, exploration)
+        spec = policy
+        if policy.rule == DKLUCB:
+            spec = replace(policy, alpha=schedule.density() if alpha is None else alpha)
         runs.append((name, RunConfig(schedule=schedule, policy=spec, **shared)))
     return tuple(runs)
 
 
-def _parse_means(raw: str, errors: list[str]) -> BernoulliArmModel | None:
-    means = []
-    ok = True
-    for part in raw.split(","):
-        part = part.strip()
-        try:
-            value = float(part)
-        except ValueError:
-            errors.append(f"[experiment] means: {part!r} is not a number")
-            ok = False
-            continue
-        if not 0.0 <= value <= 1.0:
-            errors.append(f"[experiment] means: value {part} outside [0, 1]")
-            ok = False
-            continue
-        means.append(value)
-    return BernoulliArmModel(tuple(means)) if ok else None
-
-
-def _parse_int(section: str, key: str, raw: str, minimum: int, errors: list[str]):
+def _number(kind, raw: str):
+    """raw as an int or a float; text that is not one is a ValueError naming it."""
     try:
-        value = int(raw)
+        return kind(raw.strip())
     except ValueError:
-        errors.append(f"[{section}] {key}: {raw!r} is not an integer")
-        return None
-    if value < minimum:
-        errors.append(f"[{section}] {key}: must be >= {minimum}, got {value}")
-        return None
-    return value
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{raw.strip()!r} is not {what}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document, collecting every error.
 
-    Raises ConfigError carrying the full list of problems; returns the
-    validated ExperimentConfig otherwise.
+    Each [experiment] value is converted from text and handed to the rule of
+    the type that owns it; a rule's message is reported as
+    "[experiment] <key>: <message>". Raises ConfigError carrying the full list
+    of problems; returns the validated ExperimentConfig otherwise.
     """
     errors: list[str] = []
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -150,81 +125,41 @@ def parse_config(text: str) -> ExperimentConfig:
     exp = dict(parser.items("experiment"))
     for key in sorted(set(exp) - _EXPERIMENT_KEYS):
         errors.append(f"[experiment] unknown key {key!r}")
+    for key in ("means", "players", "horizon", "policy"):
+        if key not in exp:
+            errors.append(f"[experiment] {key} is required")
+    exp = {"exploration": STANDARD, "seed": "0", "replications": "1", **exp}
 
-    arm_model = None
-    if "means" in exp:
-        arm_model = _parse_means(exp["means"], errors)
-    else:
-        errors.append("[experiment] means is required")
+    def judged(key: str, rule):
+        """rule(value of key), or None when the key is absent or the rule
+        raises; its message is then recorded under the key."""
+        if key in exp:
+            try:
+                return rule(exp[key])
+            except (TypeError, ValueError) as exc:
+                errors.append(f"[experiment] {key}: {exc}")
+        return None
 
-    players = horizon = None
-    if "players" in exp:
-        players = _parse_int("experiment", "players", exp["players"], 1, errors)
-    else:
-        errors.append("[experiment] players is required")
-    if "horizon" in exp:
-        horizon = _parse_int("experiment", "horizon", exp["horizon"], 1, errors)
-    else:
-        errors.append("[experiment] horizon is required")
-
-    policy = exp.get("policy")
-    if policy is None:
-        errors.append("[experiment] policy is required")
-    elif policy not in RULES:
-        errors.append(
-            f"[experiment] policy: unknown rule {policy!r}; expected one of {RULES}"
-        )
-        policy = None
-
-    exploration_name = exp.get("exploration", STANDARD)
-    exploration = ExplorationFunction.standard()
-    if exploration_name not in VARIANTS:
-        errors.append(
-            f"[experiment] exploration: unknown variant {exploration_name!r}; "
-            f"expected one of {VARIANTS}"
-        )
-    elif exploration_name == LN2T:
-        if policy == DKLUCB:
-            errors.append(
-                "[experiment] exploration: dklucb fixes its own exploration "
-                "function and cannot use ln2t"
-            )
-        else:
-            exploration = ExplorationFunction.ln2t()
-
-    alpha = None
-    if "alpha" in exp:
-        if policy is not None and policy != DKLUCB:
-            errors.append("[experiment] alpha: only meaningful with policy = dklucb")
-        try:
-            alpha = float(exp["alpha"])
-        except ValueError:
-            errors.append(f"[experiment] alpha: {exp['alpha']!r} is not a number")
-        else:
-            if not 0.0 <= alpha <= 1.0:
-                errors.append(f"[experiment] alpha: must be in [0, 1], got {alpha}")
-                alpha = None
-
-    seed = _parse_int("experiment", "seed", exp.get("seed", "0"), 0, errors)
-    replications = _parse_int(
-        "experiment", "replications", exp.get("replications", "1"), 1, errors
+    arm_model = judged(
+        "means", lambda raw: BernoulliArmModel(tuple(_number(float, p) for p in raw.split(",")))
     )
-
-    checkpoints: tuple[int, ...] = ()
-    if "checkpoints" in exp:
-        parsed = [
-            _parse_int("experiment", "checkpoints", part.strip(), 1, errors)
-            for part in exp["checkpoints"].split(",")
-        ]
-        if None not in parsed:
-            if sorted(set(parsed)) != parsed:
-                errors.append("[experiment] checkpoints: must be strictly increasing")
-            elif horizon is not None and parsed[-1] > horizon:
-                errors.append(
-                    f"[experiment] checkpoints: {parsed[-1]} exceeds the horizon {horizon}"
-                )
-            else:
-                checkpoints = tuple(parsed)
+    ints = {
+        key: judged(key, lambda raw: _at_least(key, _number(int, raw), floor))
+        for key, floor in _FLOORS.items()
+    }
+    exploration = judged("exploration", ExplorationFunction)
+    # the rule is judged on the standard form when the exploration failed
+    policy = judged(
+        "policy", lambda rule: PolicySpec(rule, exploration or ExplorationFunction.standard())
+    )
+    alpha = judged("alpha", lambda raw: _as_unit("alpha", _number(float, raw)))
+    if "alpha" in exp and policy is not None and policy.rule != DKLUCB:
+        errors.append("[experiment] alpha: only meaningful with policy = dklucb")
+    horizon = math.inf if ints["horizon"] is None else ints["horizon"]
+    checkpoints = judged(
+        "checkpoints",
+        lambda raw: _checkpoints([_number(int, p) for p in raw.split(",")], horizon),
+    )
 
     bounds = False
     if "bounds" in exp:
@@ -263,7 +198,8 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         strategies.append((name, schedule))
         if (
-            policy == DKLUCB
+            policy is not None
+            and policy.rule == DKLUCB
             and alpha is None
             and (schedule.density_is_estimate or schedule.kind == ONESHOT)
         ):
@@ -281,14 +217,10 @@ def parse_config(text: str) -> ExperimentConfig:
         runs = _build_runs(
             strategies,
             policy=policy,
-            exploration=exploration,
             alpha=alpha,
             arm_model=arm_model,
-            players=players,
-            horizon=horizon,
-            seed=seed,
-            replications=replications,
-            checkpoints=checkpoints,
+            checkpoints=checkpoints or (),
+            **ints,
         )
     except ValueError as exc:  # RunConfig's own checks, such as horizon * players < 2**53
         raise ConfigError([str(exc)]) from exc
@@ -313,8 +245,7 @@ def figure1_preset(replications: int = 1000, seed: int = 42) -> ExperimentConfig
     )
     runs = _build_runs(
         strategies,
-        policy=UCB,
-        exploration=ExplorationFunction.ln2t(),
+        policy=PolicySpec(UCB, ExplorationFunction.ln2t()),
         arm_model=BernoulliArmModel((0.9, 0.8)),
         players=2,
         horizon=1 << 16,

@@ -7,6 +7,7 @@ value type), shared by the index policies and the analysis layer.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -21,9 +22,25 @@ def _as_int(name: str, value) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_unit(x: float, name: str) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {x!r}")
+def _at_least(name: str, value, floor: int) -> int:
+    """value as an int (see _as_int) that is at least floor."""
+    if (value := _as_int(name, value)) < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value!r}")
+    return value
+
+
+def _as_real(name: str, value) -> float:
+    """value as a float, numpy reals included; a bool or a non-real is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _as_unit(name: str, value) -> float:
+    """value as a float (see _as_real) in [0, 1]; nan is outside."""
+    if not 0.0 <= (value := _as_real(name, value)) <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+    return value
 
 
 def kl_bernoulli(p: float, q: float) -> float:
@@ -32,8 +49,7 @@ def kl_bernoulli(p: float, q: float) -> float:
     Conventions: 0*ln(0) = 0 and ln(0/0) = 0, so the result is 0 when p == q
     even at the boundary; +inf when q is 0 or 1 and p differs from it.
     """
-    _check_unit(p, "p")
-    _check_unit(q, "q")
+    p, q = _as_unit("p", p), _as_unit("q", q)
     if p == q:
         return 0.0
     if q <= 0.0 or q >= 1.0:
@@ -48,8 +64,7 @@ def kl_bernoulli(p: float, q: float) -> float:
 
 def kl_truncated(p: float, q: float) -> float:
     """Left-side truncated divergence: 0 when p > q, else kl_bernoulli(p, q)."""
-    _check_unit(p, "p")
-    _check_unit(q, "q")
+    p, q = _as_unit("p", p), _as_unit("q", q)
     if p > q:
         return 0.0
     return kl_bernoulli(p, q)
@@ -99,7 +114,9 @@ class ExplorationFunction:
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown exploration variant {self.variant!r}")
+            raise ValueError(
+                f"unknown exploration variant {self.variant!r}; expected one of {VARIANTS}"
+            )
 
     @classmethod
     def standard(cls) -> "ExplorationFunction":
@@ -131,10 +148,8 @@ class BernoulliArmModel:
     def __post_init__(self) -> None:
         if len(self.means) == 0:
             raise ValueError("arm model needs at least one arm")
-        for i, mu in enumerate(self.means):
-            if not 0.0 <= mu <= 1.0:
-                raise ValueError(f"mean of arm {i + 1} must be in [0, 1], got {mu!r}")
-        object.__setattr__(self, "means", tuple(float(mu) for mu in self.means))
+        means = tuple(_as_unit(f"mean of arm {i + 1}", mu) for i, mu in enumerate(self.means))
+        object.__setattr__(self, "means", means)
 
     @property
     def k(self) -> int:

@@ -78,7 +78,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import LN2T, BernoulliArmModel, _as_int, dklucb_scale
+from .core import LN2T, BernoulliArmModel, _as_int, _at_least, dklucb_scale
 from .policies import DKLUCB, PolicySpec, exploration_budget, select_batch
 from .schedule import CommunicationSchedule
 
@@ -126,8 +126,21 @@ class InvariantViolation(RuntimeError):
         return partial(type(self), order=self.order), self.args, self.__dict__
 
 
-def _default_checkpoints(horizon: int) -> tuple[int, ...]:
-    return tuple(2**k for k in range(horizon.bit_length()) if 2**k <= horizon)
+def _checkpoints(cps, horizon: int) -> tuple[int, ...]:
+    """cps as a tuple of ints, strictly increasing rounds in [1, horizon], or
+    the powers of two up to the horizon when cps is empty."""
+    cps = tuple(_at_least("checkpoints", t, 1) for t in cps)
+    if not cps:
+        return tuple(2**k for k in range(horizon.bit_length()) if 2**k <= horizon)
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
+    if cps[-1] > horizon:
+        raise ValueError(f"checkpoint {cps[-1]} exceeds the horizon {horizon}")
+    return cps
+
+
+# RunConfig's integer fields, each with its least value
+_FLOORS = {"players": 1, "horizon": 1, "seed": 0, "replications": 1}
 
 
 @dataclass(frozen=True)
@@ -144,30 +157,15 @@ class RunConfig:
     replications: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("players", "horizon", "seed", "replications"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        if self.players < 1:
-            raise ValueError("players must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        for name, floor in _FLOORS.items():
+            object.__setattr__(self, name, _at_least(name, getattr(self, name), floor))
         if self.horizon * self.players >= 2**53:
             # a view holds up to horizon * players samples, in float64
             raise ValueError(
                 "horizon * players must be below 2**53, where float64 view counts "
                 f"stop being exact; got horizon={self.horizon}, players={self.players}"
             )
-        cps = tuple(_as_int("checkpoints", t) for t in self.checkpoints)
-        if not cps:
-            cps = _default_checkpoints(self.horizon)
-        if any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be strictly increasing")
-        if cps[0] < 1 or cps[-1] > self.horizon:
-            raise ValueError("checkpoints must lie in [1, horizon]")
-        object.__setattr__(self, "checkpoints", cps)
+        object.__setattr__(self, "checkpoints", _checkpoints(self.checkpoints, self.horizon))
 
 
 @dataclass

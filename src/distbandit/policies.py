@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LN2T, STANDARD, ExplorationFunction, dklucb_scale, exploration_value
+from .core import LN2T, STANDARD, ExplorationFunction, _as_unit, dklucb_scale, exploration_value
 
 UCB = "ucb"
 KLUCB = "klucb"
@@ -61,14 +61,13 @@ class PolicySpec:
 
     def __post_init__(self) -> None:
         if self.rule not in RULES:
-            raise ValueError(f"unknown policy rule {self.rule!r}")
-        if self.rule == DKLUCB:
-            if not 0.0 <= self.alpha <= 1.0:
-                raise ValueError(f"dklucb alpha must be in [0, 1], got {self.alpha!r}")
-            if self.exploration.variant != STANDARD:
-                raise ValueError(
-                    "dklucb fixes its own exploration function; pass the standard variant"
-                )
+            raise ValueError(f"unknown policy rule {self.rule!r}; expected one of {RULES}")
+        object.__setattr__(self, "alpha", _as_unit("alpha", self.alpha))
+        if self.rule == DKLUCB and self.exploration.variant != STANDARD:
+            raise ValueError(
+                "dklucb fixes its own exploration function and cannot use "
+                f"{self.exploration.variant}"
+            )
 
 
 # -- batched kernels --------------------------------------------------------

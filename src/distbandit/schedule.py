@@ -12,13 +12,12 @@ and deduplicating, so the stored object stays small no matter the horizon.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_int
+from .core import _as_real, _at_least
 
 NONE = "none"
 FULL = "full"
@@ -48,12 +47,8 @@ _MIN_GROWTH = 1e-6
 def _checked(name: str, floor, value):
     """value as an int >= an int floor, or as a finite float >= floor + _MIN_GROWTH."""
     if isinstance(floor, int):
-        if (value := _as_int(name, value)) < floor:
-            raise ValueError(f"{name} must be >= {floor}, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(value := float(value)) and value >= floor + _MIN_GROWTH):
+        return _at_least(name, value, floor)
+    if not (math.isfinite(value := _as_real(name, value)) and value >= floor + _MIN_GROWTH):
         raise ValueError(
             f"{name} must be finite and >= {floor + _MIN_GROWTH!r}, got {value!r}"
         )
@@ -163,14 +158,12 @@ class CommunicationSchedule:
 
     def is_comm_round(self, t: int) -> bool:
         """True iff round t is a communication round."""
-        if t < 1:
-            raise ValueError(f"round index must be >= 1, got {t!r}")
+        t = _at_least("round index", t, 1)
         return bool(self._rounds(t, t))
 
     def last_comm_leq(self, t: int) -> int:
         """Largest communication round <= t, or 0 if there is none."""
-        if t < 0:
-            raise ValueError(f"round index must be >= 0, got {t!r}")
+        t = _at_least("round index", t, 0)
         # spans of doubling length back from t: a grid is generated near t only
         span = 1
         while not (rounds := self._rounds(t, t - span + 1)) and span < t:
@@ -179,9 +172,7 @@ class CommunicationSchedule:
 
     def counting_function(self, n: int) -> int:
         """Number of communication rounds in {1..n}."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n!r}")
-        return len(self._rounds(n))
+        return len(self._rounds(_at_least("n", n, 1)))
 
     def comm_mask(self, start: int, stop: int) -> np.ndarray:
         """Boolean array over rounds start..stop-1; entry i is
@@ -211,8 +202,8 @@ class CommunicationSchedule:
         an estimate, see density_is_estimate. None and full use the limit
         conventions 0 and 1.
         """
-        if burn_in is not None and _as_int("burn_in", burn_in) < 0:
-            raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
+        if burn_in is not None:
+            burn_in = _at_least("burn_in", burn_in, 0)
         if self.kind == NONE:
             return 0.0
         if self.kind in (FULL, LINEAR, EXP):
@@ -244,8 +235,7 @@ class CommunicationSchedule:
 
 def over_exploration_schedule(horizon: int, players: int) -> CommunicationSchedule:
     """One-shot schedule communicating at round ceil(horizon**(1/players))."""
-    if horizon < 1 or players < 1:
-        raise ValueError("horizon and players must be >= 1")
+    horizon, players = _at_least("horizon", horizon, 1), _at_least("player count", players, 1)
     r = max(int(round(horizon ** (1.0 / players))), 1)
     # fix up float error so that r is exactly the smallest integer with r**players >= horizon
     while r**players < horizon:

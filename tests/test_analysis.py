@@ -162,6 +162,24 @@ class TestBoundReport:
         with pytest.raises(ValueError, match=match):
             bound_report(model, kind, m, alpha, [1, 2])
 
+    def test_a_non_integer_checkpoint_is_a_type_error(self):
+        model = BernoulliArmModel((0.9, 0.5))
+        with pytest.raises(TypeError, match=r"^checkpoints must be an integer, got 16\.7$"):
+            bound_report(model, BOUND_DENSE, 2, 0.5, [16.7])
+        report = bound_report(model, BOUND_DENSE, 2, 0.5, np.array([16, 256]))
+        assert report.checkpoints == (16, 256)
+        assert all(type(t) is int for t in report.checkpoints)
+
+    def test_a_numpy_player_count_does_not_overflow(self):
+        # the exact scale multiplies M by alpha's 2**54 denominator, which
+        # wraps around in int64
+        want = lower_bound_coefficient(1000, 0.3, 0.5, 0.9)
+        assert lower_bound_coefficient(np.int64(1000), 0.3, 0.5, 0.9) == want
+        model = BernoulliArmModel((0.9, 0.5))
+        report = bound_report(model, BOUND_SPARSE, np.int64(1000), 0.3, [16])
+        assert report.lower_coefficients == (want,)
+        assert type(report.m) is int and type(report.alpha) is float
+
     def test_degenerate_means_propagate_errors(self):
         model = BernoulliArmModel((1.0, 0.0))
         with pytest.raises(ValueError):

@@ -4,11 +4,14 @@ the command-line runner's files, exit codes, and determinism."""
 import csv
 import logging
 import os
+import re
 import stat
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from distbandit import cli
+from distbandit import cli, config
 from distbandit.cli import main
 from distbandit.config import (
     ConfigError,
@@ -219,12 +222,68 @@ class TestParseConfig:
         assert len({rc.seed for _, rc in runs}) == 1
         assert len({id(rc.arm_model) for _, rc in runs}) == 1
 
+    @pytest.mark.parametrize(
+        "keys, error",
+        [
+            ({"players": "0"}, "players: players must be >= 1, got 0"),
+            ({"horizon": "0"}, "horizon: horizon must be >= 1, got 0"),
+            ({"seed": "-1"}, "seed: seed must be >= 0, got -1"),
+            ({"replications": "0"}, "replications: replications must be >= 1, got 0"),
+            ({"means": "0.9, 1.2"}, "means: mean of arm 2 must be in [0, 1], got 1.2"),
+            (
+                {"policy": "dklucb", "alpha": "nan"},
+                "alpha: alpha must be in [0, 1], got nan",
+            ),
+            (
+                {"policy": "thompson"},
+                "policy: unknown policy rule 'thompson'; "
+                "expected one of ('ucb', 'klucb', 'dklucb')",
+            ),
+            (
+                {"exploration": "ln3t"},
+                "exploration: unknown exploration variant 'ln3t'; "
+                "expected one of ('standard', 'ln2t')",
+            ),
+            (
+                {"policy": "dklucb", "exploration": "ln2t", "alpha": "0.5"},
+                "policy: dklucb fixes its own exploration function and cannot use ln2t",
+            ),
+            ({"checkpoints": "0, 4"}, "checkpoints: checkpoints must be >= 1, got 0"),
+            (
+                {"checkpoints": "8, 2048"},
+                "checkpoints: checkpoint 2048 exceeds the horizon 1024",
+            ),
+        ],
+    )
+    def test_an_error_is_the_rule_message_under_its_key(self, keys, error):
+        exp = {"means": "0.9, 0.8", "players": "2", "horizon": "1024", "policy": "klucb", **keys}
+        lines = "".join(f"{key} = {value}\n" for key, value in exp.items())
+        doc = f"[experiment]\n{lines}\n[strategy full]\nschedule = full\n"
+        assert errors_of(doc) == [f"[experiment] {error}"]
+
     def test_a_run_config_rejection_is_a_config_error(self):
         # each field is in range, but the views could not count horizon * players
         # samples exactly in float64
         errors = errors_of(MINIMAL.replace("horizon = 1024", f"horizon = {2**52}"))
         assert len(errors) == 1
         assert errors[0].startswith("horizon * players must be below 2**53")
+
+
+@pytest.mark.parametrize("where", ["README.md", "config docstring"])
+def test_the_documented_example_is_a_valid_document(where):
+    if where == "README.md":
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (doc,) = re.findall(r"```ini\n(.*?)```", text, flags=re.S)
+    else:
+        pattern = r"\n( +\[experiment\]\n.*?schedule = full\n)"
+        (doc,) = re.findall(pattern, config.__doc__, flags=re.S)
+    cfg = parse_config(textwrap.dedent(doc))
+    name, run = cfg.runs[0]
+    assert name == "full"
+    assert run.arm_model.means == (0.9, 0.8) and run.players == 2 and run.horizon == 65536
+    assert run.policy.rule == DKLUCB and run.policy.alpha == 0.5
+    assert run.checkpoints == (16, 256, 4096)
+    assert cfg.bounds is False and cfg.out == "results"
 
 
 class TestFigure1Preset:
@@ -254,7 +313,7 @@ class TestFigure1Preset:
             assert run.replications == 10 and run.seed == 3
 
     def test_a_run_it_cannot_make_is_rejected(self):
-        with pytest.raises(ValueError, match=r"^replications must be >= 1$"):
+        with pytest.raises(ValueError, match=r"^replications must be >= 1, got 0$"):
             figure1_preset(replications=0)
 
 
@@ -441,9 +500,9 @@ class TestCliErrors:
     def test_bad_flag_values_are_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)
         assert main(["--config", cfg, "--replications", "0"]) == 2
-        assert capsys.readouterr().err == "config error: replications must be >= 1\n"
+        assert capsys.readouterr().err == "config error: replications must be >= 1, got 0\n"
         assert main(["--config", cfg, "--seed", "-1"]) == 2
-        assert capsys.readouterr().err == "config error: seed must be a nonnegative integer\n"
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
 
     def test_ungenerable_grids_are_exit_2(self, tmp_path, capsys):
         doc = SMALL.replace("schedule = full", "schedule = exp:inf")

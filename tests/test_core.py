@@ -1,12 +1,23 @@
 """Tests for the KL calculus, exploration functions, and arm model."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from distbandit import (
+    CommunicationSchedule,
+    PolicySpec,
+    RunConfig,
+    bound_report,
+    lower_bound_coefficient,
+    over_exploration_schedule,
+    upper_bound_coefficient,
+    upper_bound_curve,
+)
 from distbandit.core import (
     BernoulliArmModel,
     ExplorationFunction,
@@ -59,6 +70,13 @@ class TestKlBernoulli:
             kl_bernoulli(-0.1, 0.5)
         with pytest.raises(ValueError):
             kl_bernoulli(0.5, 1.1)
+
+    @pytest.mark.parametrize("kl", [kl_bernoulli, kl_truncated])
+    def test_a_bool_or_non_real_is_a_type_error(self, kl):
+        with pytest.raises(TypeError, match=r"^p must be a real number, got True$"):
+            kl(True, 0.5)
+        with pytest.raises(TypeError, match=r"^q must be a real number, got '0\.5'$"):
+            kl(0.5, "0.5")
 
     @given(p=probs, q=inner_probs)
     @example(p=0.3, q=math.nextafter(0.3, 1.0))
@@ -178,3 +196,82 @@ class TestBernoulliArmModel:
             BernoulliArmModel((0.5, 1.2))
         with pytest.raises(ValueError):
             BernoulliArmModel((-0.01,))
+
+    @pytest.mark.parametrize("means", [(True, 0.5), ("0.5",)], ids=repr)
+    def test_a_bool_or_non_real_mean_is_a_type_error_naming_the_arm(self, means):
+        message = rf"^mean of arm 1 must be a real number, got {re.escape(repr(means[0]))}$"
+        with pytest.raises(TypeError, match=message):
+            BernoulliArmModel(means)
+
+
+MODEL = BernoulliArmModel((0.9, 0.5))
+
+# Every public entry point that takes a player count, with the name its
+# messages give it (RunConfig names its field), and every one that takes alpha.
+PLAYER_COUNT_ENTRY_POINTS = {
+    "RunConfig": (
+        "players",
+        lambda m: RunConfig(MODEL, m, 64, CommunicationSchedule.full(), PolicySpec("ucb"), 0),
+    ),
+    "over_exploration_schedule": ("player count", lambda m: over_exploration_schedule(100, m)),
+    "lower_bound_coefficient": (
+        "player count",
+        lambda m: lower_bound_coefficient(m, 0.5, 0.5, 0.9),
+    ),
+    "upper_bound_coefficient": (
+        "player count",
+        lambda m: upper_bound_coefficient("sparse", m, 0.5, 0.5, 0.9),
+    ),
+    "upper_bound_curve": (
+        "player count",
+        lambda m: upper_bound_curve("sparse", m, 0.5, 0.5, 0.9, [16]),
+    ),
+    "bound_report": ("player count", lambda m: bound_report(MODEL, "sparse", m, 0.5, [16])),
+}
+ALPHA_ENTRY_POINTS = {
+    "lower_bound_coefficient": lambda a: lower_bound_coefficient(2, a, 0.5, 0.9),
+    "upper_bound_coefficient": lambda a: upper_bound_coefficient("sparse", 2, a, 0.5, 0.9),
+    "upper_bound_curve": lambda a: upper_bound_curve("sparse", 2, a, 0.5, 0.9, [16]),
+    "bound_report": lambda a: bound_report(MODEL, "sparse", 2, a, [16]),
+    "PolicySpec": lambda a: PolicySpec("dklucb", alpha=a),
+}
+
+
+class TestArgumentRules:
+    """A player count and alpha each have one rule in core, which every entry
+    point that takes one calls, so each gives the same error for the same value."""
+
+    @pytest.mark.parametrize("entry", PLAYER_COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (2.5, TypeError, "{} must be an integer, got 2.5"),
+            (True, TypeError, "{} must be an integer, got True"),
+            (0, ValueError, "{} must be >= 1, got 0"),
+        ],
+        ids=["2.5", "True", "0"],
+    )
+    def test_player_count(self, entry, value, error, message):
+        name, call = PLAYER_COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(error, match=f"^{re.escape(message.format(name))}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", ALPHA_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (True, TypeError, "alpha must be a real number, got True"),
+            ("0.5", TypeError, "alpha must be a real number, got '0.5'"),
+            (1.5, ValueError, "alpha must be in [0, 1], got 1.5"),
+            (math.nan, ValueError, "alpha must be in [0, 1], got nan"),
+        ],
+        ids=["True", "'0.5'", "1.5", "nan"],
+    )
+    def test_alpha(self, entry, value, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ALPHA_ENTRY_POINTS[entry](value)
+
+    def test_numpy_values_are_accepted(self):
+        got = over_exploration_schedule(np.int64(100), np.int32(2))
+        assert got == over_exploration_schedule(100, 2)
+        assert PolicySpec("dklucb", alpha=np.float64(0.25)).alpha == 0.25

@@ -3,6 +3,7 @@ monotonicity properties, count prediction, and arm selection, each on the
 batch functions the engine calls."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -401,3 +402,25 @@ class TestPolicySpec:
         with pytest.raises(ValueError):
             PolicySpec(DKLUCB, ExplorationFunction.ln2t(), alpha=0.5)
         PolicySpec(DKLUCB, ExplorationFunction.standard(), alpha=0.5)
+
+    def test_alpha_is_stored_as_a_float(self):
+        # run_strategies fuses equal configs into one batch under the first
+        # one's spec, so equal specs must give bit-equal budgets
+        narrow = PolicySpec(DKLUCB, alpha=np.float32(0.3))
+        wide = PolicySpec(DKLUCB, alpha=float(np.float32(0.3)))
+        assert narrow == wide and hash(narrow) == hash(wide)
+        assert type(narrow.alpha) is float
+        got = exploration_budget(narrow, 2, 100, 150)
+        assert type(got) is float and got == exploration_budget(wide, 2, 100, 150)
+        with pytest.raises(TypeError, match=r"^alpha must be a real number, got True$"):
+            PolicySpec(DKLUCB, alpha=True)
+
+    def test_messages_name_the_choices(self):
+        rules = re.escape("'thompson'; expected one of ('ucb', 'klucb', 'dklucb')")
+        with pytest.raises(ValueError, match=f"^unknown policy rule {rules}$"):
+            PolicySpec("thompson")
+        variants = re.escape("'wild'; expected one of ('standard', 'ln2t')")
+        with pytest.raises(ValueError, match=f"^unknown exploration variant {variants}$"):
+            ExplorationFunction("wild")
+        with pytest.raises(ValueError, match=r"cannot use ln2t$"):
+            PolicySpec(DKLUCB, ExplorationFunction.ln2t(), alpha=0.5)

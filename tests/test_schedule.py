@@ -54,6 +54,22 @@ class TestMembership:
         with pytest.raises(ValueError):
             S.full().is_comm_round(0)
 
+    @pytest.mark.parametrize(
+        "query, name, floor",
+        [
+            ("is_comm_round", "round index", 1),
+            ("last_comm_leq", "round index", 0),
+            ("counting_function", "n", 1),
+        ],
+    )
+    def test_a_query_round_is_an_integer_at_least_its_floor(self, query, name, floor):
+        ask = getattr(S.explicit([4, 16]), query)
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got 4\.0$"):
+            ask(4.0)
+        with pytest.raises(ValueError, match=rf"^{name} must be >= {floor}, got {floor - 1}$"):
+            ask(floor - 1)
+        assert ask(np.int64(16)) == ask(16)
+
     @given(s=small_schedules(), horizon=st.integers(min_value=1, max_value=300))
     def test_mask_matches_membership(self, s, horizon):
         mask = s.comm_mask(0, horizon + 1)
@@ -410,6 +426,12 @@ class TestOverExploration:
         assert over_exploration_schedule(2**16, 2) == S.oneshot(256)
         assert over_exploration_schedule(1000, 1) == S.oneshot(1000)
         assert over_exploration_schedule(10, 3) == S.oneshot(3)
+
+    def test_horizon_is_an_integer_at_least_one(self):
+        with pytest.raises(TypeError, match=r"^horizon must be an integer, got 100\.0$"):
+            over_exploration_schedule(100.0, 2)
+        with pytest.raises(ValueError, match=r"^horizon must be >= 1, got 0$"):
+            over_exploration_schedule(0, 2)
 
     @given(
         horizon=st.integers(min_value=1, max_value=10**12),
