@@ -36,19 +36,20 @@ checkpoints, the end of the uniform block and the horizon. A window
 speculates that every player repeats its arm of its slot's last round for
 the next W rounds; it builds each of those rounds' views from the stored ones
 and the uniforms, at each slot's own rows of the block, selects rounds
-ts[s]+1..ts[s]+W of every slot with one select_batch call, and commits each
-slot's rounds up to and including its own first whose arms differ, exactly as
-that many steps would. Nothing is rolled back, as nothing is written past a
-slot's commit point; a slot that reaches the sync round waits there until
-every slot has (optimistic execution on local virtual time, as in Jefferson,
-"Virtual Time", ACM TOPLAS 7(3), 1985). A claim breach is reported only then,
-as the earliest of those found, since a slot behind may break a claim at an
-earlier round. W is _WINDOW_ROUNDS, or the rounds the slowest slot has left
-to the sync round when fewer. A slot's window ends at the first round whose
-communication differs from that of the slot's last round, so the slot merges
-on every round before its window's last or on none of them; the window's last
-round is committed alone, by the rule that commits every round
-(_commit_round), with the slots at the sync round masked. The first K
+ts[s]+1..ts[s]+W of every live slot s, one still behind the sync round, with
+one select_batch call over the live slots alone, and commits each slot's
+rounds up to and including its own first whose arms differ, exactly as that
+many steps would. Nothing is rolled back, as nothing is written past a slot's
+commit point; a slot that reaches the sync round waits there, out of every
+window, until every slot has (optimistic execution on local virtual time, as
+in Jefferson, "Virtual Time", ACM TOPLAS 7(3), 1985). A claim breach is
+reported only then, as the earliest of those found, since a slot behind may
+break a claim at an earlier round. W is _WINDOW_ROUNDS, or the rounds the
+slowest slot has left to the sync round when fewer. A slot's window ends at
+the first round whose communication differs from that of the slot's last
+round, so the slot merges on every round before its window's last or on none
+of them; the window's last round is committed alone, by the rule that commits
+every round (_commit_round), on the live slots. The first K
 rounds, forced, are one round each, and a batch too wide for a window of
 _WINDOW_ROUNDS rows as one [K, W, M, S*R] float64 array of _WINDOW_BYTES
 advances by single rounds. The window's counts and sums are integers below
@@ -437,13 +438,16 @@ def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
 
 
 def _check_claims(
-    state: WorldState, n_prime: np.ndarray, cfg: RunConfig, counts, totals, rounds
+    state: WorldState, n_prime: np.ndarray, cfg: RunConfig, counts, totals, rounds,
+    slots: np.ndarray | None = None,
 ) -> None:
     """Raise on the first breach, in (round, kind, slot, player, arm) order, a
     per-player breach before a summed one, of either count-prediction claim
-    by the predictions N' [K, c, M, S*R] of c rows, checked against their view
-    counts [K, c, M or 1, S*R] and int64 global counts [K, c, S*R]; rounds
-    [c, S*R] is the round each slot's row is at (0: not checked)."""
+    by the predictions N' [K, c, M, S'] of c rows, checked against their view
+    counts [K, c, M or 1, S'] and int64 global counts [K, c, S']; rounds
+    [c, S'] is the round each slot's row is at (0: not checked). slots [S']
+    holds the checked slots' places in the batch, ascending (None: every
+    slot)."""
     m, alpha = cfg.players, cfg.policy.alpha
     r_n = state.keys.shape[0]
     checked = rounds > 0
@@ -457,18 +461,19 @@ def _check_claims(
     # every breach as (round, kind, slot, player, arm, row), per-player ones first
     breaches = [(rounds[i, s], 0, s, p, a, i) for a, i, p, s in zip(*np.nonzero(over))]
     breaches += [(rounds[i, s], 1, s, 0, a, i) for a, i, s in zip(*np.nonzero(over_sum))]
-    t, kind, slot, player, arm, row = (int(x) for x in min(breaches))
+    t, kind, s, player, arm, row = (int(x) for x in min(breaches))
+    slot = s if slots is None else int(slots[s])
     where = f"at round {t}: replication {state.replication_indices[slot]}"
     if kind == 0:
         bound = np.broadcast_to(bound, n_prime.shape)
         message = (
             f"count prediction exceeded its per-player bound {where}, player {player}, "
-            f"arm {arm}, N' = {n_prime[arm, row, player, slot]} > {bound[arm, row, player, slot]}"
+            f"arm {arm}, N' = {n_prime[arm, row, player, s]} > {bound[arm, row, player, s]}"
         )
     else:
         message = (
             f"summed count predictions exceeded M times the global count {where}, "
-            f"arm {arm}, sum of N' = {summed[arm, row, slot]} > {limit[arm, row, slot]}"
+            f"arm {arm}, sum of N' = {summed[arm, row, s]} > {limit[arm, row, s]}"
         )
     raise InvariantViolation(message, strategy=slot // r_n, order=(t, kind, slot, player, arm))
 
@@ -531,12 +536,16 @@ def _select_window(
     rounds ts[s]+1..ts[s]+W at once, speculating that every player repeats
     its arm in state.arms, and commit them up to and including the first
     whose arms differ, or all it may commit when none does. Returns the
-    rounds each slot committed and the first claim breach in them, or None.
+    rounds each slot of the batch committed (0 for a slot at the sync round)
+    and the first claim breach in them, or None.
 
     ts [S*R] is each slot's last committed round; rows [W+1, 1] (row i holds
     i), prefix [W, W] (row i sums the rows before i), each slot's strategy
     [S*R] and each stream's offset in a uniform block row [M, S*R] are the
-    same for every window of an advance.
+    same for every window of an advance. Only the live slots, those behind
+    the sync round, are selected, pulled and committed: their views,
+    snapshots, totals and arms are gathered, by a slice that copies nothing
+    when every slot is live, and what they commit is scattered back.
 
     Row i of a slot is its view before its round ts+1+i: the stored one plus
     i rounds of the repeated pulls, a player's own or, for a slot whose
@@ -547,9 +556,15 @@ def _select_window(
     shape. A slot may commit the rows before the first round whose
     communication differs from its round ts's, and none past the sync round.
     """
-    arms = state.arms
     _, k, m, n = state.views.shape
-    slots = np.arange(n)
+    # the live slots' index: a slice while every slot is live, so that a full
+    # window gathers nothing
+    live = ts < sync
+    live = slice(None) if live.all() else np.flatnonzero(live)
+    batch = np.arange(n)[live]  # their places in the batch
+    ts, strategy, uniform_at = ts[live], strategy[live], uniform_at[:, live]
+    arms, snapshot = state.arms[:, live], state.snapshot[:, live]
+    slots = np.arange(len(ts))
     w = min(len(prefix), sync - int(ts.min()))
     i = rows[:w]
     # the block's uniforms and f from round state.t + 1 on, where every slot
@@ -563,9 +578,8 @@ def _select_window(
     merged = comm[0]  # the slots whose views are the totals
     changed = comm[1:] != merged
     valid = np.where(changed.any(axis=0), changed.argmax(axis=0) + 1, w)
-    np.minimum(valid, np.maximum(sync - ts, 0), out=valid)
-    active = valid > 0
-    if state._stale and not (merged | ~active).all():
+    np.minimum(valid, sync - ts, out=valid)
+    if state._stale and not merged.all():
         # views left stale by a merge are private from now on
         state._sync_views()
     lanes = 1 if state._stale else m
@@ -585,24 +599,24 @@ def _select_window(
         steps = steps * np.where(merged, float(m), 1.0)
     pulled = pulled[:, None, :lanes]
     # the pulls [0] and wins [1] of each arm in a slot's first i rounds, row i,
-    # if every arm repeats: [2, K, W, M or 1, S*R]
-    added = np.empty((2, k, w, lanes, n))
+    # if every arm repeats: [2, K, W, M or 1, S']
+    added = np.empty((2, k, w, lanes, len(ts)))
     np.multiply(steps, pulled, out=added[0])
     wins = prefix[:w, :w] @ won[:, :lanes].reshape(w, -1)
-    np.multiply(wins.reshape(w, lanes, n), pulled, out=added[1])
+    np.multiply(wins.reshape(w, lanes, -1), pulled, out=added[1])
     # [0]: the counts, [1]: the reward sums
-    views = state.views[:, :, None, :lanes] + added
+    views = state.views[:, :, None, :lanes, live] + added
     counts, sums = views[0], views[1]
 
     def team(added):
-        """The pulls or wins per slot in added [..., M or 1, S*R]: player 0's
+        """The pulls or wins per slot in added [..., M or 1, S']: player 0's
         where a slot is merged, as they count all of its pulls."""
         summed = added.sum(axis=-2)
         if any_merged:
             np.copyto(summed, added[..., 0, :], where=merged)
         return summed
 
-    snap = state.snapshot[:, None, None]
+    snap = snapshot[:, None, None]
     if cfg.policy.rule == DKLUCB and any_merged:
         # a merged slot's snapshot is its view's counts
         snap = np.where(merged, counts[:, :, :1], snap)
@@ -610,51 +624,54 @@ def _select_window(
     # every player's arm: a merge can leave players of one view on different arms
     differs = (chosen != arms).any(axis=1) & (i < valid)
     first = differs.argmax(axis=0)
-    # the row each slot commits up to: its first switch, else its last valid
-    # row (-1 for a slot at the sync round)
+    # the row each slot commits up to: its first switch, else its last valid row
     last = np.where(differs[first, slots], first, valid - 1)
     breach = None
     if cfg.policy.rule == DKLUCB:
         n_prime = denom if lanes == m else np.repeat(denom, m, axis=2)
-        totals = state.totals[0][:, None] + team(added[0]).astype(np.int64)
+        totals = state.totals[0][:, None, live] + team(added[0]).astype(np.int64)
         rounds = np.where(i <= last, ts + 1 + i, 0)
         try:
-            _check_claims(state, n_prime, cfg, counts, totals, rounds)
+            _check_claims(state, n_prime, cfg, counts, totals, rounds, batch)
         except InvariantViolation as exc:
             breach = exc
     if state._actions is not None:
         row, slot = np.nonzero(i <= last)
-        state._actions[ts[slot] + row, slot] = chosen[row, :, slot]
-    # the e rows before each slot's last repeated every arm: its row e is the
+        state._actions[ts[slot] + row, batch[slot]] = chosen[row, :, slot]
+    # the rows before each slot's last repeated every arm: its last row is the
     # view after them
-    e = np.maximum(last, 0)
-    added = np.moveaxis(added[:, :, e, :, slots], 0, -1)
-    state.views[:, :, :lanes] += added
-    np.add(state.totals, team(added), out=state.totals, casting="unsafe")
+    added = np.moveaxis(added[:, :, last, :, slots], 0, -1)
+    state.views[:, :, :lanes, live] += added
+    state.totals[:, :, live] += team(added).astype(np.int64)
     if any_merged:
-        np.copyto(state.snapshot, state.views[0, :, 0], where=merged)
+        state.snapshot[:, live] = np.where(merged, state.views[0, :, 0][:, live], snapshot)
     # the last row is a round of its own: its arms, its uniforms, its merge
-    np.copyto(arms, chosen[e, :, slots].T, where=active)
-    merging = comm[e + 1, slots] & active
-    _commit_round(state, u[e, :, slots].T.reshape(m, len(state.schedules), -1), merging, active)
-    return last + 1, breach
+    state.arms[:, live] = chosen[last, :, slots].T
+    merging = np.zeros(n, dtype=bool)
+    merging[live] = comm[last + 1, slots]
+    _commit_round(state, u[last, :, slots].T[:, None], merging, live)
+    committed = np.zeros(n, dtype=np.int64)
+    committed[live] = last + 1
+    return committed, breach
 
 
 def _commit_round(
-    state: WorldState, u: np.ndarray, merging: np.ndarray, active: np.ndarray | None = None
+    state: WorldState, u: np.ndarray, merging: np.ndarray, live: slice | np.ndarray = slice(None)
 ) -> None:
-    """Commit a round of the active slots (every slot by default): apply the
-    pulls of state.arms, with their uniforms u [M, S, R] (broadcast), to the
-    totals and views, and merge the views of the merging ones. merging and
-    active are bool [S*R]."""
-    arms = state.arms
+    """Commit a round of the live slots (every slot by default): apply the
+    pulls of their arms in state.arms to the totals and views, and merge the
+    views of the merging ones. live is slice(None) or the live slots'
+    indices and merging bool [S*R], False off them; u is their uniforms,
+    [M, 1, R] on the round path, broadcast over the strategies, or [M, 1, S']
+    over the S' live slots, which is S*R when every slot is live."""
     _, k, m, n = state.views.shape
-    every = active is None or active.all()
+    every = isinstance(live, slice)
+    arms = state.arms[:, live]
     p = state.means.take(arms, mode="clip")
-    rewards = (u < p.reshape(m, len(state.schedules), -1)).reshape(m, n)
+    rewards = (u < p.reshape(m, -1, u.shape[-1])).reshape(arms.shape)
     # every slot that moves merges, and the views of the others are stale or
     # there are none: player 0's view stands for all
-    whole = merging.all() if every else state._stale and (merging == active).all()
+    whole = merging[live].all() and (every or state._stale)
     if whole and every and state._stale:
         # the players of a slot pulled its one arm, selected once per slot,
         # and the views are about to be overwritten: add the slot's M pulls
@@ -664,16 +681,14 @@ def _commit_round(
         state.totals[1].reshape(-1)[flat] += rewards.sum(axis=0)
     else:
         # [0]: (player, slot) pulled arm a, [1]: and won
-        pulled = np.empty((2, k, m, n), dtype=bool)
+        pulled = np.empty((2, k, *arms.shape), dtype=bool)
         np.equal(arms, np.arange(k)[:, None, None], out=pulled[0])
-        if not every:
-            pulled[0] &= active
         np.logical_and(pulled[0], rewards, out=pulled[1])
         # players of one slot may pick the same arm: sum their pulls first
-        state.totals += np.add.reduce(pulled, axis=2)
+        state.totals[..., live] += np.add.reduce(pulled, axis=2)
     if not whole:
         state._sync_views()
-        state.views += pulled
+        state.views[..., live] += pulled
     if whole and every:
         merge_views(state)
     elif merging.any():

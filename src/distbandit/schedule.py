@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_real, _at_least
+from .core import _as_int, _as_real, _at_least
 
 NONE = "none"
 FULL = "full"
@@ -154,7 +154,7 @@ class CommunicationSchedule:
 
     def elements_up_to(self, n: int) -> list[int]:
         """All communication rounds in {1..n}, ascending."""
-        return list(self._rounds(n))
+        return list(self._rounds(_at_least("n", n, 0)))
 
     def is_comm_round(self, t: int) -> bool:
         """True iff round t is a communication round."""
@@ -177,8 +177,9 @@ class CommunicationSchedule:
     def comm_mask(self, start: int, stop: int) -> np.ndarray:
         """Boolean array over rounds start..stop-1; entry i is
         is_comm_round(start + i), and False for round 0."""
-        if not 0 <= start <= stop:
-            raise ValueError(f"expected 0 <= start <= stop, got start={start!r}, stop={stop!r}")
+        start, stop = _at_least("start", start, 0), _as_int("stop", stop)
+        if start > stop:
+            raise ValueError(f"expected start <= stop, got start={start!r}, stop={stop!r}")
         mask = np.zeros(stop - start, dtype=bool)
         rounds = self._rounds(max(stop - 1, 0), start)
         if isinstance(rounds, range):

@@ -1111,7 +1111,7 @@ class TestFusedStrategies:
             make_cfg(schedule=CS.linear(5), policy=dklucb),
         ]
 
-        def breach(state, n_prime, cfg, counts, totals, rounds):
+        def breach(state, n_prime, cfg, counts, totals, rounds, slots=None):
             # a breach of strategy 1 at the first round checked, ordered as
             # the real check orders it
             order = (int(rounds[rounds > 0].min()), 0, state.keys.shape[0], 0, 0)
@@ -1274,6 +1274,34 @@ class TestWindows:
         # the settled slot commits whole windows while the other one switches
         assert sum(c[1] == 64 and 0 < c[0] < 64 for _, _, c in spans) >= 3
 
+    def test_a_window_selects_only_the_slots_behind_the_sync_round(self, monkeypatch):
+        # dklucb on doubleexp fused with none: the slots switch at different
+        # rounds, so some reach the sync round while others are still behind
+        from distbandit import engine
+
+        cfgs = [
+            make_cfg(
+                players=2, horizon=600, schedule=schedule, policy=PolicySpec(DKLUCB, alpha=0.5),
+                checkpoints=(100, 600), replications=4,
+            )
+            for schedule in (CS.double_exponential(2.0, 1.0), CS.none())
+        ]
+        want_counts, want_actions = stepped(cfgs, range(4))
+        widths = []  # the slot-axis width of every window's batch
+        real = engine.select_batch
+
+        def recording(spec, m, f, known_count, *args):
+            if known_count.ndim == 4:  # a window's [K, W, M or 1, slots]; a round's has 3
+                widths.append(known_count.shape[-1])
+            return real(spec, m, f, known_count, *args)
+
+        monkeypatch.setattr(engine, "select_batch", recording)
+        spans, counts, actions = self.windows(monkeypatch, cfgs, range(4))
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(actions, want_actions)
+        assert widths == [int((ts < sync).sum()) for ts, sync, _ in spans]
+        assert min(widths) < len(cfgs) * 4
+
     CLAIM_CFG = make_cfg(
         means=(0.9, 0.2), players=2, horizon=200, schedule=CS.none(),
         policy=PolicySpec(DKLUCB, alpha=0.5), checkpoints=(200,), replications=2,
@@ -1295,18 +1323,23 @@ class TestWindows:
             states.append(real_init(*args, **kwargs))
             return states[-1]
 
-        def select_window(state, cfg, ts, *args):
-            window[:] = [ts]  # the slots' rounds before the window
-            return real_window(state, cfg, ts, *args)
+        def select_window(state, cfg, ts, sync, *args):
+            # the slots' rounds before the window, and the live slots (behind
+            # the sync round), which alone make up the window's slot axis
+            window[:] = [ts, np.flatnonzero(ts < sync)]
+            return real_window(state, cfg, ts, sync, *args)
 
         def prediction(known_count, snapshot_count, m, alpha):
             n_prime = real_prediction(known_count, snapshot_count, m, alpha)
             state = states[-1]
-            windowed = n_prime.ndim == 4  # [K, rows, M, S*R]; [K, M, S*R] for one round
+            windowed = n_prime.ndim == 4  # [K, rows, M, live slots]; [K, M, S*R] for one round
             for slot, target in targets.items():
+                if windowed and slot not in window[1]:
+                    continue
                 row = target - (window[0][slot] if windowed else state.t) - 1
                 if row in rows and row < (n_prime.shape[1] if windowed else 1):
-                    n_prime[(0, row, 1, slot) if windowed else (0, 1, slot)] = 1e9
+                    at = np.searchsorted(window[1], slot) if windowed else slot
+                    n_prime[(0, row, 1, at) if windowed else (0, 1, at)] = 1e9
                     hits.append((slot, row))
             return n_prime
 
@@ -1361,7 +1394,8 @@ class TestWindows:
         spans, _, _ = self.windows(monkeypatch, [cfg], range(2))
         seen = 0  # the last round slot 1 has selected so far
         for ts, sync, c in spans:
-            seen = max(seen, ts[1] + min(64, sync - ts.min()))
+            if ts[1] < sync:  # a slot at the sync round selects no rows
+                seen = max(seen, ts[1] + min(64, sync - ts.min()))
             # slot 0's last committed round of this window, and a later round
             # of slot 1 before it
             late, early = ts[0] + c[0], seen + 1

@@ -60,6 +60,7 @@ class TestMembership:
             ("is_comm_round", "round index", 1),
             ("last_comm_leq", "round index", 0),
             ("counting_function", "n", 1),
+            ("elements_up_to", "n", 0),
         ],
     )
     def test_a_query_round_is_an_integer_at_least_its_floor(self, query, name, floor):
@@ -69,6 +70,10 @@ class TestMembership:
         with pytest.raises(ValueError, match=rf"^{name} must be >= {floor}, got {floor - 1}$"):
             ask(floor - 1)
         assert ask(np.int64(16)) == ask(16)
+
+    def test_elements_up_to_rejects_a_bool_round(self):
+        with pytest.raises(TypeError, match="^n must be an integer, got True$"):
+            S.explicit([4, 16]).elements_up_to(True)
 
     @given(s=small_schedules(), horizon=st.integers(min_value=1, max_value=300))
     def test_mask_matches_membership(self, s, horizon):
@@ -217,6 +222,15 @@ class TestSpanMask:
             S.full().comm_mask(5, 4)
         with pytest.raises(ValueError):
             S.full().comm_mask(-1, 4)
+
+    def test_a_non_integer_start_is_a_type_error_naming_it(self):
+        with pytest.raises(TypeError, match=r"^start must be an integer, got 1\.5$"):
+            S.full().comm_mask(1.5, 4)
+
+    def test_a_non_integer_stop_is_a_type_error_naming_it(self):
+        with pytest.raises(TypeError, match=r"^stop must be an integer, got 4\.5$"):
+            S.full().comm_mask(0, 4.5)
+        assert S.full().comm_mask(np.int64(2), np.int64(4)).tolist() == [True, True]
 
 
 class TestLastCommRound:
