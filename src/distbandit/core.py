@@ -128,9 +128,10 @@ class ExplorationFunction:
 
 
 def exploration_value(f: ExplorationFunction, t: int) -> float:
-    """Evaluate the exploration function at integer argument t >= 1."""
-    if t < 1:
-        raise ValueError(f"exploration argument must be >= 1, got {t!r}")
+    """Evaluate the exploration function at integer argument t >= 1; a bool
+    or a non-integer t is a TypeError."""
+    if type(t) is not int or t < 1:  # the engine's plain ints skip the general rule
+        t = _at_least("exploration argument", t, 1)
     if f.variant == LN2T:
         return math.log(2.0 * t)
     if t == 1:

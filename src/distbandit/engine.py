@@ -44,8 +44,11 @@ commit point; a slot that reaches the sync round waits there, out of every
 window, until every slot has (optimistic execution on local virtual time, as
 in Jefferson, "Virtual Time", ACM TOPLAS 7(3), 1985). A claim breach is
 reported only then, as the earliest of those found, since a slot behind may
-break a claim at an earlier round. W is _WINDOW_ROUNDS, or the rounds the
-slowest slot has left to the sync round when fewer. A slot's window ends at
+break a claim at an earlier round. W is _WINDOW_ROUNDS under UCB. Under the
+KL-UCB rules, whose index is a Newton solve per lane, W is the largest power
+of two whose W rows of the live slots' index lanes fit _WINDOW_LANES, clamped
+to [_WINDOW_MIN_ROUNDS, _WINDOW_ROUNDS] (_window_rounds). Either is cut to
+the rounds the slowest slot has left to the sync round. A slot's window ends at
 the first round whose communication differs from that of the slot's last
 round, so the slot merges on every round before its window's last or on none
 of them; the window's last round is committed alone, by the rule that commits
@@ -80,7 +83,7 @@ from functools import partial
 import numpy as np
 
 from .core import LN2T, BernoulliArmModel, _as_int, _at_least, dklucb_scale
-from .policies import DKLUCB, PolicySpec, exploration_budget, select_batch
+from .policies import DKLUCB, UCB, PolicySpec, exploration_budget, select_batch
 from .schedule import CommunicationSchedule
 
 # uniform prefetch budget per block (32 MiB); a block also ends at the horizon
@@ -94,6 +97,13 @@ _TILE_BYTES = 1 << 18
 # windows of up to 2, 4, 8 or 64 rounds than round by round)
 _WINDOW_ROUNDS = 64
 _WINDOW_BYTES = 1 << 17
+# a KL-UCB window's index lanes, W rows of K * (M or 1) * live slots: its rows
+# past a slot's commit point cost ~0.1 us a lane in Newton steps, which a wide
+# row repays sooner than the fixed cost of one more window. DKLUCB on
+# doubleexp:2,1, M=2, took 9% and 18% less CPU at R=32 and R=60 with this
+# budget than with W=64, and the same at R=1, where a fixed W=32 took 26% more
+_WINDOW_LANES = 1 << 12
+_WINDOW_MIN_ROUNDS = 8
 
 # numpy's SeedSequence hash: a pool of four uint32 words, mixed with these
 # constants and multipliers (uint32 arithmetic, which the arrays wrap silently)
@@ -565,24 +575,24 @@ def _select_window(
     ts, strategy, uniform_at = ts[live], strategy[live], uniform_at[:, live]
     arms, snapshot = state.arms[:, live], state.snapshot[:, live]
     slots = np.arange(len(ts))
-    w = min(len(prefix), sync - int(ts.min()))
-    i = rows[:w]
     # the block's uniforms and f from round state.t + 1 on, where every slot
     # stood at the last sync, and its flags from round state.t on
     u, f, comm = (x[state._pos :] for x in (state._block, state._f, state._comm))
-    # each slot's rows of them
-    start = (ts - state.t)[None] + i
-    # comm[j, s]: does slot s's strategy communicate at round ts[s] + j
-    at = start[:1] + rows[: w + 1]
+    # comm[j, s]: does slot s's strategy communicate at round ts[s] + j (the
+    # rows past the block, clipped, are past the sync round too)
+    at = (ts - state.t)[None] + rows
     comm = comm.reshape(-1).take(at * comm.shape[1] + strategy, mode="clip")
     merged = comm[0]  # the slots whose views are the totals
-    changed = comm[1:] != merged
-    valid = np.where(changed.any(axis=0), changed.argmax(axis=0) + 1, w)
-    np.minimum(valid, sync - ts, out=valid)
     if state._stale and not merged.all():
         # views left stale by a merge are private from now on
         state._sync_views()
     lanes = 1 if state._stale else m
+    w = min(_window_rounds(cfg, len(prefix), k * lanes * len(ts)), sync - int(ts.min()))
+    i = rows[:w]
+    start = at[:w]  # each slot's rows of the block
+    changed = comm[1 : w + 1] != merged
+    valid = np.where(changed.any(axis=0), changed.argmax(axis=0) + 1, w)
+    np.minimum(valid, sync - ts, out=valid)
     u = u.reshape(-1).take(start[:, None] * u[0].size + uniform_at, mode="clip")
     column = strategy if f.shape[1] > 1 else 0
     f = f.reshape(-1).take(start * f.shape[1] + column, mode="clip")
@@ -758,6 +768,18 @@ def _window_cap(state: WorldState) -> int:
     many [K, M, S*R] float64 rows fit in _WINDOW_BYTES, else 1."""
     _, k, m, n = state.views.shape
     return _WINDOW_ROUNDS if _WINDOW_ROUNDS * 8 * k * m * n <= _WINDOW_BYTES else 1
+
+
+def _window_rounds(cfg: RunConfig, cap: int, row_lanes: int) -> int:
+    """The most rounds a window of row_lanes index lanes a row selects: cap
+    for UCB, and for the KL-UCB rules the largest power of two W with
+    W * row_lanes <= _WINDOW_LANES, clamped to [_WINDOW_MIN_ROUNDS, cap]."""
+    if cfg.policy.rule == UCB:
+        return cap
+    w = _WINDOW_MIN_ROUNDS
+    while w < cap and 2 * w * row_lanes <= _WINDOW_LANES:
+        w *= 2
+    return min(w, cap)
 
 
 def _simulate(cfgs, replication_indices, record_actions: bool = False):

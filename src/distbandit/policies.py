@@ -11,9 +11,11 @@ traces are checked against is the scalar simulator in tests/oracle_sim.py.
 Inverting the Bernoulli KL divergence is the only nontrivial numerics. The
 KL-UCB upper index runs a fixed number of Newton steps in y = -ln(1-q), where
 the divergence is increasing and convex, from the Pinsker bound above the
-root. Lanes with budgets below 1e-11, where that form's divergence evaluation
-is cancellation-limited, and the few whose last step has not settled are
-redone by a bisection that evaluates the divergence in a form that does not
+root; the loop iterates -y in preallocated buffers, which gives the bits the
+loop in y would, as rounding to nearest is symmetric under negation. Lanes
+with budgets below 1e-11, where that form's divergence evaluation is
+cancellation-limited, and the few whose last step has not settled are redone
+by a bisection that evaluates the divergence in a form that does not
 cancel. The lower index is that bisection. Both land far inside the 1e-9
 tolerance the indices are specified at.
 """
@@ -107,7 +109,9 @@ def klucb_index_batch(mu_hat, budget) -> np.ndarray:
     y = -ln(1-q) by Newton's method. g is increasing and convex in y for q > p,
     so iterates started above the root come down to it without overshooting;
     a start below the root (the Pinsker start is capped just under q = 1)
-    overshoots once and then comes down.
+    overshoots once and then comes down. The steps run on -y, in place, and
+    make no temporary; p and budget may be scalars or broadcast against each
+    other, and are never written to.
     """
     p = np.asarray(mu_hat, dtype=np.float64)
     b = np.asarray(budget, dtype=np.float64)
@@ -117,18 +121,28 @@ def klucb_index_batch(mu_hat, budget) -> np.ndarray:
     ent = p * np.log(np.maximum(p, _TINY))
     ent = ent + one_minus_p * np.log(np.maximum(one_minus_p, _TINY))
     target = b - ent
+    # the iterate ny = -y and its step -(g / g'(y)), in place: rounding to
+    # nearest is symmetric under negation, so every iterate is the negation
+    # of the one the loop in y gives, bit for bit, and expm1(ny) = -q needs
+    # no negation of its argument
+    ny, q, g, step = (np.empty(np.broadcast_shapes(p.shape, b.shape)) for _ in range(4))
     # lanes with b < _NEWTON_MIN_BUDGET or p == 1 are overwritten below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Pinsker: K(p, q) >= 2 (q - p)^2, so q0 is at or above the root
-        y = -np.log1p(-np.minimum(p + np.sqrt(0.5 * b), 1.0 - 1e-16))
+        np.minimum(p + np.sqrt(0.5 * b), 1.0 - 1e-16, out=ny)
+        np.log1p(np.negative(ny, out=ny), out=ny)
         for _ in range(_NEWTON_ITERATIONS):
-            q = -np.expm1(-y)
-            g = one_minus_p * y - p * np.log(q) - target
-            step = g * q / (q - p)  # g / g'(y), with g'(y) = (q - p) / q
-            y = y - step
-        q = -np.expm1(-y)
+            np.negative(np.expm1(ny, out=q), out=q)
+            # -g = (1-p) ny + p ln(q) + target
+            np.multiply(one_minus_p, ny, out=g)
+            np.multiply(p, np.log(q, out=step), out=step)
+            np.add(np.add(g, step, out=g), target, out=g)
+            # -g / g'(y), with g'(y) = (q - p) / q
+            np.divide(np.multiply(g, q, out=g), np.subtract(q, p, out=step), out=step)
+            np.subtract(ny, step, out=ny)
+        q = -np.expm1(ny)
         # written so that nan fails the test
-        settled = (np.abs(step) < 1e-12 * np.maximum(y, 1.0)) & (q >= p)
+        settled = (np.abs(step) < 1e-12 * np.maximum(-ny, 1.0)) & (q >= p)
     certain = p >= 1.0
     q = np.where(certain, 1.0, q)
     redo = ~(settled | certain) | (b < _NEWTON_MIN_BUDGET)

@@ -167,6 +167,22 @@ class TestExplorationFunction:
         f = ExplorationFunction.standard()
         assert all(exploration_value(f, t) >= 0.0 for t in range(1, 50))
 
+    @pytest.mark.parametrize("f", [ExplorationFunction.standard(), ExplorationFunction.ln2t()])
+    def test_a_non_integer_argument_is_a_type_error(self, f):
+        # 2.5 was evaluated as a round between 2 and 3
+        with pytest.raises(TypeError, match="exploration argument must be an integer, got 2.5"):
+            exploration_value(f, 2.5)
+
+    @pytest.mark.parametrize("f", [ExplorationFunction.standard(), ExplorationFunction.ln2t()])
+    def test_a_bool_argument_is_a_type_error(self, f):
+        # True was evaluated as round 1
+        with pytest.raises(TypeError, match="exploration argument must be an integer, got True"):
+            exploration_value(f, True)
+
+    def test_numpy_integer_arguments_equal_ints(self):
+        for f in (ExplorationFunction.standard(), ExplorationFunction.ln2t()):
+            assert exploration_value(f, np.int64(100)) == exploration_value(f, 100)
+
     def test_domain_and_construction_errors(self):
         with pytest.raises(ValueError):
             exploration_value(ExplorationFunction.standard(), 0)

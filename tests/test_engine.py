@@ -1182,15 +1182,21 @@ class TestWindows:
         from distbandit import engine
 
         reps = [3, 11]
-        longest = {}
-        real = engine._select_window
+        longest, widest = {}, {}
+        real, real_select = engine._select_window, engine.select_batch
 
         def recording(*args):
             committed, breach = real(*args)
             longest[cap] = max(longest.get(cap, 0), int(committed.max()))
             return committed, breach
 
+        def selecting(spec, m, f, known_count, *args):
+            if known_count.ndim == 4:  # a window's [K, W, M or 1, slots]
+                widest[cap] = max(widest.get(cap, 0), known_count.shape[1])
+            return real_select(spec, m, f, known_count, *args)
+
         monkeypatch.setattr(engine, "_select_window", recording)
+        monkeypatch.setattr(engine, "select_batch", selecting)
         for group in WINDOW_GROUPS:
             cap = 1  # step advances one round
             cfgs = [
@@ -1207,8 +1213,10 @@ class TestWindows:
                 assert np.array_equal(counts, want_counts), (group, cap)
                 assert np.array_equal(actions, want_actions), (group, cap)
         # a cap of 1 runs round by round; some slot committed a whole window
-        # at every other cap but the longest
+        # at every other cap but the longest, and no window selected more
+        # rounds than its cap
         assert 1 not in longest and [longest[cap] for cap in (2, 7)] == [2, 7]
+        assert 1 not in widest and all(widest[cap] <= cap for cap in (2, 7, 64))
 
     def windows(self, monkeypatch, cfgs, reps):
         """Every window of the run of cfgs as (the slots' rounds before it, its
@@ -1301,6 +1309,73 @@ class TestWindows:
         assert np.array_equal(actions, want_actions)
         assert widths == [int((ts < sync).sum()) for ts, sync, _ in spans]
         assert min(widths) < len(cfgs) * 4
+
+    def test_a_kl_window_fits_its_lane_budget(self, monkeypatch):
+        # dklucb on doubleexp at 16 replications: a row of all the slots on
+        # private views is K * M * 16 = 64 index lanes, so a window of them
+        # takes 64 rows; at 48 it is 192 lanes, so 16 rows, and windows of
+        # fewer slots or of shared views (one lane a slot) take more
+        from distbandit import engine
+
+        real = engine.select_batch
+        for replications, full in ((16, 64), (48, 16)):
+            cfg = make_cfg(
+                players=2, horizon=400, schedule=CS.double_exponential(2.0, 1.0),
+                policy=PolicySpec(DKLUCB, alpha=0.5), checkpoints=(100, 400),
+                replications=replications,
+            )
+            want_counts, want_actions = stepped([cfg], range(replications))
+            shapes = []  # every window's [K, W, M or 1, slots] batch
+
+            def recording(spec, m, f, known_count, *args):
+                if known_count.ndim == 4:
+                    shapes.append(known_count.shape)
+                return real(spec, m, f, known_count, *args)
+
+            monkeypatch.setattr(engine, "select_batch", recording)
+            spans, counts, actions = self.windows(monkeypatch, [cfg], range(replications))
+            assert np.array_equal(counts, want_counts)
+            assert np.array_equal(actions, want_actions)
+            assert len(shapes) == len(spans)
+            for (k, w, lanes, live), (ts, sync, _) in zip(shapes, spans):
+                row = k * lanes * live
+                if w > 8:  # the least a KL window may take
+                    assert w * row <= 4096
+                # the largest power of two that fits, unless the cap or the
+                # sync round stops it first
+                assert w in (64, sync - ts.min()) or 2 * w * row > 4096
+            # every slot live, each player's view private
+            rounds = [w for _, w, lanes, live in shapes if live == replications and lanes == 2]
+            assert max(rounds) == full
+            assert max(w for _, w, _, _ in shapes) == 64
+
+    @pytest.mark.parametrize("policy", [PolicySpec(UCB), PolicySpec(DKLUCB)], ids=["ucb", "dklucb"])
+    def test_the_window_cap_holds_at_its_width(self, monkeypatch, policy):
+        # 64 rounds of [K, M, S*R] float64 rows fit in 128 KiB up to
+        # K*M*S*R = 256: such a batch advances by windows, a wider one by rounds
+        from distbandit import engine
+
+        calls = []
+        real = engine._select_window
+
+        def recording(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_select_window", recording)
+        for replications, schedules, windowed in ((64, 1, True), (65, 1, False), (32, 2, True),
+                                                  (33, 2, False)):
+            cfgs = [
+                make_cfg(players=2, horizon=20, policy=policy, replications=replications,
+                         schedule=schedule)
+                for schedule in (CS.full(), CS.none())[:schedules]
+            ]
+            state = init_state(cfgs[0], range(replications),
+                               schedules=[c.schedule for c in cfgs])
+            assert _window_cap(state) == (64 if windowed else 1)
+            calls.clear()
+            _simulate(cfgs, range(replications))
+            assert bool(calls) == windowed, (replications, schedules)
 
     CLAIM_CFG = make_cfg(
         means=(0.9, 0.2), players=2, horizon=200, schedule=CS.none(),

@@ -46,6 +46,7 @@ def _inputs():
         "subtract": (np.ones(N), means),
         "log": (np.concatenate([means[:-7], positive[-7:]]) + 1e-300,),
         "expm1": (-np.concatenate([_magnitudes(rng, N - 7, -300, 1.6), edges]),),
+        "negative": (np.concatenate([-_magnitudes(rng, N - 7, -320, 1.6), edges - 1.0]),),
         "log1p": (-np.concatenate([means[:-7], edges * (1.0 - 1e-16)]),),
         "greater": (means, np.where(rng.uniform(0, 1, N) < 0.3, means, np.nextafter(means, 2.0))),
         "less": (rng.uniform(0, 1, N), means),

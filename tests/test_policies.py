@@ -136,6 +136,49 @@ class TestKlucbIndex:
         assert mu <= a <= b <= c <= 1.0
 
 
+def _newton_reference(mu_hat, budget):
+    """klucb_index_batch as the plain loop in y = -ln(1-q), one fresh array
+    per operation: the reference the in-place kernel must equal bit for bit."""
+    p = np.asarray(mu_hat, dtype=np.float64)
+    b = np.asarray(budget, dtype=np.float64)
+    one_minus_p = 1.0 - p
+    ent = p * np.log(np.maximum(p, policies._TINY))
+    ent = ent + one_minus_p * np.log(np.maximum(one_minus_p, policies._TINY))
+    target = b - ent
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = -np.log1p(-np.minimum(p + np.sqrt(0.5 * b), 1.0 - 1e-16))
+        for _ in range(policies._NEWTON_ITERATIONS):
+            q = -np.expm1(-y)
+            g = one_minus_p * y - p * np.log(q) - target
+            step = g * q / (q - p)
+            y = y - step
+        q = -np.expm1(-y)
+        settled = (np.abs(step) < 1e-12 * np.maximum(y, 1.0)) & (q >= p)
+    certain = p >= 1.0
+    q = np.where(certain, 1.0, q)
+    redo = ~(settled | certain) | (b < policies._NEWTON_MIN_BUDGET)
+    if redo.any():
+        p_all, b_all = np.broadcast_arrays(p, b)
+        q[redo] = _klucb_bisect(p_all[redo], b_all[redo])
+    return q
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert not len(bad), (
+        f"{len(bad)} lanes differ, the first {got.ravel()[bad[0]]!r} != {want.ravel()[bad[0]]!r}"
+    )
+
+
+# edge means and budgets: the float extremes, and the Newton form's cut-off
+KERNEL_MEANS = (0.0, 5e-324, 1e-300, 0.5, 1.0 - 1e-16, 1.0)
+KERNEL_BUDGETS = (
+    0.0, 5e-324, np.nextafter(1e-11, 0.0), 1e-11, np.nextafter(1e-11, 1.0), 1e-5, 1.0, 700.0,
+)
+
+
 class TestKlucbNewtonKernel:
     """klucb_index_batch (Newton in y = -ln(1-q)) against the bisection it
     falls back to."""
@@ -173,6 +216,48 @@ class TestKlucbNewtonKernel:
         assert len(redone) == 1 and 0 < redone[0] < 64
         assert np.all(np.abs(got - _klucb_bisect(mu, budget)) <= 1e-10)
         assert np.all(got >= mu)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(KERNEL_MEANS), st.floats(0.0, 1.0)),
+                st.one_of(
+                    st.sampled_from(KERNEL_BUDGETS),
+                    st.floats(-330.0, 3.0).map(lambda e: 10.0**e),
+                    st.floats(0.0, 800.0),
+                ),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_drawn_lanes_equal_the_reference_loop_bit_for_bit(self, lanes):
+        mu, budget = (np.array(column) for column in zip(*lanes))
+        _same_bits(klucb_index_batch(mu, budget), _newton_reference(mu, budget))
+
+    def test_edge_lanes_equal_the_reference_loop_bit_for_bit(self):
+        mu, budget = (x.ravel() for x in np.meshgrid(KERNEL_MEANS, KERNEL_BUDGETS))
+        _same_bits(klucb_index_batch(mu, budget), _newton_reference(mu, budget))
+        for p, b in zip(mu.tolist(), budget.tolist()):
+            # 0-d scalars, as a single player's view gives them
+            got = klucb_index_batch(p, b)
+            assert got.shape == ()
+            _same_bits(got, _newton_reference(p, b))
+
+    def test_broadcast_and_read_only_inputs_equal_the_reference_loop(self):
+        # [K, 1] x [1, N], as the means against a row of budgets, and the same
+        # as read-only broadcast views, which the kernel must not write to
+        mu = np.array(KERNEL_MEANS)[:, None]
+        budget = np.array(KERNEL_BUDGETS)[None]
+        want = _newton_reference(mu, budget)
+        assert want.shape == (len(KERNEL_MEANS), len(KERNEL_BUDGETS))
+        _same_bits(klucb_index_batch(mu, budget), want)
+        shape = want.shape
+        frozen = np.broadcast_to(mu, shape), np.broadcast_to(budget, shape)
+        assert not any(x.flags.writeable for x in frozen)
+        _same_bits(klucb_index_batch(*frozen), want)
+        assert np.array_equal(frozen[0][:, 0], KERNEL_MEANS)
 
     def test_tiny_budgets_are_accurate_and_monotone(self):
         # below 1e-13 the root is p + sqrt(2 p (1-p) b) to well under 1e-12;
