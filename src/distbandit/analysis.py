@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BernoulliArmModel, _as_int, _as_unit, _at_least, d_inf_bernoulli, kl_bernoulli
+from .core import (
+    BernoulliArmModel, _as_int, _as_real, _as_unit, _at_least, d_inf_bernoulli, kl_bernoulli,
+)
 from .engine import RunAggregate
 
 # Upper-bound flavors, keyed by the communication regime they describe:
@@ -30,11 +32,14 @@ BOUND_SPARSE = "sparse"
 _BOUND_KINDS = (BOUND_ONESHOT, BOUND_DENSE, BOUND_SPARSE)
 
 
-def _check_pair(mu_a: float, mu_star: float) -> None:
+def _check_pair(mu_a: float, mu_star: float) -> tuple[float, float]:
+    """mu_a and mu_star as floats (see core._as_real), with 0 < mu_a < mu_star < 1."""
+    mu_a, mu_star = _as_real("mu_a", mu_a), _as_real("mu_star", mu_star)
     if not 0.0 < mu_a < mu_star < 1.0:
         raise ValueError(
             f"need 0 < mu_a < mu_star < 1, got mu_a={mu_a!r}, mu_star={mu_star!r}"
         )
+    return mu_a, mu_star
 
 
 def _check_kind(kind: str) -> None:
@@ -60,7 +65,7 @@ def lower_bound_coefficient(m: int, alpha: float, mu_a: float, mu_star: float) -
     """Leading coefficient of the pull-count lower bound for a suboptimal arm:
     M / (1 + (M-1) alpha) * 1 / d_inf(mu_a, mu_star)."""
     m, alpha = _check_m_alpha(m, alpha)
-    _check_pair(mu_a, mu_star)
+    mu_a, mu_star = _check_pair(mu_a, mu_star)
     return _scale(m, alpha) / d_inf_bernoulli(mu_a, mu_star)
 
 
@@ -74,7 +79,7 @@ def upper_bound_coefficient(
     """
     _check_kind(kind)
     m, alpha = _check_m_alpha(m, alpha)
-    _check_pair(mu_a, mu_star)
+    mu_a, mu_star = _check_pair(mu_a, mu_star)
     divergence = kl_bernoulli(mu_a, mu_star)
     if kind == BOUND_SPARSE:
         return _scale(m, alpha) / divergence

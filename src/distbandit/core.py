@@ -29,6 +29,13 @@ def _at_least(name: str, value, floor: int) -> int:
     return value
 
 
+def _of_type(name: str, value, kind: type):
+    """value, when it is a kind; any other type is a TypeError."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def _as_real(name: str, value) -> float:
     """value as a float, numpy reals included; a bool or a non-real is a TypeError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -76,6 +83,7 @@ def d_inf_bernoulli(mu_a: float, mu_star: float) -> float:
     For Bernoulli rewards the infimum over confusing alternatives collapses to
     the plain divergence kl_bernoulli(mu_a, mu_star).
     """
+    mu_a, mu_star = _as_real("mu_a", mu_a), _as_real("mu_star", mu_star)
     if not 0.0 < mu_a < 1.0 or not 0.0 < mu_star < 1.0:
         raise ValueError("d_inf_bernoulli requires means strictly inside (0, 1)")
     if mu_a >= mu_star:

@@ -22,8 +22,7 @@ only a merge writes them), global totals [2, K, S*R] (int64) and the round's
 arms [M, S*R]. Every per-arm step is then a ufunc over contiguous rows, and
 selection is a compare over K such rows: select_batch takes its batch arm
 axis first, so the engine passes it these arrays as they are stored, with no
-transposed views. WorldState presents the arrays in (slot, player, arm) order
-as views for callers. While a whole-batch merge has left the views stale, a
+transposed views. While a whole-batch merge has left the views stale, a
 round selects once per slot: the players of a slot then hold the same view,
 snapshot and exploration value, so player 0's indices are theirs, float for
 float, and its arms are given to all M players.
@@ -82,7 +81,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import LN2T, BernoulliArmModel, _as_int, _at_least, dklucb_scale
+from .core import LN2T, BernoulliArmModel, _as_int, _at_least, _of_type, dklucb_scale
 from .policies import DKLUCB, UCB, PolicySpec, exploration_budget, select_batch
 from .schedule import CommunicationSchedule
 
@@ -150,8 +149,9 @@ def _checkpoints(cps, horizon: int) -> tuple[int, ...]:
     return cps
 
 
-# RunConfig's integer fields, each with its least value
+# RunConfig's integer fields, each with its least value, and its value-type fields
 _FLOORS = {"players": 1, "horizon": 1, "seed": 0, "replications": 1}
+_TYPES = {"arm_model": BernoulliArmModel, "schedule": CommunicationSchedule, "policy": PolicySpec}
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,8 @@ class RunConfig:
     replications: int = 1
 
     def __post_init__(self) -> None:
+        for name, kind in _TYPES.items():
+            _of_type(name, getattr(self, name), kind)
         for name, floor in _FLOORS.items():
             object.__setattr__(self, name, _at_least(name, getattr(self, name), floor))
         if self.horizon * self.players >= 2**53:
@@ -186,17 +188,16 @@ class WorldState:
     Slot s*R + r runs replication r of strategy s; a single-strategy batch
     (S = 1) has one slot per replication. The arrays are stored arm-major,
     with the slot axis last and contiguous, so every per-arm operation runs
-    over one long contiguous row. known_count, known_sum, snapshot_count,
-    total_count, total_sum and last_actions present them in (slot, player,
-    arm) order as transposed or broadcast views.
+    over one long contiguous row.
 
     The view counts and sums are float64, exact because RunConfig keeps
     horizon * players below 2**53; the global totals are int64. A merge of
     the whole batch writes player 0's view only and marks the others stale;
-    they are copied from it when they are next read or updated. While the
-    views are stale, a round selects once per slot, on player 0's view. The
-    communication flags are filled with each uniform block from schedules,
-    and every round, a window's last included, is committed by _commit_round.
+    _sync_views copies it to them before they are next read or updated.
+    While the views are stale, a round selects once per slot, on player 0's
+    view. The communication flags are filled with each uniform block from
+    schedules, and every round, a window's last included, is committed by
+    _commit_round.
 
     t is the last round every slot has committed: the loop returns from
     _advance only at a sync round, where all slots stand at the same round.
@@ -242,35 +243,6 @@ class WorldState:
         if self._stale:
             np.copyto(self.views[:, :, 1:], self.views[:, :, :1])
             self._stale = False
-
-    @property
-    def known_count(self) -> np.ndarray:
-        self._sync_views()
-        return self.views[0].T
-
-    @property
-    def known_sum(self) -> np.ndarray:
-        self._sync_views()
-        return self.views[1].T
-
-    @property
-    def snapshot_count(self) -> np.ndarray:
-        _, k, m, n = self.views.shape
-        return np.broadcast_to(self.snapshot.T[:, None, :], (n, m, k))
-
-    @property
-    def total_count(self) -> np.ndarray:
-        return self.totals[0].T
-
-    @property
-    def total_sum(self) -> np.ndarray:
-        return self.totals[1].T
-
-    @property
-    def last_actions(self) -> np.ndarray | None:
-        """The [S*R, M] arms of the last round (None before round 1); a view
-        that the next step overwrites."""
-        return self.arms.T if self.t else None
 
 
 class ContractStreams(Sequence):
@@ -365,7 +337,9 @@ def _stream_keys(seed: int, replication_indices, players: int) -> np.ndarray:
 def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldState:
     """The batch before round 1: one strategy per schedule, stacked
     strategy-major over the replications (by default cfg.schedule alone)."""
-    schedules = (cfg.schedule,) if schedules is None else tuple(schedules)
+    schedules = (cfg.schedule,) if schedules is None else tuple(
+        _of_type("schedules", s, CommunicationSchedule) for s in schedules
+    )
     reps = [_as_int("replication_indices", r) for r in replication_indices]
     if not reps or min(reps) < 0:
         raise ValueError(f"expected one or more nonnegative replication indices, got {reps}")
@@ -587,7 +561,7 @@ def _select_window(
         # views left stale by a merge are private from now on
         state._sync_views()
     lanes = 1 if state._stale else m
-    w = min(_window_rounds(cfg, len(prefix), k * lanes * len(ts)), sync - int(ts.min()))
+    w = min(_window_rounds(cfg, k * lanes * len(ts)), sync - int(ts.min()))
     i = rows[:w]
     start = at[:w]  # each slot's rows of the block
     changed = comm[1 : w + 1] != merged
@@ -722,12 +696,12 @@ def _advance(state: WorldState, cfg: RunConfig, w: int) -> int:
         # some arm is still unsampled, identically across the batch: the
         # unpulled-arm rule forces arm t-1 for every player
         state.arms.fill(t - 1)
-    elif w == 1 or _window_cap(state) == 1:
+    elif w == 1 or not _windowed(state):
         _select_round(state, cfg, t)
     else:
         # every slot advances to the sync round on its own rounds
         _, _, m, n = state.views.shape
-        r_n, cap = state.keys.shape[0], _window_cap(state)
+        r_n, cap = state.keys.shape[0], _WINDOW_ROUNDS
         slots = np.arange(n)
         rows, prefix = np.arange(cap + 1)[:, None], np.tri(cap, cap, -1)
         strategy, uniform_at = slots // r_n, np.arange(m)[:, None] * r_n + slots % r_n
@@ -763,23 +737,24 @@ def step(state: WorldState, cfg: RunConfig) -> WorldState:
     return state
 
 
-def _window_cap(state: WorldState) -> int:
-    """The most rounds a window of this batch spans: _WINDOW_ROUNDS when that
-    many [K, M, S*R] float64 rows fit in _WINDOW_BYTES, else 1."""
+def _windowed(state: WorldState) -> bool:
+    """Does this batch advance by windows: are they longer than one round, and
+    do _WINDOW_ROUNDS [K, M, S*R] float64 rows fit in _WINDOW_BYTES?"""
     _, k, m, n = state.views.shape
-    return _WINDOW_ROUNDS if _WINDOW_ROUNDS * 8 * k * m * n <= _WINDOW_BYTES else 1
+    return 1 < _WINDOW_ROUNDS and _WINDOW_ROUNDS * 8 * k * m * n <= _WINDOW_BYTES
 
 
-def _window_rounds(cfg: RunConfig, cap: int, row_lanes: int) -> int:
-    """The most rounds a window of row_lanes index lanes a row selects: cap
-    for UCB, and for the KL-UCB rules the largest power of two W with
-    W * row_lanes <= _WINDOW_LANES, clamped to [_WINDOW_MIN_ROUNDS, cap]."""
+def _window_rounds(cfg: RunConfig, row_lanes: int) -> int:
+    """The most rounds a window of row_lanes index lanes a row selects:
+    _WINDOW_ROUNDS for UCB, and for the KL-UCB rules the largest power of two
+    W with W * row_lanes <= _WINDOW_LANES, clamped to [_WINDOW_MIN_ROUNDS,
+    _WINDOW_ROUNDS]."""
     if cfg.policy.rule == UCB:
-        return cap
+        return _WINDOW_ROUNDS
     w = _WINDOW_MIN_ROUNDS
-    while w < cap and 2 * w * row_lanes <= _WINDOW_LANES:
+    while w < _WINDOW_ROUNDS and 2 * w * row_lanes <= _WINDOW_LANES:
         w *= 2
-    return min(w, cap)
+    return min(w, _WINDOW_ROUNDS)
 
 
 def _simulate(cfgs, replication_indices, record_actions: bool = False):
@@ -876,7 +851,7 @@ def run_strategies(cfgs) -> list[RunAggregate]:
     cfgs = list(cfgs)
     batches: dict[RunConfig, list[int]] = {}
     for i, cfg in enumerate(cfgs):
-        batches.setdefault(replace(cfg, schedule=None), []).append(i)
+        batches.setdefault(replace(cfg, schedule=CommunicationSchedule.none()), []).append(i)
     aggregates = [None] * len(cfgs)
     for members in batches.values():
         r_n = cfgs[members[0]].replications

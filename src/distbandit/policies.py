@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LN2T, STANDARD, ExplorationFunction, _as_unit, dklucb_scale, exploration_value
+from .core import (
+    LN2T, STANDARD, ExplorationFunction, _as_unit, _of_type, dklucb_scale, exploration_value,
+)
 
 UCB = "ucb"
 KLUCB = "klucb"
@@ -64,6 +66,7 @@ class PolicySpec:
     def __post_init__(self) -> None:
         if self.rule not in RULES:
             raise ValueError(f"unknown policy rule {self.rule!r}; expected one of {RULES}")
+        _of_type("exploration", self.exploration, ExplorationFunction)
         object.__setattr__(self, "alpha", _as_unit("alpha", self.alpha))
         if self.rule == DKLUCB and self.exploration.variant != STANDARD:
             raise ValueError(

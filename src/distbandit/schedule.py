@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_int, _as_real, _at_least
+from .core import _as_int, _as_real, _as_unit, _at_least
 
 NONE = "none"
 FULL = "full"
@@ -266,13 +266,13 @@ def counting_growth_report(
     ln(ln(n)) / ln(1/alpha); the report tabulates the ratio and raises if it
     falls below 1 - tolerance at the largest n.
     """
+    n_max, points = _at_least("n_max", n_max, 16), _at_least("points", points, 1)
+    tolerance = _as_unit("tolerance", tolerance)
     alpha = s.density()
     if alpha <= 0.0 or alpha >= 1.0:
         raise ValueError(
             f"counting growth check needs density strictly inside (0, 1), got {alpha}"
         )
-    if n_max < 16:
-        raise ValueError("n_max must be >= 16")
     log_alpha_inv = math.log(1.0 / alpha)
     ns = sorted(set(np.geomspace(16, n_max, points).astype(int)) | {n_max})
     rows = []

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from view_reads import read_views
 
 from distbandit.analysis import (
     BOUND_DENSE,
@@ -203,17 +204,17 @@ def test_criterion_6_conservation_and_merge_properties(
     for t in range(1, horizon + 1):
         step(state, cfg)
         # conservation: global per-arm counts always sum to M*t
-        assert np.all(state.total_count.sum(axis=1) == players * t)
+        total_count = state.totals[0].T
+        assert np.all(total_count.sum(axis=1) == players * t)
         if schedule.is_comm_round(t):
             # post-merge equality: every player's view is the global history
-            expected = np.broadcast_to(
-                state.total_count[:, None, :], state.known_count.shape
-            )
-            assert np.array_equal(state.known_count, expected)
+            known_count, known_sum, _ = read_views(state)
+            expected = np.broadcast_to(total_count[:, None, :], known_count.shape)
+            assert np.array_equal(known_count, expected)
             # idempotence: merging again changes nothing
-            before = state.known_sum.copy()
+            before = known_sum.copy()
             merge_views(state)
-            assert np.array_equal(state.known_sum, before)
+            assert np.array_equal(read_views(state)[1], before)
 
 
 def test_criterion_7_density_golden_values():

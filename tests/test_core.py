@@ -251,11 +251,18 @@ ALPHA_ENTRY_POINTS = {
     "bound_report": lambda a: bound_report(MODEL, "sparse", 2, a, [16]),
     "PolicySpec": lambda a: PolicySpec("dklucb", alpha=a),
 }
+# every one that takes a suboptimal mean and the best mean
+MEAN_PAIR_ENTRY_POINTS = {
+    "d_inf_bernoulli": d_inf_bernoulli,
+    "lower_bound_coefficient": lambda a, b: lower_bound_coefficient(2, 0.5, a, b),
+    "upper_bound_coefficient": lambda a, b: upper_bound_coefficient("sparse", 2, 0.5, a, b),
+}
 
 
 class TestArgumentRules:
-    """A player count and alpha each have one rule in core, which every entry
-    point that takes one calls, so each gives the same error for the same value."""
+    """A player count, alpha and a pair of means each have one rule in core,
+    which every entry point that takes one calls, so each gives the same error
+    for the same value."""
 
     @pytest.mark.parametrize("entry", PLAYER_COUNT_ENTRY_POINTS)
     @pytest.mark.parametrize(
@@ -286,6 +293,20 @@ class TestArgumentRules:
     def test_alpha(self, entry, value, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             ALPHA_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", MEAN_PAIR_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "means, message",
+        [
+            (("0.5", 0.9), "mu_a must be a real number, got '0.5'"),
+            ((True, 0.9), "mu_a must be a real number, got True"),
+            ((0.5, True), "mu_star must be a real number, got True"),
+        ],
+        ids=["'0.5'", "True", "True-best"],
+    )
+    def test_mean_pair(self, entry, means, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            MEAN_PAIR_ENTRY_POINTS[entry](*means)
 
     def test_numpy_values_are_accepted(self):
         got = over_exploration_schedule(np.int64(100), np.int32(2))

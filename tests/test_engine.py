@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_sim import reference_run
+from view_reads import read_views
 
 from distbandit import experiment_runs, figure1_preset
 from distbandit.core import BernoulliArmModel, ExplorationFunction
@@ -28,7 +29,7 @@ from distbandit.engine import (
     _check_claims,
     _simulate,
     _stream_keys,
-    _window_cap,
+    _windowed,
     init_state,
     merge_views,
     run_monte_carlo,
@@ -287,9 +288,9 @@ class TestRngContract:
         batch_actions = []
         for t in range(1, cfg.horizon + 1):
             step(state, cfg)
-            batch_actions.append(state.last_actions.copy())
+            batch_actions.append(state.arms.T.copy())
             if t in batch:
-                batch[t] = state.total_count.copy()
+                batch[t] = state.totals[0].T.copy()
         batch_actions = np.stack(batch_actions)  # [T, R, M]
         for rep in range(5):
             counts, actions = run_once(cfg, rep, record_actions=True)
@@ -501,28 +502,30 @@ class TestStateInvariants:
         )
         state = init_state(cfg, range(2))
         last_merge = 0
-        prev_known = state.known_count.copy()
+        prev_known = read_views(state)[0].copy()
         for t in range(1, horizon + 1):
             step(state, cfg)
             if schedule.is_comm_round(t):
                 last_merge = t
-            assert np.all(state.total_count.sum(axis=1) == players * t)
+            known_count, known_sum, snapshot_count = read_views(state)
+            total_count, total_sum = state.totals[0].T, state.totals[1].T
+            assert np.all(total_count.sum(axis=1) == players * t)
             expected_known = t + (players - 1) * last_merge
-            assert np.all(state.known_count.sum(axis=2) == expected_known)
-            assert np.all(state.known_count <= state.total_count[:, None, :])
-            assert np.all(state.snapshot_count <= state.known_count)
-            assert np.all(state.known_sum <= state.known_count)
-            assert np.all(state.total_sum <= state.total_count)
-            assert np.all(state.known_count >= prev_known)
+            assert np.all(known_count.sum(axis=2) == expected_known)
+            assert np.all(known_count <= total_count[:, None, :])
+            assert np.all(snapshot_count <= known_count)
+            assert np.all(known_sum <= known_count)
+            assert np.all(total_sum <= total_count)
+            assert np.all(known_count >= prev_known)
             if schedule.is_comm_round(t):
                 assert np.array_equal(
-                    state.known_count, np.broadcast_to(state.total_count[:, None, :], state.known_count.shape)
+                    known_count, np.broadcast_to(total_count[:, None, :], known_count.shape)
                 )
-                assert np.array_equal(state.snapshot_count, state.known_count)
+                assert np.array_equal(snapshot_count, known_count)
                 assert np.array_equal(
-                    state.known_sum, np.broadcast_to(state.total_sum[:, None, :], state.known_sum.shape)
+                    known_sum, np.broadcast_to(total_sum[:, None, :], known_sum.shape)
                 )
-            prev_known = state.known_count.copy()
+            prev_known = known_count.copy()
 
     @pytest.mark.parametrize(
         "schedule", [CS.none(), CS.full(), CS.linear(5)], ids=["none", "full", "linear5"]
@@ -545,27 +548,30 @@ class TestStateInvariants:
         collided = False
         for t in range(1, cfg.horizon + 1):
             step(state, cfg)
-            all_actions.append(state.last_actions.copy())
+            last_actions = state.arms.T
+            total_count, total_sum = state.totals[0].T, state.totals[1].T
+            all_actions.append(last_actions.copy())
             acts = np.stack(all_actions)  # [t, R, M]
             for r in range(r_n):
                 want = np.bincount(acts[:, r].ravel(), minlength=k)
-                assert np.array_equal(state.total_count[r], want)
-                collided |= t > k and len(set(state.last_actions[r])) < m
+                assert np.array_equal(total_count[r], want)
+                collided |= t > k and len(set(last_actions[r])) < m
                 for p in range(m):
-                    a = state.last_actions[r, p]
+                    a = last_actions[r, p]
                     pulls[r, p, a] += 1
                     wins[r, p, a] += streams[r][p].random() < cfg.arm_model.means[a]
-            assert np.array_equal(state.total_sum, merged_sum + wins.sum(axis=1))
+            assert np.array_equal(total_sum, merged_sum + wins.sum(axis=1))
+            known_count, known_sum, snapshot_count = read_views(state)
             if schedule.is_comm_round(t):
-                merged_sum = state.total_sum.copy()
+                merged_sum = total_sum.copy()
                 pulls[:] = 0
                 wins[:] = 0
-                assert np.array_equal(state.known_count, np.repeat(state.total_count[:, None], m, 1))
-                assert np.array_equal(state.known_sum, np.repeat(state.total_sum[:, None], m, 1))
+                assert np.array_equal(known_count, np.repeat(total_count[:, None], m, 1))
+                assert np.array_equal(known_sum, np.repeat(total_sum[:, None], m, 1))
             else:
-                assert np.array_equal(state.known_count, state.snapshot_count + pulls)
-                assert np.array_equal(state.known_sum, merged_sum[:, None] + wins)
-            assert np.array_equal(state.snapshot_count, state.known_count - pulls)
+                assert np.array_equal(known_count, snapshot_count + pulls)
+                assert np.array_equal(known_sum, merged_sum[:, None] + wins)
+            assert np.array_equal(snapshot_count, known_count - pulls)
         assert collided
 
     def test_merge_is_idempotent(self):
@@ -574,31 +580,33 @@ class TestStateInvariants:
         for _ in range(20):
             step(state, cfg)
         merge_views(state)
-        once = (state.known_count.copy(), state.known_sum.copy(), state.snapshot_count.copy())
+        once = [view.copy() for view in read_views(state)]
         merge_views(state)
-        assert np.array_equal(state.known_count, once[0])
-        assert np.array_equal(state.known_sum, once[1])
-        assert np.array_equal(state.snapshot_count, once[2])
+        for view, before in zip(read_views(state), once):
+            assert np.array_equal(view, before)
 
     def test_merge_equalizes_views(self):
         cfg = make_cfg(schedule=CS.none(), players=3, horizon=15, checkpoints=(15,))
         state = init_state(cfg, [0])
         for _ in range(15):
             step(state, cfg)
-        assert np.any(state.known_count[0, 0] != state.known_count[0, 1])
+        known_count = read_views(state)[0]
+        assert np.any(known_count[0, 0] != known_count[0, 1])
         merge_views(state)
+        known_count, known_sum, _ = read_views(state)
         for p in range(3):
-            assert np.array_equal(state.known_count[0, p], state.total_count[0])
-            assert np.array_equal(state.known_sum[0, p], state.total_sum[0])
+            assert np.array_equal(known_count[0, p], state.totals[0, :, 0])
+            assert np.array_equal(known_sum[0, p], state.totals[1, :, 0])
 
     def test_no_communication_keeps_views_private(self):
         cfg = make_cfg(schedule=CS.none(), players=2, horizon=25, checkpoints=(25,))
         state = init_state(cfg, [0])
         for _ in range(25):
             step(state, cfg)
-        assert np.all(state.snapshot_count == 0)
-        assert np.all(state.known_count.sum(axis=2) == 25)
-        assert state.total_count.sum() == 50
+        known_count, _, snapshot_count = read_views(state)
+        assert np.all(snapshot_count == 0)
+        assert np.all(known_count.sum(axis=2) == 25)
+        assert state.totals[0].sum() == 50
 
     @pytest.mark.parametrize(
         "copier",
@@ -626,11 +634,10 @@ class TestStateInvariants:
             trace = []
             while run.t < cfg.horizon:
                 step(run, cfg)
-                trace.append(run.last_actions.copy())
+                trace.append(run.arms.T.copy())
             traces.append(np.stack(trace))
         assert np.array_equal(traces[0], traces[1])
-        assert np.array_equal(twin.total_count, state.total_count)
-        assert np.array_equal(twin.total_sum, state.total_sum)
+        assert np.array_equal(twin.totals, state.totals)
 
     @pytest.mark.parametrize("schedule", [CS.none(), CS.full()], ids=["none", "full"])
     @pytest.mark.parametrize("replications", [50, 4], ids=["round", "window"])
@@ -643,7 +650,7 @@ class TestStateInvariants:
         )
         state = init_state(cfg, range(replications))
         arms = state.arms
-        windowed = _window_cap(state) > 1
+        windowed = _windowed(state)
         assert windowed == (replications == 4)
         for _ in range(20):
             step(state, cfg)
@@ -659,8 +666,8 @@ class TestStateInvariants:
         for i, (name, a) in enumerate(held.items()):
             for other, b in list(held.items())[i + 1 :]:
                 assert not np.shares_memory(a, b), (name, other)
-        # rounds write their arms into the state's array, so last_actions
-        # stays a view of it
+        # rounds write their arms into the state's array, so a view of it
+        # reads every round's arms
         assert state.arms is arms
 
     def test_a_merge_between_steps_reaches_the_next_selection(self):
@@ -675,10 +682,10 @@ class TestStateInvariants:
             if t % 20 == 0:
                 merge_views(merged)
                 merge_views(read)
-                read.known_count  # reading a view copies the merged one to every player
+                read_views(read)  # copies the merged view to every player
             step(merged, cfg)
             step(read, cfg)
-            assert np.array_equal(merged.last_actions, read.last_actions)
+            assert np.array_equal(merged.arms, read.arms)
 
     def test_step_past_horizon_raises(self):
         cfg = make_cfg(horizon=3, checkpoints=(3,))
@@ -734,7 +741,7 @@ class TestSharedRounds:
         trace = []
         while state.t < cfg.horizon:
             step(state, cfg)
-            trace.append(state.last_actions.copy())
+            trace.append(state.arms.T.copy())
             between(state)
         return widths, state, np.stack(trace)
 
@@ -765,7 +772,7 @@ class TestSharedRounds:
         def merge_and_read_at_20(state):
             if state.t == 20:
                 merge_views(state)
-                state.known_count  # copies the merged view to every player
+                read_views(state)  # copies the merged view to every player
 
         widths, merged, merged_trace = self.run(monkeypatch, cfg, merge_at_20)
         assert widths[21] == 1
@@ -773,8 +780,7 @@ class TestSharedRounds:
         widths, read, read_trace = self.run(monkeypatch, cfg, merge_and_read_at_20)
         assert widths[21] == cfg.players
         assert np.array_equal(merged_trace, read_trace)
-        assert np.array_equal(merged.total_count, read.total_count)
-        assert np.array_equal(merged.total_sum, read.total_sum)
+        assert np.array_equal(merged.totals, read.totals)
 
     @pytest.mark.parametrize("policy", SHARED_POLICIES, ids=["ucb", "dklucb"])
     @pytest.mark.parametrize(
@@ -786,16 +792,14 @@ class TestSharedRounds:
         cfg = shared_cfg(schedule, policy)
 
         def read(state):
-            state.known_count
-            state.known_sum
+            read_views(state)
 
         _, unread, unread_trace = self.run(monkeypatch, cfg)
         widths, read_state, read_trace = self.run(monkeypatch, cfg, read)
         # every read copies the stale views, so every round selects per player
         assert set(widths.values()) == {cfg.players}
         assert np.array_equal(unread_trace, read_trace)
-        assert np.array_equal(unread.total_count, read_state.total_count)
-        assert np.array_equal(unread.total_sum, read_state.total_sum)
+        assert np.array_equal(unread.totals, read_state.totals)
 
 
 class TestSelectionConsistency:
@@ -827,15 +831,16 @@ class TestSelectionConsistency:
         for t in range(1, cfg.horizon + 1):
             expected = np.full((2, players), t - 1, dtype=np.int64)
             if t > k:
+                known_count, known_sum, snapshot_count = read_views(state)
                 for r, p in np.ndindex(expected.shape):
-                    counts = state.known_count[r, p].copy()
-                    sums = state.known_sum[r, p].copy()
-                    snaps = state.snapshot_count[r, p].copy()
+                    counts = known_count[r, p].copy()
+                    sums = known_sum[r, p].copy()
+                    snaps = snapshot_count[r, p].copy()
                     f = exploration_budget(policy, players, t, int(counts.sum()))
                     arm, _ = select_batch(policy, players, f, counts, sums, snaps)
                     expected[r, p] = arm
             step(state, cfg)
-            assert np.array_equal(state.last_actions, expected)
+            assert np.array_equal(state.arms.T, expected)
 
     def test_dklucb_alpha_one_trace_equals_klucb(self):
         for schedule in (CS.none(), CS.full(), CS.explicit([8, 32])):
@@ -891,16 +896,17 @@ class TestClaims:
         scale = m / (1.0 + (m - 1) * alpha)
         for t in range(1, cfg.horizon + 1):
             step(state, cfg)
+            known_count, _, snapshot_count = read_views(state)
             predictions = np.zeros((m, cfg.arm_model.k))
             for p in range(m):
                 for a in range(cfg.arm_model.k):
-                    c = int(state.known_count[0, p, a])
-                    snap = int(state.snapshot_count[0, p, a])
+                    c = int(known_count[0, p, a])
+                    snap = int(snapshot_count[0, p, a])
                     cap = np.inf if alpha == 0.0 else snap / m * (1.0 / alpha - 1.0)
                     predictions[p, a] = c + (m - 1) * min(c - snap, cap)
                     assert predictions[p, a] <= scale * c + 1e-9
             assert np.all(
-                predictions.sum(axis=0) <= m * state.total_count[0] + 1e-9
+                predictions.sum(axis=0) <= m * state.totals[0, :, 0] + 1e-9
             )
 
     def test_claim_check_leaves_the_shared_views_stale(self, monkeypatch):
@@ -940,7 +946,7 @@ class TestClaims:
         doctored[1, 1, 0] = 1e9
         with pytest.raises(InvariantViolation) as err:
             check_round(state, doctored, cfg)
-        bound = 2 / 1.5 * state.known_count[1, 1, 0]
+        bound = 2 / 1.5 * read_views(state)[0][1, 1, 0]
         assert str(err.value) == (
             "count prediction exceeded its per-player bound at round 7: "
             f"replication 9, player 1, arm 0, N' = 1000000000.0 > {bound}"
@@ -959,28 +965,29 @@ class TestClaims:
         state = init_state(cfg, [4, 9])
         for _ in range(6):
             step(state, cfg)
-        inflated = state.known_count * 10.0
+        known_count, total_count = read_views(state)[0], state.totals[0].T
+        inflated = known_count * 10.0
         with pytest.raises(InvariantViolation, match="per-player bound"):
             check_round(state, inflated, cfg)
         # the report names the first breach: replication, player, arm, round,
         # the prediction N' and the bound it broke
-        doctored = state.known_count.astype(float)
+        doctored = known_count.astype(float)
         doctored[1, 1, 0] *= 10.0
-        n, bound = doctored[1, 1, 0], 2 / 1.5 * state.known_count[1, 1, 0]
+        n, bound = doctored[1, 1, 0], 2 / 1.5 * known_count[1, 1, 0]
         with pytest.raises(InvariantViolation) as err:
             check_round(state, doctored, cfg)
         assert str(err.value) == (
             "count prediction exceeded its per-player bound at round 7: "
             f"replication 9, player 1, arm 0, N' = {n} > {bound}"
         )
-        state.total_count[:] = 0
+        total_count[:] = 0
         with pytest.raises(InvariantViolation, match="global count"):
-            check_round(state, state.known_count.astype(float), cfg)
-        state.total_count[:] = state.known_count.sum(axis=1)
-        state.total_count[1, 1] = 0
-        summed = float(state.known_count[1, :, 1].sum())
+            check_round(state, known_count.astype(float), cfg)
+        total_count[:] = known_count.sum(axis=1)
+        total_count[1, 1] = 0
+        summed = float(known_count[1, :, 1].sum())
         with pytest.raises(InvariantViolation) as err:
-            check_round(state, state.known_count.astype(float), cfg)
+            check_round(state, known_count.astype(float), cfg)
         assert str(err.value) == (
             "summed count predictions exceeded M times the global count at round 7: "
             f"replication 9, arm 1, sum of N' = {summed} > 0"
@@ -1070,7 +1077,7 @@ class TestFusedStrategies:
         step(state, cfg)
         assert len(state.streams) == 2 * cfg.players
         assert state._block.shape == (30, cfg.players, 2)
-        assert state.known_count.shape == (len(FUSED_SCHEDULES) * 2, cfg.players, 2)
+        assert read_views(state)[0].shape == (len(FUSED_SCHEDULES) * 2, cfg.players, 2)
         assert state.replication_indices == (5, 8) * len(FUSED_SCHEDULES)
         assert state.schedules == FUSED_SCHEDULES
         assert state._comm.shape == (31, len(FUSED_SCHEDULES))
@@ -1086,9 +1093,10 @@ class TestFusedStrategies:
         state = init_state(cfg, [4, 9], schedules=[CS.none(), CS.full(), CS.linear(3)])
         for _ in range(6):
             step(state, cfg)
-        doctored = state.known_count.astype(float)
+        known_count = read_views(state)[0]
+        doctored = known_count.astype(float)
         doctored[2 * 2 + 1, 0, 1] *= 10.0  # strategy 2, replication 9
-        n, bound = doctored[5, 0, 1], 2 / 1.5 * state.known_count[5, 0, 1]
+        n, bound = doctored[5, 0, 1], 2 / 1.5 * known_count[5, 0, 1]
         with pytest.raises(InvariantViolation) as err:
             check_round(state, doctored, cfg)
         assert err.value.strategy == 2
@@ -1096,9 +1104,9 @@ class TestFusedStrategies:
             "count prediction exceeded its per-player bound at round 7: "
             f"replication 9, player 0, arm 1, N' = {n} > {bound}"
         )
-        state.total_count[2] = 0  # strategy 1, replication 4
+        state.totals[0].T[2] = 0  # strategy 1, replication 4
         with pytest.raises(InvariantViolation, match="replication 4, arm 0") as err:
-            check_round(state, state.known_count.astype(float), cfg)
+            check_round(state, known_count.astype(float), cfg)
         assert err.value.strategy == 1
 
     def test_run_strategies_reports_the_failing_input_index(self, monkeypatch):
@@ -1165,9 +1173,9 @@ def stepped(cfgs, reps):
     counts, actions = [], []
     while state.t < cfg.horizon:
         step(state, cfg)
-        actions.append(state.last_actions.copy())
+        actions.append(state.arms.T.copy())
         if state.t in cfg.checkpoints:
-            counts.append(state.total_count.copy())
+            counts.append(state.totals[0].T.copy())
     return np.stack(counts), np.stack(actions)
 
 
@@ -1372,7 +1380,7 @@ class TestWindows:
             ]
             state = init_state(cfgs[0], range(replications),
                                schedules=[c.schedule for c in cfgs])
-            assert _window_cap(state) == (64 if windowed else 1)
+            assert _windowed(state) == windowed
             calls.clear()
             _simulate(cfgs, range(replications))
             assert bool(calls) == windowed, (replications, schedules)
@@ -1505,9 +1513,10 @@ class TestAggregation:
             state = init_state(cfg, range(4000))
             step(state, cfg)
             step(state, cfg)
-            assert np.all(state.known_count == expected_count)
+            known_count, known_sum, _ = read_views(state)
+            assert np.all(known_count == expected_count)
             for a, mu in enumerate(cfg.arm_model.means):
-                estimates = state.known_sum[:, 0, a] / denom
+                estimates = known_sum[:, 0, a] / denom
                 tol = 3.0 * np.sqrt(mu * (1 - mu) / (denom * 4000))
                 assert abs(estimates.mean() - mu) <= tol
 
@@ -1602,6 +1611,25 @@ class TestRunConfig:
     def test_a_non_integer_field_is_a_type_error_naming_it(self, field, value):
         with pytest.raises(TypeError, match=rf"^{field} must be an integer, got {value!r}$"):
             make_cfg(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("arm_model", (0.9, 0.8), "BernoulliArmModel"),
+            ("schedule", "full", "CommunicationSchedule"),
+            ("policy", "ucb", "PolicySpec"),
+        ],
+    )
+    def test_a_field_of_the_wrong_type_is_a_type_error_naming_it(self, field, value, kind):
+        # unchecked, each would construct and fail only at run time
+        message = rf"^{field} must be of type {kind}, got {re.escape(repr(value))}$"
+        with pytest.raises(TypeError, match=message):
+            replace(make_cfg(), **{field: value})
+
+    def test_a_schedule_of_the_wrong_type_is_a_type_error(self):
+        message = r"^schedules must be of type CommunicationSchedule, got 'none'$"
+        with pytest.raises(TypeError, match=message):
+            init_state(make_cfg(), [0], schedules=[CS.full(), "none"])
 
     def test_a_float_checkpoint_is_not_truncated(self):
         with pytest.raises(TypeError, match=r"^checkpoints must be an integer, got 2\.5$"):

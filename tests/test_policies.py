@@ -500,6 +500,11 @@ class TestPolicySpec:
         with pytest.raises(TypeError, match=r"^alpha must be a real number, got True$"):
             PolicySpec(DKLUCB, alpha=True)
 
+    def test_an_exploration_of_the_wrong_type_is_a_type_error(self):
+        message = r"^exploration must be of type ExplorationFunction, got 'ln2t'$"
+        with pytest.raises(TypeError, match=message):
+            PolicySpec(UCB, "ln2t")
+
     def test_messages_name_the_choices(self):
         rules = re.escape("'thompson'; expected one of ('ucb', 'klucb', 'dklucb')")
         with pytest.raises(ValueError, match=f"^unknown policy rule {rules}$"):

@@ -1,6 +1,7 @@
 """Tests for communication schedules: queries, counting, density, grammar."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -480,6 +481,23 @@ class TestCountingGrowth:
     def test_small_n_max_rejected(self):
         with pytest.raises(ValueError):
             counting_growth_report(S.double_exponential(2.0, 1.0), 8)
+
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            # a nan tolerance would switch the check off: the final ratio is 0.908
+            ({"tolerance": math.nan}, ValueError, "tolerance must be in [0, 1], got nan"),
+            ({"tolerance": True}, TypeError, "tolerance must be a real number, got True"),
+            ({"n_max": 1000.5}, TypeError, "n_max must be an integer, got 1000.5"),
+            ({"points": -1}, ValueError, "points must be >= 1, got -1"),
+            ({"points": 2.0}, TypeError, "points must be an integer, got 2.0"),
+        ],
+        ids=["nan-tolerance", "bool-tolerance", "float-n_max", "negative-points", "float-points"],
+    )
+    def test_arguments_follow_the_shared_rules(self, kwargs, error, message):
+        args = {"n_max": 100, **kwargs}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            counting_growth_report(S.double_exponential(2.0, 1.0), **args)
 
 
 class TestGrammar:
