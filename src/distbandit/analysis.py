@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BernoulliArmModel, _as_int, _as_real, _as_unit, _at_least, d_inf_bernoulli, kl_bernoulli,
+    BernoulliArmModel, _as_int, _as_real, _as_unit, _at_least, _of_type, d_inf_bernoulli,
+    kl_bernoulli,
 )
 from .engine import RunAggregate
 
@@ -89,9 +90,10 @@ def upper_bound_coefficient(
 def upper_bound_curve(
     kind: str, m: int, alpha: float, mu_a: float, mu_star: float, checkpoints
 ) -> np.ndarray:
-    """coefficient * ln t at each checkpoint (leading term only)."""
-    t = np.asarray(checkpoints, dtype=np.float64)
-    if t.size and t.min() < 1:
+    """coefficient * ln t at each checkpoint (leading term only); a
+    checkpoint is any real t >= 1 (see core._as_real)."""
+    t = np.array([_as_real("checkpoints", t) for t in checkpoints], dtype=np.float64)
+    if not (t >= 1).all():
         raise ValueError("checkpoints must be rounds >= 1")
     coeff = upper_bound_coefficient(kind, m, alpha, mu_a, mu_star)
     return coeff * np.log(t)
@@ -126,6 +128,7 @@ def bound_report(
     checkpoints,
 ) -> BoundReport:
     """Build the per-arm constants and curves for all suboptimal arms."""
+    _of_type("arm_model", arm_model, BernoulliArmModel)
     _check_kind(kind)
     m, alpha = _check_m_alpha(m, alpha)
     checkpoints = tuple(_as_int("checkpoints", t) for t in checkpoints)
@@ -173,8 +176,13 @@ def compare(
     Rows whose ratio exceeds `threshold` are flagged as informational
     (the unquantified lower-order slack means a flag is not a failure).
     Raises ValueError when the aggregate's checkpoints differ from the
-    report's.
+    report's, or when threshold (see core._as_real) is nan, which flags no
+    row.
     """
+    _of_type("aggregate", aggregate, RunAggregate)
+    _of_type("report", report, BoundReport)
+    if math.isnan(threshold := _as_real("threshold", threshold)):
+        raise ValueError("threshold must not be nan")
     if tuple(aggregate.checkpoints) != report.checkpoints:
         raise ValueError(
             f"checkpoint mismatch: aggregate has {tuple(aggregate.checkpoints)}, "

@@ -28,36 +28,34 @@ snapshot and exploration value, so player 0's indices are theirs, float for
 float, and its arms are given to all M players.
 
 step advances the batch by one round. The run loop advances by windows
-(_advance), on the slots' own rounds: a slot (one replication of one
-strategy) is coupled to its own M players alone, so between two sync rounds
-every slot s runs at its own round ts[s]. The sync rounds are the
-checkpoints, the end of the uniform block and the horizon. A window
-speculates that every player repeats its arm of its slot's last round for
-the next W rounds; it builds each of those rounds' views from the stored ones
-and the uniforms, at each slot's own rows of the block, selects rounds
-ts[s]+1..ts[s]+W of every live slot s, one still behind the sync round, with
-one select_batch call over the live slots alone, and commits each slot's
-rounds up to and including its own first whose arms differ, exactly as that
-many steps would. Nothing is rolled back, as nothing is written past a slot's
-commit point; a slot that reaches the sync round waits there, out of every
-window, until every slot has (optimistic execution on local virtual time, as
-in Jefferson, "Virtual Time", ACM TOPLAS 7(3), 1985). A claim breach is
-reported only then, as the earliest of those found, since a slot behind may
-break a claim at an earlier round. W is _WINDOW_ROUNDS under UCB. Under the
-KL-UCB rules, whose index is a Newton solve per lane, W is the largest power
-of two whose W rows of the live slots' index lanes fit _WINDOW_LANES, clamped
-to [_WINDOW_MIN_ROUNDS, _WINDOW_ROUNDS] (_window_rounds). Either is cut to
-the rounds the slowest slot has left to the sync round. A slot's window ends at
-the first round whose communication differs from that of the slot's last
-round, so the slot merges on every round before its window's last or on none
-of them; the window's last round is committed alone, by the rule that commits
-every round (_commit_round), on the live slots. The first K
-rounds, forced, are one round each, and a batch too wide for a window of
-_WINDOW_ROUNDS rows as one [K, W, M, S*R] float64 array of _WINDOW_BYTES
-advances by single rounds. The window's counts and sums are integers below
-2**53, exact in float64, and the index ufuncs give an element the same value
-whatever the array's shape, so a window selects exactly the arms the rounds
-would.
+(_advance), on the slots' own rounds: a slot (one replication of one strategy)
+is coupled to its own M players alone, so between two sync rounds every slot s
+runs at its own round ts[s]. The sync rounds are the checkpoints, the end of
+the uniform block and the horizon. A window speculates that every player
+repeats its arm of its slot's last round for the next W rounds; it builds each
+of those rounds' views from the stored ones and the uniforms, at each slot's
+own rows of the block, selects rounds ts[s]+1..ts[s]+W of every live slot s,
+one still behind the sync round, with one select_batch call over the live
+slots alone, and commits each slot's rounds up to and including its own first
+whose arms differ, exactly as that many steps would. Nothing is rolled back,
+as nothing is written past a slot's commit point; a slot that reaches the sync
+round waits there, out of every window, until every slot has (optimistic
+execution on local virtual time, as in Jefferson, "Virtual Time", ACM TOPLAS
+7(3), 1985). A claim breach is reported only then, as the earliest of those
+found, since a slot behind may break a claim at an earlier round. W is
+_WINDOW_ROUNDS under UCB. Under the KL-UCB rules, whose index is a Newton
+solve per lane, W is _WINDOW_ROUNDS halved until its W rows of the live slots'
+index lanes fit _WINDOW_LANES (_window_rounds). Either is cut to the rounds
+the slowest slot has left to the sync round. A slot's window ends at the first
+round whose communication differs from that of the slot's last round, so the
+slot merges on every round before its window's last or on none of them; the
+window's last round is committed alone, by the rule that commits every round
+(_commit_round), on the live slots. The first K rounds, forced, are one round
+each, and a batch too wide for a window of _WINDOW_ROUNDS rows as one [K, W,
+M, S*R] float64 array of _WINDOW_BYTES advances by single rounds. The window's
+counts and sums are integers below 2**53, exact in float64, and the index
+ufuncs give an element the same value whatever the array's shape, so a window
+selects exactly the arms the rounds would.
 
 The uniforms are held round-major, in an [L, M, R] block of the next L
 rounds, so a round reads its uniforms from one contiguous row. A stream's L
@@ -102,7 +100,6 @@ _WINDOW_BYTES = 1 << 17
 # doubleexp:2,1, M=2, took 9% and 18% less CPU at R=32 and R=60 with this
 # budget than with W=64, and the same at R=1, where a fixed W=32 took 26% more
 _WINDOW_LANES = 1 << 12
-_WINDOW_MIN_ROUNDS = 8
 
 # numpy's SeedSequence hash: a pool of four uint32 words, mixed with these
 # constants and multipliers (uint32 arithmetic, which the arrays wrap silently)
@@ -226,16 +223,12 @@ class WorldState:
     _comm: np.ndarray | None = field(default=None, repr=False)
     # int64 [horizon, S*R, M]; the arms of every round, when the run records them
     _actions: np.ndarray | None = field(default=None, repr=False)
-    # draws every stream, keyed and positioned per stream
-    _rng: np.random.Generator = field(
-        default_factory=lambda: np.random.Generator(np.random.Philox(key=0)), repr=False
-    )
 
     @property
     def streams(self) -> ContractStreams:
         """The R*M contract streams, replication-major, each built on access
-        and from its first draw. The engine holds only their keys: it draws a
-        stream by setting its key and counter on one shared generator, which
+        and from its first draw. The engine holds only their keys: a refill
+        draws a stream by setting its key and counter on one generator, which
         gives the same uniforms."""
         return ContractStreams(self.keys.reshape(-1, 2))
 
@@ -373,52 +366,49 @@ def merge_views(state: WorldState) -> WorldState:
     return state
 
 
-def _next_uniforms(state: WorldState, rounds_left: int) -> np.ndarray:
-    """The [L', M, R] uniforms of the next L' rounds, one per stream and round;
-    the strategies of a batch share them. They are the rows of the [L, M, R]
-    block not read yet, refilled when every row is read; the caller advances
-    state._pos past the rounds it commits."""
-    block = state._block
-    if block is None or state._pos == len(block):
-        r_n, m, _ = state.keys.shape
-        full = max(64, min(4096, int(_BLOCK_BYTES // (8 * r_n * m))))
-        length = min(full, rounds_left)
-        # no block is longer than the first, so its buffer holds every refill
-        block = np.empty((length, m, r_n)) if block is None else block[:length]
-        # every stream has drawn one uniform (one Philox word) per round so
-        # far: a counter of t // 4 with its buffer spent, then t % 4 words
-        # skipped, puts it there; a block need not end on a counter boundary
-        rng = state._rng
-        bits = rng.bit_generator
-        skip = state.t % _PHILOX_WORDS
-        at = {
-            "bit_generator": "Philox",
-            "state": {"counter": [state.t // _PHILOX_WORDS, 0, 0, 0], "key": None},
-            "buffer": [0] * _PHILOX_WORDS,
-            "buffer_pos": _PHILOX_WORDS,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        # the streams in the block's column order, player-major; a tile of
-        # their rows is drawn, then copied into its columns while in cache.
-        # The tile's row count is set by the full block length, so a short
-        # last block converts no more keys at a time than the others
-        keys = state.keys.transpose(1, 0, 2).reshape(-1, 2)
-        columns = block.reshape(length, -1)
-        tile = np.empty((max(1, _TILE_BYTES // (8 * full)), length))
-        for start in range(0, len(keys), len(tile)):
-            # Python ints set a key faster than numpy rows do
-            run = keys[start : start + len(tile)].tolist()
-            for key, row in zip(run, tile):
-                at["state"]["key"] = key
-                bits.state = at
-                if skip:
-                    bits.random_raw(skip)
-                rng.random(out=row)
-            np.copyto(columns[:, start : start + len(run)], tile[: len(run)].T)
-        state._block = block
-        state._pos = 0
-    return block[state._pos :]
+def _refill(state: WorldState, cfg: RunConfig) -> None:
+    """Draw the [L, M, R] uniforms of the next L rounds, one per stream and
+    round, into state._block, and fill its tables (_fill_budgets); the
+    strategies of a batch share them. The caller advances state._pos past the
+    rounds it commits."""
+    r_n, m, _ = state.keys.shape
+    full = max(64, min(4096, int(_BLOCK_BYTES // (8 * r_n * m))))
+    length = min(full, cfg.horizon - state.t)
+    # no block is longer than the first, so its buffer holds every refill
+    block = np.empty((length, m, r_n)) if state._block is None else state._block[:length]
+    # every stream has drawn one uniform (one Philox word) per round so far: a
+    # counter of t // 4 with its buffer spent, then t % 4 words skipped, puts
+    # it there; a block need not end on a counter boundary
+    rng = np.random.Generator(np.random.Philox(key=0))
+    bits = rng.bit_generator
+    skip = state.t % _PHILOX_WORDS
+    at = {
+        "bit_generator": "Philox",
+        "state": {"counter": [state.t // _PHILOX_WORDS, 0, 0, 0], "key": None},
+        "buffer": [0] * _PHILOX_WORDS,
+        "buffer_pos": _PHILOX_WORDS,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    # the streams in the block's column order, player-major; a tile of their
+    # rows is drawn, then copied into its columns while in cache. The tile's
+    # row count is set by the full block length, so a short last block
+    # converts no more keys at a time than the others
+    keys = state.keys.transpose(1, 0, 2).reshape(-1, 2)
+    columns = block.reshape(length, -1)
+    tile = np.empty((max(1, _TILE_BYTES // (8 * full)), length))
+    for start in range(0, len(keys), len(tile)):
+        # Python ints set a key faster than numpy rows do
+        run = keys[start : start + len(tile)].tolist()
+        for key, row in zip(run, tile):
+            at["state"]["key"] = key
+            bits.state = at
+            if skip:
+                bits.random_raw(skip)
+            rng.random(out=row)
+        np.copyto(columns[:, start : start + len(run)], tile[: len(run)].T)
+    state._block, state._pos = block, 0
+    _fill_budgets(state, cfg)
 
 
 def _check_claims(
@@ -427,13 +417,16 @@ def _check_claims(
 ) -> None:
     """Raise on the first breach, in (round, kind, slot, player, arm) order, a
     per-player breach before a summed one, of either count-prediction claim
-    by the predictions N' [K, c, M, S'] of c rows, checked against their view
-    counts [K, c, M or 1, S'] and int64 global counts [K, c, S']; rounds
+    by the predictions N' [K, c, M or 1, S'] of c rows, checked against their
+    view counts [K, c, M or 1, S'] and int64 global counts [K, c, S']; rounds
     [c, S'] is the round each slot's row is at (0: not checked). slots [S']
     holds the checked slots' places in the batch, ascending (None: every
     slot)."""
     m, alpha = cfg.players, cfg.policy.alpha
     r_n = state.keys.shape[0]
+    if n_prime.shape[-2] < m:
+        # selected once per slot on a shared view: every player holds its N'
+        n_prime = np.repeat(n_prime, m, axis=-2)
     checked = rounds > 0
     bound = dklucb_scale(m, alpha) * counts
     over = (n_prime > bound + 1e-9) & checked[:, None]
@@ -505,10 +498,9 @@ def _select_round(state: WorldState, cfg: RunConfig, t: int) -> None:
     state.arms[:] = arms
     if cfg.policy.rule == DKLUCB:
         # the claims are checked for every player, shared or not, as one row
-        n_prime = np.repeat(denom, m, axis=1) if shared else denom
         _check_claims(
-            state, n_prime[:, None], cfg, count[:, None], state.totals[0][:, None],
-            np.full((1, n_prime.shape[-1]), t),
+            state, denom[:, None], cfg, count[:, None], state.totals[0][:, None],
+            np.full((1, denom.shape[-1]), t),
         )
 
 
@@ -612,11 +604,10 @@ def _select_window(
     last = np.where(differs[first, slots], first, valid - 1)
     breach = None
     if cfg.policy.rule == DKLUCB:
-        n_prime = denom if lanes == m else np.repeat(denom, m, axis=2)
         totals = state.totals[0][:, None, live] + team(added[0]).astype(np.int64)
         rounds = np.where(i <= last, ts + 1 + i, 0)
         try:
-            _check_claims(state, n_prime, cfg, counts, totals, rounds, batch)
+            _check_claims(state, denom, cfg, counts, totals, rounds, batch)
         except InvariantViolation as exc:
             breach = exc
     if state._actions is not None:
@@ -649,14 +640,11 @@ def _commit_round(
     [M, 1, R] on the round path, broadcast over the strategies, or [M, 1, S']
     over the S' live slots, which is S*R when every slot is live."""
     _, k, m, n = state.views.shape
-    every = isinstance(live, slice)
     arms = state.arms[:, live]
     p = state.means.take(arms, mode="clip")
     rewards = (u < p.reshape(m, -1, u.shape[-1])).reshape(arms.shape)
-    # every slot that moves merges, and the views of the others are stale or
-    # there are none: player 0's view stands for all
-    whole = merging[live].all() and (every or state._stale)
-    if whole and every and state._stale:
+    # merging is False off the live slots, so all() means every slot merges
+    if state._stale and merging.all():
         # the players of a slot pulled its one arm, selected once per slot,
         # and the views are about to be overwritten: add the slot's M pulls
         # and its winners at once
@@ -670,10 +658,11 @@ def _commit_round(
         np.logical_and(pulled[0], rewards, out=pulled[1])
         # players of one slot may pick the same arm: sum their pulls first
         state.totals[..., live] += np.add.reduce(pulled, axis=2)
-    if not whole:
+    # a merging slot's views are overwritten below
+    if not merging[live].all():
         state._sync_views()
         state.views[..., live] += pulled
-    if whole and every:
+    if merging.all():
         merge_views(state)
     elif merging.any():
         # a merge by slot mask; while the views are stale player 0's stands for all
@@ -688,10 +677,9 @@ def _advance(state: WorldState, cfg: RunConfig, w: int) -> int:
     if state.t >= cfg.horizon:
         raise ValueError(f"horizon {cfg.horizon} already reached")
     t = state.t + 1
-    u = _next_uniforms(state, cfg.horizon - state.t)
-    if state._pos == 0:
-        # a refill: no round of the block is read yet
-        _fill_budgets(state, cfg)
+    if state._block is None or state._pos == len(state._block):
+        _refill(state, cfg)
+    u = state._block[state._pos :]
     if t <= state.views.shape[1]:
         # some arm is still unsampled, identically across the batch: the
         # unpulled-arm rule forces arm t-1 for every player
@@ -746,15 +734,14 @@ def _windowed(state: WorldState) -> bool:
 
 def _window_rounds(cfg: RunConfig, row_lanes: int) -> int:
     """The most rounds a window of row_lanes index lanes a row selects:
-    _WINDOW_ROUNDS for UCB, and for the KL-UCB rules the largest power of two
-    W with W * row_lanes <= _WINDOW_LANES, clamped to [_WINDOW_MIN_ROUNDS,
-    _WINDOW_ROUNDS]."""
-    if cfg.policy.rule == UCB:
-        return _WINDOW_ROUNDS
-    w = _WINDOW_MIN_ROUNDS
-    while w < _WINDOW_ROUNDS and 2 * w * row_lanes <= _WINDOW_LANES:
-        w *= 2
-    return min(w, _WINDOW_ROUNDS)
+    _WINDOW_ROUNDS for UCB, and for the KL-UCB rules _WINDOW_ROUNDS halved
+    until W * row_lanes <= _WINDOW_LANES. _windowed admits no row of more
+    than _WINDOW_BYTES / (8 * _WINDOW_ROUNDS) = 256 lanes, so W >= 16."""
+    w = _WINDOW_ROUNDS
+    if cfg.policy.rule != UCB:
+        while w * row_lanes > _WINDOW_LANES:
+            w //= 2
+    return w
 
 
 def _simulate(cfgs, replication_indices, record_actions: bool = False):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_int, _as_real, _as_unit, _at_least
+from .core import _as_int, _as_real, _as_unit, _at_least, _of_type
 
 NONE = "none"
 FULL = "full"
@@ -266,6 +266,7 @@ def counting_growth_report(
     ln(ln(n)) / ln(1/alpha); the report tabulates the ratio and raises if it
     falls below 1 - tolerance at the largest n.
     """
+    _of_type("s", s, CommunicationSchedule)
     n_max, points = _at_least("n_max", n_max, 16), _at_least("points", points, 1)
     tolerance = _as_unit("tolerance", tolerance)
     alpha = s.density()

@@ -1,6 +1,7 @@
 """Tests for the bound-constant calculus and the comparison report."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,20 @@ class TestUpperBoundCurve:
         with pytest.raises(ValueError):
             upper_bound_curve(BOUND_DENSE, 2, 0.5, 0.8, 0.9, [0, 16])
 
+    @pytest.mark.parametrize(
+        "t, error, message",
+        [
+            (True, TypeError, "checkpoints must be a real number, got True"),
+            ("16", TypeError, "checkpoints must be a real number, got '16'"),
+            (math.nan, ValueError, "checkpoints must be rounds >= 1"),
+        ],
+        ids=["bool", "text", "nan"],
+    )
+    def test_a_checkpoint_is_a_real_round(self, t, error, message):
+        # True was read as round 1, and nan gave a nan curve
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            upper_bound_curve(BOUND_DENSE, 2, 0.5, 0.8, 0.9, [16, t])
+
 
 class TestBoundReport:
     def test_collects_suboptimal_arms_only(self):
@@ -169,6 +184,12 @@ class TestBoundReport:
         report = bound_report(model, BOUND_DENSE, 2, 0.5, np.array([16, 256]))
         assert report.checkpoints == (16, 256)
         assert all(type(t) is int for t in report.checkpoints)
+
+    def test_an_arm_model_is_required(self):
+        with pytest.raises(
+            TypeError, match=r"^arm_model must be of type BernoulliArmModel, got \(0\.9, 0\.5\)$"
+        ):
+            bound_report((0.9, 0.5), BOUND_SPARSE, 2, 0.5, [16])
 
     def test_a_numpy_player_count_does_not_overflow(self):
         # the exact scale multiplies M by alpha's 2**54 denominator, which
@@ -233,6 +254,23 @@ class TestCompare:
         agg = aggregate_for([65536], [[0.0, 507.7024]])
         assert compare(agg, report, threshold=1.0)[0].flagged
         assert not compare(agg, report, threshold=3.0)[0].flagged
+
+    @pytest.mark.parametrize(
+        "name, value, error, message",
+        [
+            ("aggregate", None, TypeError, "aggregate must be of type RunAggregate, got None"),
+            ("report", None, TypeError, "report must be of type BoundReport, got None"),
+            # True was taken as 1, and nan flagged no row
+            ("threshold", True, TypeError, "threshold must be a real number, got True"),
+            ("threshold", math.nan, ValueError, "threshold must not be nan"),
+        ],
+        ids=["aggregate", "report", "bool-threshold", "nan-threshold"],
+    )
+    def test_arguments_are_checked(self, name, value, error, message):
+        report = bound_report(BernoulliArmModel((0.9, 0.8)), BOUND_DENSE, 2, 1.0, [65536])
+        args = {"aggregate": aggregate_for([65536], [[0.0, 507.7024]]), "report": report}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            compare(**{**args, name: value})
 
 
 class TestOutput:

@@ -222,15 +222,13 @@ class TestRngContract:
             tracemalloc.stop()
         assert peak < 1.5 * block_bytes + state_bytes
         blocks = []
-        real = engine._next_uniforms
+        real = engine._refill
 
-        def recording(state, rounds_left):
-            u = real(state, rounds_left)
-            if state._pos == 0:  # refilled: no round of the block is read yet
-                blocks.append(state._block)
-            return u
+        def recording(state, cfg):
+            real(state, cfg)
+            blocks.append(state._block)
 
-        monkeypatch.setattr(engine, "_next_uniforms", recording)
+        monkeypatch.setattr(engine, "_refill", recording)
         _simulate([cfg], reps)
         assert [b.shape for b in blocks] == [(64, 4, 1000)] * 3 + [(8, 4, 1000)]
         assert blocks[0].nbytes == block_bytes
@@ -1246,6 +1244,39 @@ class TestWindows:
             counts, actions = _simulate(cfgs, reps, record_actions=True)
         return spans, counts, actions
 
+    def test_a_window_syncs_the_views_a_merge_left_stale(self, monkeypatch):
+        # merge_views between rounds leaves the views stale, and on none no
+        # slot merged at the round before the window: its players' views turn
+        # private before they gain their own pulls, as the rounds' do
+        from distbandit import engine
+
+        cfg = make_cfg(
+            means=(0.9, 0.8, 0.7), players=2, horizon=200, schedule=CS.none(),
+            policy=PolicySpec(UCB), checkpoints=(200,), replications=4,
+        )
+        state = init_state(cfg, range(4))
+        for _ in range(10):
+            step(state, cfg)
+        merge_views(state)
+        twin = copy.deepcopy(state)
+        stale = []  # were the views stale as each window began?
+        real = engine._select_window
+
+        def recording(state, *args):
+            stale.append(state._stale)
+            return real(state, *args)
+
+        monkeypatch.setattr(engine, "_select_window", recording)
+        assert _advance(state, cfg, 50) == 50
+        for _ in range(50):
+            step(twin, cfg)
+        assert stale[0] and not any(stale[1:])
+        for run in (state, twin):
+            run._sync_views()
+        assert np.array_equal(state.totals, twin.totals)
+        assert np.array_equal(state.views, twin.views)
+        assert np.array_equal(state.arms, twin.arms)
+
     @pytest.mark.parametrize("schedule", [CS.none(), CS.full()], ids=["none", "full"])
     def test_a_settled_batch_commits_whole_windows(self, monkeypatch, schedule):
         # arm 0 always pays and arm 1 never does: the players seldom switch,
@@ -1347,8 +1378,7 @@ class TestWindows:
             assert len(shapes) == len(spans)
             for (k, w, lanes, live), (ts, sync, _) in zip(shapes, spans):
                 row = k * lanes * live
-                if w > 8:  # the least a KL window may take
-                    assert w * row <= 4096
+                assert w * row <= 4096
                 # the largest power of two that fits, unless the cap or the
                 # sync round stops it first
                 assert w in (64, sync - ts.min()) or 2 * w * row > 4096

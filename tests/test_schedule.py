@@ -478,6 +478,12 @@ class TestCountingGrowth:
         assert report.alpha == pytest.approx(0.5)
         assert report.rows[0][0] >= 16
 
+    def test_a_schedule_is_required(self):
+        with pytest.raises(
+            TypeError, match=r"^s must be of type CommunicationSchedule, got 'doubleexp:2,1'$"
+        ):
+            counting_growth_report("doubleexp:2,1", 100)
+
     def test_small_n_max_rejected(self):
         with pytest.raises(ValueError):
             counting_growth_report(S.double_exponential(2.0, 1.0), 8)
