@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -115,7 +116,7 @@ class ExplorationFunction:
 
     Values are clamped below at 0 so indices stay well defined from the first
     round, where ln(ln(t)) is negative or undefined. This is the form only:
-    DKLUCB's scaling by the run's player count is policies.exploration_budget's.
+    DKLUCB's scaling by the run's player count is policies.exploration_budgets'.
     """
 
     variant: str
@@ -135,17 +136,27 @@ class ExplorationFunction:
         return cls(LN2T)
 
 
+def exploration_values(f: ExplorationFunction, ts) -> Iterator[float]:
+    """The exploration function at each of the integers ts, all >= 1,
+    unchecked, one value at a time: the rule itself, which exploration_value
+    and every table of values use. It is built with math.log, as np.log
+    differs from it on some integers (on 96 of the 2t below 2**22 on one
+    AVX-512 build), and the trajectories rest on these floats."""
+    ln2t = f.variant == LN2T
+    for t in ts:
+        if ln2t:
+            yield math.log(2.0 * t)
+        elif t == 1:
+            yield 0.0
+        else:
+            log_t = math.log(t)
+            yield max(log_t + 3.0 * math.log(log_t), 0.0)
+
+
 def exploration_value(f: ExplorationFunction, t: int) -> float:
     """Evaluate the exploration function at integer argument t >= 1; a bool
     or a non-integer t is a TypeError."""
-    if type(t) is not int or t < 1:  # the engine's plain ints skip the general rule
-        t = _at_least("exploration argument", t, 1)
-    if f.variant == LN2T:
-        return math.log(2.0 * t)
-    if t == 1:
-        return 0.0
-    log_t = math.log(t)
-    return max(log_t + 3.0 * math.log(log_t), 0.0)
+    return next(exploration_values(f, (_at_least("exploration argument", t, 1),)))
 
 
 @dataclass(frozen=True)

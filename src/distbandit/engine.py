@@ -63,9 +63,9 @@ uniforms are one column of the block, so they are drawn into a small staging
 tile of whole stream rows, and each tile is copied into its columns while it
 is still in cache. Every refill is drawn into the first block's buffer, so a
 run never holds two blocks. Each strategy's communication flags and
-exploration value f (one exploration_budget call per round) of every round of
-the block are filled with it, and a round, or a window row, reads its slot's
-from these tables: no state grows with the horizon.
+exploration value f (one exploration_budgets table per strategy) of every
+round of the block are filled with it, and a round, or a window row, reads
+its slot's from these tables: no state grows with the horizon.
 
 Aggregation works on exact integer totals, so it is independent of
 replication order and of how replications are batched.
@@ -80,7 +80,7 @@ from functools import partial
 import numpy as np
 
 from .core import LN2T, BernoulliArmModel, _as_int, _at_least, _of_type, dklucb_scale
-from .policies import DKLUCB, UCB, PolicySpec, exploration_budget, select_batch
+from .policies import DKLUCB, UCB, PolicySpec, exploration_budgets, select_batch
 from .schedule import CommunicationSchedule
 
 # uniform prefetch budget per block (32 MiB); a block also ends at the horizon
@@ -458,8 +458,8 @@ def _check_claims(
 def _fill_budgets(state: WorldState, cfg: RunConfig) -> None:
     """Fill state._comm with each strategy's communication flags of rounds
     state.t to the block's last, and state._f with the exploration value f of
-    the block's rounds: one exploration_budget call per round and strategy, or
-    per round for ln2t, which reads the round index alone. At round t a player
+    the block's rounds: one exploration_budgets table per strategy, or one for
+    all under ln2t, which reads the round index alone. At round t a player
     holds t-1 samples of its own and M-1 more per round up to its strategy's
     last merge before t. The forced rounds read no f and get none."""
     policy, m, k = cfg.policy, cfg.players, state.views.shape[1]
@@ -471,18 +471,27 @@ def _fill_budgets(state: WorldState, cfg: RunConfig) -> None:
     width = 1 if policy.exploration.variant == LN2T else len(state.schedules)
     # no block is longer than the first, so the first table holds every refill's
     f = np.zeros((length, width)) if state._f is None else state._f[:length]
-    rounds = range(first, first + length)
-    for s, comm in enumerate(state._comm[1:, :width].T.tolist()):
-        last = state.schedules[s].last_comm_leq(first - 1)
-        column = []
-        for t, on in zip(rounds, comm):
-            column.append(
-                exploration_budget(policy, m, t, (t - 1) + (m - 1) * last) if t > k else 0.0
-            )
-            if on:
-                last = t
-        f[:, s] = column
+    forced = max(0, k + 1 - first)
+    f[:forced] = 0.0
+    rounds = range(first + forced, first + length)
+    for s in range(width):
+        # whether round t-1 merged, for each round t
+        merged = state._comm[forced:-1, s].tolist()
+        last = state.schedules[s].last_comm_leq(first + forced - 1)
+        f[forced:, s] = exploration_budgets(
+            policy, m, rounds, _sample_totals(rounds, merged, last, m)
+        )
     state._f = f
+
+
+def _sample_totals(rounds: range, merged: list, last: int, m: int):
+    """A player's total sample count at each round t of rounds: t-1 of its
+    own and M-1 more per round up to the last merge before t, with merged[i]
+    whether round rounds[i]-1 merged and last the last merge before that."""
+    for t, on in zip(rounds, merged):
+        if on:
+            last = t - 1
+        yield (t - 1) + (m - 1) * last
 
 
 def _select_round(state: WorldState, cfg: RunConfig, t: int) -> None:

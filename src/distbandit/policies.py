@@ -4,20 +4,30 @@ DKLUCB count-prediction policy.
 The selection rule is written once, as select_batch over a [K, ...] batch of
 sufficient statistics, arm axis first; the engine passes it its arm-major
 (player, slot) arrays as they are stored. The exploration budget is written
-once too, as exploration_budget: core's exploration form, times DKLUCB's
+once too, as exploration_budgets: core's exploration form, times DKLUCB's
 M / (1 + (M-1) alpha) for that rule. The independent reference the engine's
 traces are checked against is the scalar simulator in tests/oracle_sim.py.
 
 Inverting the Bernoulli KL divergence is the only nontrivial numerics. The
 KL-UCB upper index runs a fixed number of Newton steps in y = -ln(1-q), where
 the divergence is increasing and convex, from the Pinsker bound above the
-root; the loop iterates -y in preallocated buffers, which gives the bits the
-loop in y would, as rounding to nearest is symmetric under negation. Lanes
-with budgets below 1e-11, where that form's divergence evaluation is
-cancellation-limited, and the few whose last step has not settled are redone
-by a bisection that evaluates the divergence in a form that does not
-cancel. The lower index is that bisection. Both land far inside the 1e-9
-tolerance the indices are specified at.
+root (_Newton: a prelude, the steps and a finish, each written once); the
+loop iterates -y in preallocated buffers, which gives the bits the loop in y
+would, as rounding to nearest is symmetric under negation. Lanes with budgets
+below 1e-11, where that form's divergence evaluation is cancellation-limited,
+and the few whose last step has not settled are redone by a bisection that
+evaluates the divergence in a form that does not cancel. The lower index is
+that bisection. Every index klucb_index_batch, klucb_lower_batch and
+ucb_index_batch return is within _INDEX_ERROR (1e-10) of the true one.
+
+Only the argmax of a slot's indices reaches a trajectory, so the KL rules do
+not solve every lane in full (_klucb_argmax). Every lane stops after
+_BRACKET_STEPS Newton steps, where its iterate bounds the root from above and
+a chord of the convex divergence bounds it from below (_klucb_bracket); a
+slot whose bounds put one arm ahead of the rest by _DECISION_MARGIN takes
+that arm, and the lanes of every other slot run on to the end of the solve.
+That is a cheap predicate with an exact fallback, as in Shewchuk's geometric
+predicates (Discrete Comput. Geom. 18, 1997): the arms are the full solve's.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    LN2T, STANDARD, ExplorationFunction, _as_unit, _of_type, dklucb_scale, exploration_value,
+    LN2T, STANDARD, ExplorationFunction, _as_unit, _at_least, _of_type, dklucb_scale,
+    exploration_values,
 )
 
 UCB = "ucb"
@@ -44,6 +55,18 @@ _NEWTON_ITERATIONS = 8
 # moves the index by over 1e-10; simulated budgets are f / N >= ln(2) / N.
 _NEWTON_MIN_BUDGET = 1e-11
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
+# A bound on |computed - true| for every index klucb_index_batch and
+# klucb_lower_batch return, and every ucb_index_batch index below 1e5, whose
+# four correctly rounded operations err by under 1e-15 of it (tested against
+# a 40-digit reference). A decision by a margin above twice this is the
+# decision the computed indices make.
+_INDEX_ERROR = 1e-10
+# select_batch's KL rules decide a slot from each lane's bracket after this
+# many Newton steps, and run the rest only for the slots left open
+_BRACKET_STEPS = 4
+# how far rounding may put a root outside its bracket (tested as above)
+_BRACKET_ERROR = 1e-10
+_DECISION_MARGIN = 2.0 * (_INDEX_ERROR + _BRACKET_ERROR)
 
 
 @dataclass(frozen=True)
@@ -104,55 +127,146 @@ def _klucb_bisect(p: np.ndarray, b: np.ndarray, upper: bool = True) -> np.ndarra
     return np.where(b <= 0.0, p, lo if upper else hi)
 
 
-def klucb_index_batch(mu_hat, budget) -> np.ndarray:
-    """Elementwise sup{q in [mu_hat, 1): K(mu_hat, q) <= budget}.
+class _Newton:
+    """Newton's method for klucb_index_batch on a set of lanes, in stages:
+    the prelude (start), steps, and the finish. The stages are elementwise,
+    so lanes taken from a part-run solve and run on give the bits the whole
+    solve gives them.
 
-    Returns mu_hat when the budget is 0 and exactly 1.0 when mu_hat is 1.
-    Solves g(y) = (1-p) y - p ln(1 - e^-y) + ent(p) - budget = 0 for
-    y = -ln(1-q) by Newton's method. g is increasing and convex in y for q > p,
-    so iterates started above the root come down to it without overshooting;
-    a start below the root (the Pinsker start is capped just under q = 1)
-    overshoots once and then comes down. The steps run on -y, in place, and
-    make no temporary; p and budget may be scalars or broadcast against each
-    other, and are never written to.
+    It solves g(y) = (1-p) y - p ln(1 - e^-y) + ent(p) - budget = 0 for
+    y = -ln(1-q). g is convex in y, with its minimum -budget at y_p =
+    -ln(1-p), and increasing above it, so iterates started above the root come
+    down to it without overshooting; a start below the root (the Pinsker start
+    is capped just under q = 1) overshoots once and then comes down. The steps
+    run on the iterate ny = -y in place, and make no temporary: rounding to
+    nearest is symmetric under negation, so every iterate is the negation of
+    the one the loop in y gives, bit for bit, and expm1(ny) = -q needs no
+    negation of its argument. p and budget may be scalars or broadcast against
+    each other, and are never written to. Run inside an np.errstate that
+    ignores divide, invalid and over: lanes with budgets below
+    _NEWTON_MIN_BUDGET or p == 1 compute what the finish overwrites.
     """
-    p = np.asarray(mu_hat, dtype=np.float64)
-    b = np.asarray(budget, dtype=np.float64)
-    one_minus_p = 1.0 - p
-    # entropy part p ln p + (1-p) ln(1-p); the floor only moves a zero
-    # argument, whose term is then 0 * finite = 0
-    ent = p * np.log(np.maximum(p, _TINY))
-    ent = ent + one_minus_p * np.log(np.maximum(one_minus_p, _TINY))
-    target = b - ent
-    # the iterate ny = -y and its step -(g / g'(y)), in place: rounding to
-    # nearest is symmetric under negation, so every iterate is the negation
-    # of the one the loop in y gives, bit for bit, and expm1(ny) = -q needs
-    # no negation of its argument
-    ny, q, g, step = (np.empty(np.broadcast_shapes(p.shape, b.shape)) for _ in range(4))
-    # lanes with b < _NEWTON_MIN_BUDGET or p == 1 are overwritten below
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+
+    def __init__(self, p, b, one_minus_p, log_one_minus_p, target, ny):
+        self.p, self.b, self.one_minus_p = p, b, one_minus_p
+        self.log_one_minus_p, self.target, self.ny = log_one_minus_p, target, ny
+        # q, -g and the step: buffers the steps write in place
+        self.q, self.g, self.step = (np.empty(ny.shape) for _ in range(3))
+
+    @classmethod
+    def start(cls, p: np.ndarray, b: np.ndarray) -> "_Newton":
+        """The prelude: the solve's terms in p and b, and the Pinsker start."""
+        one_minus_p = 1.0 - p
+        # ln(1-p) = -y_p and the entropy part p ln p + (1-p) ln(1-p); the
+        # floor only moves a zero argument, whose term is then 0 * finite = 0
+        log_one_minus_p = np.log(np.maximum(one_minus_p, _TINY))
+        ent = p * np.log(np.maximum(p, _TINY))
+        target = b - (ent + one_minus_p * log_one_minus_p)
+        ny = np.empty(np.broadcast_shapes(p.shape, b.shape))
         # Pinsker: K(p, q) >= 2 (q - p)^2, so q0 is at or above the root
         np.minimum(p + np.sqrt(0.5 * b), 1.0 - 1e-16, out=ny)
         np.log1p(np.negative(ny, out=ny), out=ny)
-        for _ in range(_NEWTON_ITERATIONS):
-            np.negative(np.expm1(ny, out=q), out=q)
-            # -g = (1-p) ny + p ln(q) + target
-            np.multiply(one_minus_p, ny, out=g)
-            np.multiply(p, np.log(q, out=step), out=step)
-            np.add(np.add(g, step, out=g), target, out=g)
+        return cls(p, b, one_minus_p, log_one_minus_p, target, ny)
+
+    def evaluate(self) -> None:
+        """q = 1 - e^-y and -g(y) at the iterate, into self.q and self.g."""
+        ny, q, g, scratch = self.ny, self.q, self.g, self.step
+        np.negative(np.expm1(ny, out=q), out=q)
+        # -g = (1-p) ny + p ln(q) + target
+        np.multiply(self.one_minus_p, ny, out=g)
+        np.multiply(self.p, np.log(q, out=scratch), out=scratch)
+        np.add(np.add(g, scratch, out=g), self.target, out=g)
+
+    def steps(self, n: int) -> "_Newton":
+        for _ in range(n):
+            self.evaluate()
+            q, g, step = self.q, self.g, self.step
             # -g / g'(y), with g'(y) = (q - p) / q
-            np.divide(np.multiply(g, q, out=g), np.subtract(q, p, out=step), out=step)
-            np.subtract(ny, step, out=ny)
+            np.divide(np.multiply(g, q, out=g), np.subtract(q, self.p, out=step), out=step)
+            np.subtract(self.ny, step, out=self.ny)
+        return self
+
+    def finish(self) -> np.ndarray:
+        """The index: q at the last iterate where its step settled, 1 where
+        p == 1, and the bisection's where neither holds or the budget is below
+        _NEWTON_MIN_BUDGET."""
+        p, b, ny = self.p, self.b, self.ny
         q = -np.expm1(ny)
         # written so that nan fails the test
-        settled = (np.abs(step) < 1e-12 * np.maximum(-ny, 1.0)) & (q >= p)
-    certain = p >= 1.0
-    q = np.where(certain, 1.0, q)
-    redo = ~(settled | certain) | (b < _NEWTON_MIN_BUDGET)
-    if redo.any():
-        p_all, b_all = np.broadcast_arrays(p, b)
-        q[redo] = _klucb_bisect(p_all[redo], b_all[redo])
-    return q
+        settled = (np.abs(self.step) < 1e-12 * np.maximum(-ny, 1.0)) & (q >= p)
+        certain = p >= 1.0
+        q = np.where(certain, 1.0, q)
+        redo = ~(settled | certain) | (b < _NEWTON_MIN_BUDGET)
+        if redo.any():
+            p_all, b_all = np.broadcast_arrays(p, b)
+            q[redo] = _klucb_bisect(p_all[redo], b_all[redo])
+        return q
+
+    def take(self, lanes: np.ndarray) -> "_Newton":
+        """The lanes [:, lanes] of a solve over [K, n] arrays, as a solve of
+        their own that has run as far as this one."""
+        fields = (self.p, self.b, self.one_minus_p, self.log_one_minus_p, self.target, self.ny)
+        return _Newton(*(x[:, lanes] for x in fields))
+
+
+def klucb_index_batch(mu_hat, budget) -> np.ndarray:
+    """Elementwise sup{q in [mu_hat, 1): K(mu_hat, q) <= budget}.
+
+    Returns mu_hat when the budget is 0 and exactly 1.0 when mu_hat is 1:
+    _NEWTON_ITERATIONS Newton steps in y = -ln(1-q) (_Newton), then the finish.
+    """
+    p = np.asarray(mu_hat, dtype=np.float64)
+    b = np.asarray(budget, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _Newton.start(p, b).steps(_NEWTON_ITERATIONS).finish()
+
+
+def _klucb_bracket(lanes: _Newton) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds L <= root <= U on every lane's index, up to _BRACKET_ERROR,
+    after _BRACKET_STEPS Newton steps: L is nan on the lanes it makes no claim
+    for, those with p >= 1 or budgets below _NEWTON_MIN_BUDGET.
+
+    The iterate y_J is at or above the root, which gives U = 1 - e^-y_J. g is
+    convex, so on [y_p, y_J] it lies under its chord from (y_p, -b) to
+    (y_J, g(y_J)), whose zero is then at or below the root: L. Where rounding
+    has put g(y_J) <= 0 the iterate has converged, and L = U. Both are written
+    into the solve's buffers, which its next steps overwrite.
+    """
+    lanes.steps(_BRACKET_STEPS).evaluate()
+    upper, neg_g, chord = lanes.q, lanes.g, lanes.step
+    # h = -max(g, 0): the chord's zero is ny_J + h (ny_J - ny_p) / (b - h)
+    h = np.minimum(neg_g, 0.0, out=neg_g)
+    np.multiply(h, np.subtract(lanes.ny, lanes.log_one_minus_p, out=chord), out=chord)
+    np.divide(chord, np.subtract(lanes.b, h, out=h), out=chord)
+    np.add(lanes.ny, chord, out=chord)
+    lower = np.negative(np.expm1(chord, out=chord), out=chord)
+    lower[(lanes.p >= 1.0) | (lanes.b < _NEWTON_MIN_BUDGET)] = np.nan
+    return lower, upper
+
+
+def _klucb_argmax(p: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_first_argmax(klucb_index_batch(p, b)) over [K, n] lanes, with the
+    full solve only on the slots whose argmax the bracket leaves open.
+
+    A slot is decided when every other arm's U is below its best L by
+    _DECISION_MARGIN: each computed index is within _INDEX_ERROR of its
+    root, and each root within _BRACKET_ERROR of its bracket, so that arm's
+    computed index is then strictly the largest, and it is the first argmax
+    of U. The test counts the arms strictly beaten, so a nan leaves the slot
+    open. An open slot's lanes run on from the bracket's iterate to the end
+    of the solve, which gives them klucb_index_batch's bits.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lanes = _Newton.start(p, b)
+        lower, upper = _klucb_bracket(lanes)
+        bar = np.subtract(np.maximum.reduce(lower), _DECISION_MARGIN)
+        beaten = np.add.reduce(np.less(upper, bar))
+        arms = _first_argmax(upper)
+        open_slots = np.flatnonzero(beaten < len(p) - 1)
+        if open_slots.size:
+            rest = lanes.take(open_slots).steps(_NEWTON_ITERATIONS - _BRACKET_STEPS)
+            arms[open_slots] = _first_argmax(rest.finish())
+    return arms
 
 
 def klucb_lower_batch(mu_hat, budget) -> np.ndarray:
@@ -193,25 +307,34 @@ def count_prediction_batch(known_count, snapshot_count, m: int, alpha: float) ->
     return n + (m - 1) * extra
 
 
+def exploration_budgets(spec: PolicySpec, m: int, rounds, totals) -> np.ndarray:
+    """The exploration values f a player's indices use at each round t of
+    rounds, a sequence, holding the matching total sample count of totals,
+    an iterable as long, in a run of m players: Python ints >= 1, unchecked.
+
+    The ln2t variant reads the round, the standard one the total. dklucb
+    scales the standard value by M / (1 + (M-1) alpha), with M = m and alpha =
+    spec.alpha; this is the only place that scale is applied.
+    """
+    args = rounds if spec.exploration.variant == LN2T else totals
+    f = np.fromiter(exploration_values(spec.exploration, args), np.float64, len(rounds))
+    if spec.rule == DKLUCB:
+        f *= dklucb_scale(m, spec.alpha)
+    return f
+
+
 def exploration_budget(
     spec: PolicySpec, m: int, t: int | None, total_known: int
 ) -> float:
-    """The exploration value f a player's indices use at round t of a run of
-    m players.
-
-    The ln2t variant is evaluated at the round index t (required then), the
-    standard one at the player's total sample count. dklucb scales the
-    standard value by M / (1 + (M-1) alpha), with M = m and alpha =
-    spec.alpha; this is the only place that scale is applied.
-    """
+    """exploration_budgets at one round t, with the player's total sample
+    count total_known; t may be None unless the variant is ln2t."""
     if spec.exploration.variant == LN2T:
         if t is None:
             raise ValueError("ln2t exploration is evaluated at the round index")
-        return exploration_value(spec.exploration, t)
-    f = exploration_value(spec.exploration, total_known)
-    if spec.rule == DKLUCB:
-        return dklucb_scale(m, spec.alpha) * f
-    return f
+        t = _at_least("exploration argument", t, 1)
+    else:
+        total_known = _at_least("exploration argument", total_known, 1)
+    return float(exploration_budgets(spec, m, (t,), (total_known,))[0])
 
 
 def _first_argmax(index: np.ndarray) -> np.ndarray:
@@ -263,6 +386,7 @@ def select_batch(
     denom = counts
     if spec.rule == DKLUCB:
         denom = count_prediction_batch(known_count, snapshot_count, m, spec.alpha)
-    index = klucb_index_batch(mu_hat, f / denom)
-    return _first_argmax(index), denom
+    k = len(counts)
+    arms = _klucb_argmax(mu_hat.reshape(k, -1), np.divide(f, denom).reshape(k, -1))
+    return arms.reshape(counts.shape[1:]), denom
 

@@ -1083,6 +1083,36 @@ class TestFusedStrategies:
         want = np.stack([sched.comm_mask(0, 31) for sched in FUSED_SCHEDULES], axis=1)
         assert np.array_equal(state._comm, want)
 
+    @pytest.mark.parametrize("preset", ["figure1", "dklucb"])
+    def test_the_exploration_table_equals_the_scalar_rule_bit_for_bit(self, preset):
+        # each block's f, against exploration_budget round by round, with the
+        # last merge before each round read off is_comm_round
+        from distbandit import engine
+
+        if preset == "figure1":
+            runs = experiment_runs(figure1_preset(replications=1, seed=1))
+            cfg, schedules = runs[0][1], [c.schedule for _, c in runs]
+        else:
+            policy = PolicySpec(DKLUCB, alpha=0.5)
+            cfg = make_cfg(means=(0.9, 0.8, 0.7), players=3, horizon=9000, policy=policy)
+            schedules = FUSED_SCHEDULES + (CS.exponential(2.0),)
+        state = init_state(cfg, [0], schedules=schedules)
+        k, m = cfg.arm_model.k, cfg.players
+        for t in (0, 2, 4097, cfg.horizon - 300):
+            state.t = t
+            engine._refill(state, cfg)
+            first = t + 1
+            want = np.zeros(state._f.shape)
+            for s in range(want.shape[1]):
+                last = schedules[s].last_comm_leq(t)
+                for i, r in enumerate(range(first, first + len(want))):
+                    if r > k:
+                        want[i, s] = exploration_budget(cfg.policy, m, r, (r - 1) + (m - 1) * last)
+                    if schedules[s].is_comm_round(r):
+                        last = r
+            assert want.shape[1] == (1 if preset == "figure1" else len(schedules))
+            assert np.array_equal(state._f.view(np.uint64), want.view(np.uint64)), t
+
     def test_claim_breach_names_the_strategy_and_replication(self):
         cfg = make_cfg(
             players=2, policy=PolicySpec(DKLUCB, alpha=0.5),

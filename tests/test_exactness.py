@@ -3,8 +3,10 @@ and the windows call gives an element the same bits whatever the layout of
 the array it sits in. A window selects W rounds of a slot as rows of one
 strided batch, while step selects each round alone; the two agree only if
 an element's value does not depend on the array's length, offset, stride or
-dimension, nor on which SIMD kernel numpy dispatches for it. Each check names
-the ufunc and the layout that broke it."""
+dimension, nor on which SIMD kernel numpy dispatches for it. The KL decision
+rests on it too: it runs a close slot's lanes on, gathered, from its part-run
+Newton solve, which gives them the whole solve's bits on the same condition.
+Each check names the ufunc and the layout that broke it."""
 
 import os
 import subprocess
@@ -50,6 +52,18 @@ def _inputs():
         "log1p": (-np.concatenate([means[:-7], edges * (1.0 - 1e-16)]),),
         "greater": (means, np.where(rng.uniform(0, 1, N) < 0.3, means, np.nextafter(means, 2.0))),
         "less": (rng.uniform(0, 1, N), means),
+        # the KL-UCB prelude's floors and cap, and the settle test's |step|
+        "minimum": (
+            np.concatenate([means[:-7] + _magnitudes(rng, N - 7, -9, 0), edges]),
+            np.where(rng.uniform(0, 1, N) < 0.5, 1.0 - 1e-16, means),
+        ),
+        "maximum": (
+            np.concatenate([1.0 - means[:-7], edges]),
+            np.where(rng.uniform(0, 1, N) < 0.5, 5e-324, rng.uniform(0, 2, N)),
+        ),
+        "absolute": (
+            np.concatenate([_magnitudes(rng, N - 7, -320, 1) * rng.choice([-1, 1], N - 7), -edges]),
+        ),
     }
 
 

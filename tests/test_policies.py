@@ -4,12 +4,14 @@ batch functions the engine calls."""
 
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from index_reference import error, kl_index, ucb_index
 from scipy.optimize import brentq
 
 from distbandit import policies
@@ -19,7 +21,11 @@ from distbandit.policies import (
     KLUCB,
     UCB,
     PolicySpec,
+    _first_argmax,
+    _klucb_argmax,
     _klucb_bisect,
+    _klucb_bracket,
+    _Newton,
     count_prediction_batch,
     exploration_budget,
     klucb_index_batch,
@@ -267,6 +273,211 @@ class TestKlucbNewtonKernel:
             got = klucb_index_batch(np.full(budget.size, p), budget)
             assert np.all(np.abs(got - (p + np.sqrt(2 * p * (1 - p) * budget))) <= 1e-11)
             assert np.all(np.diff(got) >= 0)
+
+
+# lanes as the engine makes them: means on grids of counts, and anywhere in
+# [0, 1]; budgets log-uniform from the Newton form's cut-off up to 20
+GRID_MEANS = st.integers(1, 200_000).flatmap(lambda n: st.integers(0, n).map(lambda s: s / n))
+MEANS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), GRID_MEANS)
+BUDGETS = st.floats(math.log10(policies._NEWTON_MIN_BUDGET), math.log10(20.0)).map(
+    lambda e: 10.0**e
+)
+
+
+def _bracket(mu, budget):
+    """_klucb_bracket's (L, U) on the lanes, as fresh arrays."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lower, upper = _klucb_bracket(_Newton.start(mu, budget))
+    return lower.copy(), upper.copy()
+
+
+class TestIndexErrorBound:
+    """Every index the kernels return is within _INDEX_ERROR of the true one,
+    and every root within _BRACKET_ERROR of the bracket the KL decision reads,
+    against a 40-digit decimal reference: the bounds the decision margin
+    rests on."""
+
+    def check(self, mu, budget):
+        mu, budget = np.broadcast_arrays(np.asarray(mu, float), np.asarray(budget, float))
+        upper = klucb_index_batch(mu, budget)
+        lower = klucb_lower_batch(mu, budget)
+        bracket_lo, bracket_hi = _bracket(mu, budget)
+        slack = Decimal(policies._BRACKET_ERROR)
+        for i, (p, b) in enumerate(zip(mu.tolist(), budget.tolist())):
+            root = kl_index(p, b)
+            where = f"at mu={p!r}, budget={b!r}"
+            assert error(upper[i], root) <= policies._INDEX_ERROR, where
+            assert error(lower[i], kl_index(p, b, upper=False)) <= policies._INDEX_ERROR, where
+            if not math.isnan(bracket_lo[i]):
+                assert Decimal(bracket_lo[i]) - slack <= root, where
+                assert root <= Decimal(bracket_hi[i]) + slack, where
+        # the bracket makes no claim where the Newton form does not hold
+        edge = (mu >= 1.0) | (budget < policies._NEWTON_MIN_BUDGET)
+        assert np.isnan(bracket_lo[edge]).all()
+        return int(np.count_nonzero(~np.isnan(bracket_lo)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(lanes=st.lists(st.tuples(MEANS, BUDGETS), min_size=1, max_size=8))
+    def test_drawn_lanes_are_within_the_bounds(self, lanes):
+        self.check(*zip(*lanes))
+
+    def test_edge_lanes_are_within_the_bounds(self):
+        mu, budget = np.meshgrid(KERNEL_MEANS, KERNEL_BUDGETS + (20.0,))
+        assert self.check(mu.ravel(), budget.ravel()) >= 20
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.integers(1, 2**40).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))),
+                st.floats(0.0, 1e6),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_ucb_indices_are_within_the_bound(self, lanes):
+        # an index below 1e5: its four operations each round correctly
+        mu = np.array([s / n for (s, n), _ in lanes])
+        counts = np.array([float(n) for (_, n), _ in lanes])
+        f = np.array([f for _, f in lanes])
+        got = ucb_index_batch(mu, counts, f)
+        for i in range(len(lanes)):
+            true = ucb_index(mu[i], counts[i], f[i])
+            assert error(got[i], true) <= policies._INDEX_ERROR
+
+
+def _ulps(x: float, k: int, top: float) -> float:
+    """x moved by k ulps, kept in [0, top]."""
+    bits = int(np.float64(x).view(np.int64)) + k
+    return float(np.int64(min(max(bits, 0), np.float64(top).view(np.int64))).view(np.float64))
+
+
+# the edge lanes of the decision: means 0 and 1, zero and sub-cut-off budgets
+EDGE_BUDGETS = (0.0, 5e-324, 1e-12, np.nextafter(1e-11, 0.0), 1e-11, 20.0)
+ANY_BUDGETS = st.one_of(st.sampled_from(EDGE_BUDGETS), BUDGETS)
+
+
+@st.composite
+def near_tie_slots(draw, k):
+    """One slot's K lanes around a drawn lane: each arm is that lane, the lane
+    with its mean or budget a few ulps off, or a lane of its own."""
+    p, b = draw(MEANS), draw(ANY_BUDGETS)
+    ulps = st.integers(-3, 3)
+    lanes = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["same", "mean", "budget", "both", "own"]))
+        if kind == "own":
+            lanes.append((draw(MEANS), draw(ANY_BUDGETS)))
+            continue
+        moved_p = _ulps(p, draw(ulps), 1.0) if kind in ("mean", "both") else p
+        moved_b = _ulps(b, draw(ulps), 20.0) if kind in ("budget", "both") else b
+        lanes.append((moved_p, moved_b))
+    return lanes
+
+
+class TestKlucbDecision:
+    """_klucb_argmax, the KL rules' decision, against the argmax of the full
+    solve, on every lane it is given."""
+
+    @staticmethod
+    def dense(mu, budget):
+        return _first_argmax(klucb_index_batch(mu, budget))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.sampled_from([2, 3, 4]), n=st.integers(1, 12))
+    def test_drawn_near_ties_equal_the_dense_argmax(self, data, k, n):
+        slots = [data.draw(near_tie_slots(k)) for _ in range(n)]
+        mu = np.array([[lane[0] for lane in slot] for slot in slots]).T
+        budget = np.array([[lane[1] for lane in slot] for slot in slots]).T
+        assert np.array_equal(_klucb_argmax(mu, budget), self.dense(mu, budget))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_ulp_ties_on_count_grids_equal_the_dense_argmax(self, k):
+        # every arm of a slot is one lane with its mean and budget moved by up
+        # to 3 ulps or not at all: the roots are within ~1e-15 of each other,
+        # so the bracket must leave the slot open wherever rounding decides
+        rng = np.random.default_rng(k)
+        n = 20_000
+        counts = rng.integers(1, 100_000, n)
+        mu = np.floor(counts * rng.uniform(0, 1, n)) / counts
+        budget = 10.0 ** rng.uniform(-10, 1, n)
+        moved = []
+        for x, top in ((mu, 1.0), (budget, 20.0)):
+            ulps = rng.integers(-3, 4, (k, n)) * (rng.uniform(0, 1, (k, n)) < 0.5)
+            bits = np.broadcast_to(x, (k, n)).view(np.int64) + ulps
+            moved.append(np.clip(bits.view(np.float64), 0.0, top))
+        assert np.array_equal(_klucb_argmax(*moved), self.dense(*moved))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_edge_lanes_equal_the_dense_argmax(self, k):
+        means = KERNEL_MEANS + (0.25, 0.75)
+        lanes = [(p, b) for p in means for b in KERNEL_BUDGETS + EDGE_BUDGETS]
+        rng = np.random.default_rng(k)
+        pick = rng.integers(0, len(lanes), (k, 4000))
+        mu, budget = (np.array(column)[pick] for column in zip(*lanes))
+        assert np.array_equal(_klucb_argmax(mu, budget), self.dense(mu, budget))
+
+    def opened(self, monkeypatch, mu, budget):
+        """The slots _klucb_argmax solves in full."""
+        taken = []
+        real = _Newton.take
+
+        def take(lanes, slots):
+            taken.extend(slots.tolist())
+            return real(lanes, slots)
+
+        monkeypatch.setattr(_Newton, "take", take)
+        assert np.array_equal(_klucb_argmax(mu, budget), self.dense(mu, budget))
+        return taken
+
+    def test_separated_arms_are_decided_by_the_bracket(self, monkeypatch):
+        # the engine's common case: the means a few standard errors apart
+        rng = np.random.default_rng(7)
+        counts = rng.integers(50, 5000, (2, 500))
+        mu = np.stack([np.full(500, 0.9), np.full(500, 0.8)])
+        mu = np.floor(mu * counts) / counts
+        budget = np.log(4000.0) / counts
+        assert self.opened(monkeypatch, mu, budget) == []
+
+    def test_ties_and_edge_lanes_are_solved_in_full(self, monkeypatch):
+        mu = np.array([[0.5, 0.5, 1.0, 0.9, 0.5], [0.5, np.nextafter(0.5, 1.0), 0.5, 0.5, 0.2]])
+        budget = np.array([[0.1, 0.1, 0.1, 1e-12, 0.1], [0.1, 0.1, 0.1, 0.1, 0.1]])
+        assert self.opened(monkeypatch, mu, budget) == [0, 1, 2, 3]
+
+    def test_a_single_arm_is_arm_zero(self):
+        assert _klucb_argmax(np.array([[0.3, 1.0]]), np.array([[0.1, 0.0]])).tolist() == [0, 0]
+
+
+class TestNewtonContinuation:
+    """A solve's lanes, taken after the bracket and run to the end, give the
+    bits klucb_index_batch gives them."""
+
+    @staticmethod
+    def continued(mu, budget, slots):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lanes = _Newton.start(mu, budget)
+            _klucb_bracket(lanes)
+            rest = lanes.take(slots)
+            return rest.steps(policies._NEWTON_ITERATIONS - policies._BRACKET_STEPS).finish()
+
+    def test_edge_lanes_equal_the_dense_solve_bit_for_bit(self):
+        mu, budget = (x.reshape(2, -1) for x in np.meshgrid(KERNEL_MEANS, KERNEL_BUDGETS))
+        for slots in (np.arange(mu.shape[1]), np.arange(0, mu.shape[1], 3)):
+            want = klucb_index_batch(mu[:, slots], budget[:, slots])
+            _same_bits(self.continued(mu, budget, slots), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        lanes=st.lists(st.tuples(MEANS, ANY_BUDGETS), min_size=2, max_size=24),
+    )
+    def test_drawn_lanes_equal_the_dense_solve_bit_for_bit(self, data, lanes):
+        n = len(lanes) // 2
+        mu, budget = (np.array(column[: 2 * n]).reshape(2, n) for column in zip(*lanes))
+        slots = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        want = klucb_index_batch(mu[:, slots], budget[:, slots])
+        _same_bits(self.continued(mu, budget, slots), want)
 
 
 class TestKlucbLowerIndex:
