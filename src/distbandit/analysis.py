@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BernoulliArmModel, _as_int, _as_real, _as_unit, _at_least, _of_type, d_inf_bernoulli,
+    BernoulliArmModel, _as_real, _as_unit, _at_least, _of_type, d_inf_bernoulli,
     kl_bernoulli,
 )
 from .engine import RunAggregate
@@ -66,7 +66,11 @@ def lower_bound_coefficient(m: int, alpha: float, mu_a: float, mu_star: float) -
     """Leading coefficient of the pull-count lower bound for a suboptimal arm:
     M / (1 + (M-1) alpha) * 1 / d_inf(mu_a, mu_star)."""
     m, alpha = _check_m_alpha(m, alpha)
-    mu_a, mu_star = _check_pair(mu_a, mu_star)
+    return _lower(m, alpha, *_check_pair(mu_a, mu_star))
+
+
+def _lower(m: int, alpha: float, mu_a: float, mu_star: float) -> float:
+    """lower_bound_coefficient of checked arguments."""
     return _scale(m, alpha) / d_inf_bernoulli(mu_a, mu_star)
 
 
@@ -80,11 +84,13 @@ def upper_bound_coefficient(
     """
     _check_kind(kind)
     m, alpha = _check_m_alpha(m, alpha)
-    mu_a, mu_star = _check_pair(mu_a, mu_star)
-    divergence = kl_bernoulli(mu_a, mu_star)
-    if kind == BOUND_SPARSE:
-        return _scale(m, alpha) / divergence
-    return 1.0 / divergence
+    return _upper(kind, m, alpha, *_check_pair(mu_a, mu_star))
+
+
+def _upper(kind: str, m: int, alpha: float, mu_a: float, mu_star: float) -> float:
+    """upper_bound_coefficient of checked arguments."""
+    scale = _scale(m, alpha) if kind == BOUND_SPARSE else 1.0
+    return scale / kl_bernoulli(mu_a, mu_star)
 
 
 def upper_bound_curve(
@@ -95,8 +101,12 @@ def upper_bound_curve(
     t = np.array([_as_real("checkpoints", t) for t in checkpoints], dtype=np.float64)
     if not (t >= 1).all():
         raise ValueError("checkpoints must be rounds >= 1")
-    coeff = upper_bound_coefficient(kind, m, alpha, mu_a, mu_star)
-    return coeff * np.log(t)
+    return _curve(upper_bound_coefficient(kind, m, alpha, mu_a, mu_star), np.log(t))
+
+
+def _curve(coefficient: float, log_t: np.ndarray) -> np.ndarray:
+    """The leading term, coefficient * ln t, at each ln t of log_t."""
+    return coefficient * log_t
 
 
 @dataclass(frozen=True)
@@ -127,32 +137,27 @@ def bound_report(
     alpha: float,
     checkpoints,
 ) -> BoundReport:
-    """Build the per-arm constants and curves for all suboptimal arms."""
+    """Build the per-arm constants and curves for all suboptimal arms: the
+    values of lower_bound_coefficient, upper_bound_coefficient and
+    upper_bound_curve, with the arguments checked and ln t taken once."""
     _of_type("arm_model", arm_model, BernoulliArmModel)
     _check_kind(kind)
     m, alpha = _check_m_alpha(m, alpha)
-    checkpoints = tuple(_as_int("checkpoints", t) for t in checkpoints)
+    checkpoints = tuple(_at_least("checkpoints", t, 1) for t in checkpoints)
+    log_t = np.log(np.array(checkpoints, dtype=np.float64))
     mu_star = arm_model.best_mean
     arms = tuple(a for a in range(arm_model.k) if arm_model.gaps[a] > 0.0)
-    lower = []
-    upper = []
-    curves = []
-    for a in arms:
-        mu_a = arm_model.means[a]
-        lower.append(lower_bound_coefficient(m, alpha, mu_a, mu_star))
-        upper.append(upper_bound_coefficient(kind, m, alpha, mu_a, mu_star))
-        curves.append(
-            tuple(float(v) for v in upper_bound_curve(kind, m, alpha, mu_a, mu_star, checkpoints))
-        )
+    pairs = [_check_pair(arm_model.means[a], mu_star) for a in arms]
+    upper = tuple(_upper(kind, m, alpha, *pair) for pair in pairs)
     return BoundReport(
         kind=kind,
         m=m,
         alpha=alpha,
         checkpoints=checkpoints,
         arms=arms,
-        lower_coefficients=tuple(lower),
-        upper_coefficients=tuple(upper),
-        curves=tuple(curves),
+        lower_coefficients=tuple(_lower(m, alpha, *pair) for pair in pairs),
+        upper_coefficients=upper,
+        curves=tuple(tuple(_curve(c, log_t).tolist()) for c in upper),
     )
 
 

@@ -32,7 +32,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 
-from .core import STANDARD, BernoulliArmModel, ExplorationFunction, _as_unit, _at_least
+from .core import STANDARD, BernoulliArmModel, ExplorationFunction, _as_unit, _at_least, _number
 from .engine import _FLOORS, RunConfig, _checkpoints
 from .policies import DKLUCB, UCB, PolicySpec
 from .schedule import ONESHOT, CommunicationSchedule, parse_schedule
@@ -81,27 +81,18 @@ def experiment_runs(cfg: ExperimentConfig) -> list[tuple[str, RunConfig]]:
 
 
 def _build_runs(
-    strategies, *, policy: PolicySpec, alpha: float | None = None, **shared
+    strategies, *, policy: PolicySpec, density_alpha: bool = False, **shared
 ) -> tuple[tuple[str, RunConfig], ...]:
     """One RunConfig per (name, schedule), all with the RunConfig fields in
-    `shared` (one arm model object among them). A dklucb run uses the
-    configured alpha, or else its schedule's exact density."""
+    `shared` (one arm model object among them). A dklucb run uses policy's
+    alpha, or with density_alpha its schedule's exact density."""
     runs = []
     for name, schedule in strategies:
         spec = policy
-        if policy.rule == DKLUCB:
-            spec = replace(policy, alpha=schedule.density() if alpha is None else alpha)
+        if policy.rule == DKLUCB and density_alpha:
+            spec = replace(policy, alpha=schedule.density())
         runs.append((name, RunConfig(schedule=schedule, policy=spec, **shared)))
     return tuple(runs)
-
-
-def _number(kind, raw: str):
-    """raw as an int or a float; text that is not one is a ValueError naming it."""
-    try:
-        return kind(raw.strip())
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{raw.strip()!r} is not {what}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -147,14 +138,13 @@ def parse_config(text: str) -> ExperimentConfig:
         key: judged(key, lambda raw: _at_least(key, _number(int, raw), floor))
         for key, floor in _FLOORS.items()
     }
-    exploration = judged("exploration", ExplorationFunction)
-    # the rule is judged on the standard form when the exploration failed
-    policy = judged(
-        "policy", lambda rule: PolicySpec(rule, exploration or ExplorationFunction.standard())
-    )
+    # the rule is judged on the standard form when the exploration failed,
+    # and on the default alpha when none was read
+    exploration = judged("exploration", ExplorationFunction) or ExplorationFunction.standard()
     alpha = judged("alpha", lambda raw: _as_unit("alpha", _number(float, raw)))
-    if "alpha" in exp and policy is not None and policy.rule != DKLUCB:
-        errors.append("[experiment] alpha: only meaningful with policy = dklucb")
+    policy = judged(
+        "policy", lambda rule: PolicySpec(rule, exploration, 1.0 if alpha is None else alpha)
+    )
     horizon = math.inf if ints["horizon"] is None else ints["horizon"]
     checkpoints = judged(
         "checkpoints",
@@ -217,7 +207,7 @@ def parse_config(text: str) -> ExperimentConfig:
         runs = _build_runs(
             strategies,
             policy=policy,
-            alpha=alpha,
+            density_alpha=alpha is None,
             arm_model=arm_model,
             checkpoints=checkpoints or (),
             **ints,

@@ -51,6 +51,16 @@ def _as_unit(name: str, value) -> float:
     return value
 
 
+def _number(kind, raw: str, prefix: str = ""):
+    """The text raw as an int or a float, as kind is; text that is not one is
+    a ValueError naming it, after prefix (such as "<parameter name>: ")."""
+    try:
+        return kind(raw.strip())
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{prefix}{raw.strip()!r} is not {what}") from None
+
+
 def kl_bernoulli(p: float, q: float) -> float:
     """KL divergence between Bernoulli(p) and Bernoulli(q), in nats.
 

@@ -414,14 +414,15 @@ def _refill(state: WorldState, cfg: RunConfig) -> None:
 def _check_claims(
     state: WorldState, n_prime: np.ndarray, cfg: RunConfig, counts, totals, rounds,
     slots: np.ndarray | None = None,
-) -> None:
-    """Raise on the first breach, in (round, kind, slot, player, arm) order, a
+) -> InvariantViolation | None:
+    """The first breach, in (round, kind, slot, player, arm) order, a
     per-player breach before a summed one, of either count-prediction claim
     by the predictions N' [K, c, M or 1, S'] of c rows, checked against their
-    view counts [K, c, M or 1, S'] and int64 global counts [K, c, S']; rounds
-    [c, S'] is the round each slot's row is at (0: not checked). slots [S']
-    holds the checked slots' places in the batch, ascending (None: every
-    slot)."""
+    view counts [K, c, M or 1, S'] and int64 global counts [K, c, S'], or
+    None when there is none; the caller raises it. rounds [c, S'] is the
+    round each slot's row is at (0: not checked). slots [S'] holds the
+    checked slots' places in the batch, ascending (None: every slot). The
+    per-player bound is the count scaled as DKLUCB scales the budget."""
     m, alpha = cfg.players, cfg.policy.alpha
     r_n = state.keys.shape[0]
     if n_prime.shape[-2] < m:
@@ -434,7 +435,7 @@ def _check_claims(
     limit = m * totals
     over_sum = (summed > limit + 1e-9) & checked
     if not (over.any() or over_sum.any()):
-        return
+        return None
     # every breach as (round, kind, slot, player, arm, row), per-player ones first
     breaches = [(rounds[i, s], 0, s, p, a, i) for a, i, p, s in zip(*np.nonzero(over))]
     breaches += [(rounds[i, s], 1, s, 0, a, i) for a, i, s in zip(*np.nonzero(over_sum))]
@@ -452,46 +453,41 @@ def _check_claims(
             f"summed count predictions exceeded M times the global count {where}, "
             f"arm {arm}, sum of N' = {summed[arm, row, s]} > {limit[arm, row, s]}"
         )
-    raise InvariantViolation(message, strategy=slot // r_n, order=(t, kind, slot, player, arm))
+    return InvariantViolation(message, strategy=slot // r_n, order=(t, kind, slot, player, arm))
 
 
 def _fill_budgets(state: WorldState, cfg: RunConfig) -> None:
     """Fill state._comm with each strategy's communication flags of rounds
     state.t to the block's last, and state._f with the exploration value f of
     the block's rounds: one exploration_budgets table per strategy, or one for
-    all under ln2t, which reads the round index alone. At round t a player
-    holds t-1 samples of its own and M-1 more per round up to its strategy's
-    last merge before t. The forced rounds read no f and get none."""
+    all under ln2t, which reads the round index alone and forms no totals. At
+    round t a player holds t-1 samples of its own and M-1 more per round up to
+    its strategy's last merge before t, a running maximum over the block's
+    merge rounds: one array pass per strategy, handed over as Python ints. The
+    forced rounds read no f and get none."""
     policy, m, k = cfg.policy, cfg.players, state.views.shape[1]
     first, length = state.t + 1, len(state._block)
     state._comm = np.stack(
         [s.comm_mask(first - 1, first + length) for s in state.schedules], axis=1
     )
+    ln2t = policy.exploration.variant == LN2T
     # ln2t reads the round alone, so one column serves every strategy
-    width = 1 if policy.exploration.variant == LN2T else len(state.schedules)
+    width = 1 if ln2t else len(state.schedules)
     # no block is longer than the first, so the first table holds every refill's
     f = np.zeros((length, width)) if state._f is None else state._f[:length]
     forced = max(0, k + 1 - first)
     f[:forced] = 0.0
     rounds = range(first + forced, first + length)
+    before = np.arange(rounds.start - 1, rounds.stop - 1)  # round t-1 of each round t
     for s in range(width):
-        # whether round t-1 merged, for each round t
-        merged = state._comm[forced:-1, s].tolist()
-        last = state.schedules[s].last_comm_leq(first + forced - 1)
-        f[forced:, s] = exploration_budgets(
-            policy, m, rounds, _sample_totals(rounds, merged, last, m)
-        )
+        totals = rounds  # unread under ln2t, so left unformed
+        if not ln2t:
+            last = state.schedules[s].last_comm_leq(rounds.start - 1)
+            # the last merge before each round t: the latest of last and the merged rounds t-1
+            last = np.maximum.accumulate(np.where(state._comm[forced:-1, s], before, last))
+            totals = (before + (m - 1) * last).tolist()
+        f[forced:, s] = exploration_budgets(policy, m, rounds, totals)
     state._f = f
-
-
-def _sample_totals(rounds: range, merged: list, last: int, m: int):
-    """A player's total sample count at each round t of rounds: t-1 of its
-    own and M-1 more per round up to the last merge before t, with merged[i]
-    whether round rounds[i]-1 merged and last the last merge before that."""
-    for t, on in zip(rounds, merged):
-        if on:
-            last = t - 1
-        yield (t - 1) + (m - 1) * last
 
 
 def _select_round(state: WorldState, cfg: RunConfig, t: int) -> None:
@@ -507,10 +503,12 @@ def _select_round(state: WorldState, cfg: RunConfig, t: int) -> None:
     state.arms[:] = arms
     if cfg.policy.rule == DKLUCB:
         # the claims are checked for every player, shared or not, as one row
-        _check_claims(
+        breach = _check_claims(
             state, denom[:, None], cfg, count[:, None], state.totals[0][:, None],
             np.full((1, denom.shape[-1]), t),
         )
+        if breach is not None:
+            raise breach
 
 
 def _select_window(
@@ -615,10 +613,7 @@ def _select_window(
     if cfg.policy.rule == DKLUCB:
         totals = state.totals[0][:, None, live] + team(added[0]).astype(np.int64)
         rounds = np.where(i <= last, ts + 1 + i, 0)
-        try:
-            _check_claims(state, denom, cfg, counts, totals, rounds, batch)
-        except InvariantViolation as exc:
-            breach = exc
+        breach = _check_claims(state, denom, cfg, counts, totals, rounds, batch)
     if state._actions is not None:
         row, slot = np.nonzero(i <= last)
         state._actions[ts[slot] + row, batch[slot]] = chosen[row, :, slot]

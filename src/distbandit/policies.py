@@ -77,7 +77,8 @@ class PolicySpec:
     M / (1 + (M-1) alpha), with M the run's player count (see
     exploration_budget), so its `exploration` field must be the standard
     variant; pairing dklucb with ln2t is rejected rather than silently
-    ignored.
+    ignored. alpha, the weight of dklucb's count prediction, is read by no
+    other rule, which takes only the default 1.0.
     """
 
     rule: str
@@ -91,6 +92,10 @@ class PolicySpec:
             raise ValueError(f"unknown policy rule {self.rule!r}; expected one of {RULES}")
         _of_type("exploration", self.exploration, ExplorationFunction)
         object.__setattr__(self, "alpha", _as_unit("alpha", self.alpha))
+        if self.rule != DKLUCB and self.alpha != 1.0:
+            raise ValueError(
+                f"alpha is read by dklucb alone; {self.rule} takes alpha = 1.0, got {self.alpha!r}"
+            )
         if self.rule == DKLUCB and self.exploration.variant != STANDARD:
             raise ValueError(
                 "dklucb fixes its own exploration function and cannot use "
@@ -314,7 +319,8 @@ def exploration_budgets(spec: PolicySpec, m: int, rounds, totals) -> np.ndarray:
 
     The ln2t variant reads the round, the standard one the total. dklucb
     scales the standard value by M / (1 + (M-1) alpha), with M = m and alpha =
-    spec.alpha; this is the only place that scale is applied.
+    spec.alpha; this is the only place the budget is scaled (the engine's
+    claim check scales its bound on N' by the same factor).
     """
     args = rounds if spec.exploration.variant == LN2T else totals
     f = np.fromiter(exploration_values(spec.exploration, args), np.float64, len(rounds))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_int, _as_real, _as_unit, _at_least, _of_type
+from .core import _as_int, _as_real, _as_unit, _at_least, _number, _of_type
 
 NONE = "none"
 FULL = "full"
@@ -301,8 +301,11 @@ def parse_schedule(text: str) -> CommunicationSchedule:
     kind, sep, arg = text.partition(":")
     if kind not in _PARAMS:
         raise ValueError(f"unknown schedule kind {kind!r} in {text!r}")
-    number = float if kind in (EXP, DOUBLEEXP) else int
+    args = arg.split(",") if sep else []
+    spec = _PARAMS[kind] * (len(args) if kind == EXPLICIT else 1)
     try:
-        return CommunicationSchedule(kind, [number(a) for a in arg.split(",")] if sep else ())
+        if len(args) == len(spec):
+            args = [_number(type(floor), a, f"{name}: ") for (name, floor), a in zip(spec, args)]
+        return CommunicationSchedule(kind, args)
     except ValueError as exc:
         raise ValueError(f"malformed schedule {text!r}: {exc}") from None

@@ -157,6 +157,29 @@ class TestBoundReport:
         assert len(report.curves) == 2
         assert report.lower_coefficients == report.upper_coefficients
 
+    @pytest.mark.parametrize("kind", [BOUND_ONESHOT, BOUND_DENSE, BOUND_SPARSE])
+    @pytest.mark.parametrize("m, alpha", [(1, 1.0), (2, 0.5), (5, 0.3), (3, 0.0)])
+    def test_constants_are_the_public_functions_bit_for_bit(self, kind, m, alpha):
+        model = BernoulliArmModel((0.31, 0.9, 0.8, 0.999, 1e-3, 0.5))
+        checkpoints = [1, 2, 3, 16, 1000, 65536, 10**9]
+        report = bound_report(model, kind, m, alpha, checkpoints)
+        mu_star = model.best_mean
+        means = [model.means[a] for a in report.arms]
+        assert report.arms == (0, 1, 2, 4, 5)
+
+        def bits(values):
+            return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+        lower = [lower_bound_coefficient(m, alpha, mu, mu_star) for mu in means]
+        upper = [upper_bound_coefficient(kind, m, alpha, mu, mu_star) for mu in means]
+        curves = [
+            upper_bound_curve(kind, m, alpha, mu, mu_star, checkpoints) for mu in means
+        ]
+        assert bits(report.lower_coefficients) == bits(lower)
+        assert bits(report.upper_coefficients) == bits(upper)
+        assert bits(report.curves) == bits(curves)
+        assert all(type(v) is float for curve in report.curves for v in curve)
+
     def test_no_suboptimal_arms(self):
         model = BernoulliArmModel((0.9, 0.9))
         report = bound_report(model, BOUND_DENSE, 2, 1.0, [16])

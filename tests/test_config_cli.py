@@ -164,6 +164,15 @@ class TestParseConfig:
     def test_alpha_requires_dklucb(self):
         errors = errors_of(MINIMAL.replace("policy = klucb", "policy = ucb\nalpha = 0.5"))
         assert any("alpha" in e for e in errors)
+        # one error, by PolicySpec's alpha rule
+        assert len(errors) == 1 and errors[0].startswith("[experiment] ")
+
+    def test_alpha_one_without_dklucb_selects_as_no_alpha(self):
+        # alpha = 1.0 is the value every rule but dklucb reads as no alpha
+        for rule in ("ucb", "klucb"):
+            plain = MINIMAL.replace("policy = klucb", f"policy = {rule}")
+            with_alpha = plain.replace(f"policy = {rule}", f"policy = {rule}\nalpha = 1.0")
+            assert parse_config(with_alpha) == parse_config(plain)
 
     def test_alpha_range(self):
         errors = errors_of(

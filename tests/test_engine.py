@@ -857,14 +857,23 @@ class TestSelectionConsistency:
 
 
 def check_round(state, n_prime, cfg):
-    """_check_claims on the [S*R, M, K] predictions n_prime for round
-    state.t + 1, passed as its one row with the counts selection reads (while
-    the views are stale, player 0's stand for every player's) and the global
-    counts."""
+    """The breach _check_claims returns on the [S*R, M, K] predictions n_prime
+    for round state.t + 1, passed as its one row with the counts selection
+    reads (while the views are stale, player 0's stand for every player's) and
+    the global counts; None when the claims hold."""
     counts = state.views[0, :, :1] if state._stale else state.views[0]
     rounds = np.full((1, len(n_prime)), state.t + 1)
     totals = state.totals[0][:, None]
-    _check_claims(state, n_prime.T[:, None], cfg, counts[:, None], totals, rounds)
+    return _check_claims(state, n_prime.T[:, None], cfg, counts[:, None], totals, rounds)
+
+
+def breach_of(state, n_prime, cfg, match=""):
+    """check_round's breach, asserted to be an InvariantViolation whose
+    message matches match (a regular expression)."""
+    breach = check_round(state, n_prime, cfg)
+    assert isinstance(breach, InvariantViolation)
+    assert re.search(match, str(breach))
+    return breach
 
 
 class TestClaims:
@@ -942,17 +951,16 @@ class TestClaims:
         assert state._stale
         doctored = np.zeros((2, 2, 2))
         doctored[1, 1, 0] = 1e9
-        with pytest.raises(InvariantViolation) as err:
-            check_round(state, doctored, cfg)
+        breach = breach_of(state, doctored, cfg)
         bound = 2 / 1.5 * read_views(state)[0][1, 1, 0]
-        assert str(err.value) == (
+        assert str(breach) == (
             "count prediction exceeded its per-player bound at round 7: "
             f"replication 9, player 1, arm 0, N' = 1000000000.0 > {bound}"
         )
         # copies keep the message, strategy and order, which is keyword-only
-        for twin in (copy.deepcopy(err.value), pickle.loads(pickle.dumps(err.value))):
-            assert type(twin) is InvariantViolation and str(twin) == str(err.value)
-            assert (twin.strategy, twin.order) == (err.value.strategy, err.value.order)
+        for twin in (copy.deepcopy(breach), pickle.loads(pickle.dumps(breach))):
+            assert type(twin) is InvariantViolation and str(twin) == str(breach)
+            assert (twin.strategy, twin.order) == (breach.strategy, breach.order)
             assert twin.order is not None
 
     def test_claim_checker_rejects_doctored_predictions(self):
@@ -964,29 +972,25 @@ class TestClaims:
         for _ in range(6):
             step(state, cfg)
         known_count, total_count = read_views(state)[0], state.totals[0].T
+        # the claims hold for the view counts themselves: no breach
+        assert check_round(state, known_count.astype(float), cfg) is None
         inflated = known_count * 10.0
-        with pytest.raises(InvariantViolation, match="per-player bound"):
-            check_round(state, inflated, cfg)
+        breach_of(state, inflated, cfg, "per-player bound")
         # the report names the first breach: replication, player, arm, round,
         # the prediction N' and the bound it broke
         doctored = known_count.astype(float)
         doctored[1, 1, 0] *= 10.0
         n, bound = doctored[1, 1, 0], 2 / 1.5 * known_count[1, 1, 0]
-        with pytest.raises(InvariantViolation) as err:
-            check_round(state, doctored, cfg)
-        assert str(err.value) == (
+        assert str(breach_of(state, doctored, cfg)) == (
             "count prediction exceeded its per-player bound at round 7: "
             f"replication 9, player 1, arm 0, N' = {n} > {bound}"
         )
         total_count[:] = 0
-        with pytest.raises(InvariantViolation, match="global count"):
-            check_round(state, known_count.astype(float), cfg)
+        breach_of(state, known_count.astype(float), cfg, "global count")
         total_count[:] = known_count.sum(axis=1)
         total_count[1, 1] = 0
         summed = float(known_count[1, :, 1].sum())
-        with pytest.raises(InvariantViolation) as err:
-            check_round(state, known_count.astype(float), cfg)
-        assert str(err.value) == (
+        assert str(breach_of(state, known_count.astype(float), cfg)) == (
             "summed count predictions exceeded M times the global count at round 7: "
             f"replication 9, arm 1, sum of N' = {summed} > 0"
         )
@@ -1125,17 +1129,15 @@ class TestFusedStrategies:
         doctored = known_count.astype(float)
         doctored[2 * 2 + 1, 0, 1] *= 10.0  # strategy 2, replication 9
         n, bound = doctored[5, 0, 1], 2 / 1.5 * known_count[5, 0, 1]
-        with pytest.raises(InvariantViolation) as err:
-            check_round(state, doctored, cfg)
-        assert err.value.strategy == 2
-        assert str(err.value) == (
+        breach = breach_of(state, doctored, cfg)
+        assert breach.strategy == 2
+        assert str(breach) == (
             "count prediction exceeded its per-player bound at round 7: "
             f"replication 9, player 0, arm 1, N' = {n} > {bound}"
         )
         state.totals[0].T[2] = 0  # strategy 1, replication 4
-        with pytest.raises(InvariantViolation, match="replication 4, arm 0") as err:
-            check_round(state, known_count.astype(float), cfg)
-        assert err.value.strategy == 1
+        breach = breach_of(state, known_count.astype(float), cfg, "replication 4, arm 0")
+        assert breach.strategy == 1
 
     def test_run_strategies_reports_the_failing_input_index(self, monkeypatch):
         from distbandit import engine
@@ -1151,7 +1153,7 @@ class TestFusedStrategies:
             # a breach of strategy 1 at the first round checked, ordered as
             # the real check orders it
             order = (int(rounds[rounds > 0].min()), 0, state.keys.shape[0], 0, 0)
-            raise InvariantViolation("breach", strategy=1, order=order)
+            return InvariantViolation("breach", strategy=1, order=order)
 
         def fail(state, cfg, w):
             raise MemoryError("no room")

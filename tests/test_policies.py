@@ -699,6 +699,17 @@ class TestPolicySpec:
             PolicySpec(DKLUCB, ExplorationFunction.ln2t(), alpha=0.5)
         PolicySpec(DKLUCB, ExplorationFunction.standard(), alpha=0.5)
 
+    @pytest.mark.parametrize("rule", [UCB, KLUCB])
+    def test_alpha_is_read_by_dklucb_alone(self, rule):
+        message = f"alpha is read by dklucb alone; {rule} takes alpha = 1.0, got 0.3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PolicySpec(rule, alpha=0.3)
+        with pytest.raises(ValueError, match="alpha"):
+            PolicySpec(rule, ExplorationFunction.ln2t(), alpha=0.0)
+        # the one alpha such a rule takes is the default, whatever its type
+        assert PolicySpec(rule, alpha=np.float64(1.0)) == PolicySpec(rule)
+        assert hash(PolicySpec(rule, alpha=np.float64(1.0))) == hash(PolicySpec(rule))
+
     def test_alpha_is_stored_as_a_float(self):
         # run_strategies fuses equal configs into one batch under the first
         # one's spec, so equal specs must give bit-equal budgets

@@ -547,6 +547,22 @@ class TestGrammar:
         with pytest.raises(ValueError):
             parse_schedule(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("oneshot:2.5", "oneshot round: '2.5' is not an integer"),
+            ("linear:x", "linear grid step: 'x' is not an integer"),
+            ("explicit:", "explicit round: '' is not an integer"),
+            ("explicit:4,,16", "explicit round: '' is not an integer"),
+            ("exp:two", "exponential grid base: 'two' is not a number"),
+            ("doubleexp:2,x", "double-exponential eps: 'x' is not a number"),
+        ],
+    )
+    def test_a_non_number_names_its_parameter(self, text, message):
+        want = re.escape(f"malformed schedule {text!r}: {message}")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            parse_schedule(text)
+
 
 class TestGridParameterFloor:
     """A grid whose points cannot be generated is rejected when it is built:
