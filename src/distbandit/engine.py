@@ -58,11 +58,17 @@ ufuncs give an element the same value whatever the array's shape, so a window
 selects exactly the arms the rounds would.
 
 The uniforms are held round-major, in an [L, M, R] block of the next L
-rounds, so a round reads its uniforms from one contiguous row. A stream's L
-uniforms are one column of the block, so they are drawn into a small staging
-tile of whole stream rows, and each tile is copied into its columns while it
-is still in cache. Every refill is drawn into the first block's buffer, so a
-run never holds two blocks. Each strategy's communication flags and
+rounds, so a round reads its uniforms from one contiguous row. A uniform is
+read only as u < means[a], so the block stores its level instead, one byte:
+the count of the distinct arm means at or below u. With thresholds[a] the
+rank of means[a] among them plus one, level < thresholds[a] exactly when u <
+means[a], so the rewards, and every trajectory, are those of the uniforms.
+A level is read off a table of equal bins of [0, 1), and searched for only
+in the bins a mean falls inside. A stream's L uniforms are one column of the
+block, so they are drawn into a small float64 staging tile of whole stream
+rows, and each tile's levels are copied into its columns while it is still
+in cache. Every refill is drawn into the first block's buffer, so a run
+never holds two blocks. Each strategy's communication flags and
 exploration value f (one exploration_budgets table per strategy) of every
 round of the block are filled with it, and a round, or a window row, reads
 its slot's from these tables: no state grows with the horizon.
@@ -85,8 +91,12 @@ from .schedule import CommunicationSchedule
 
 # uniform prefetch budget per block (32 MiB); a block also ends at the horizon
 _BLOCK_BYTES = 1 << 25
-# the staging tile a block is drawn through (256 KiB, at least one stream row)
+# the float64 staging tile a block is drawn through (256 KiB, at least one
+# stream row)
 _TILE_BYTES = 1 << 18
+# a uniform's level is read off a table of this many equal bins of [0, 1),
+# exactly; only the bins a mean falls strictly inside are searched
+_LEVEL_BINS = 1 << 12
 # the most rounds one window selects at once, and the budget (128 KiB) of a
 # window that long as a [K, W, M, S*R] float64 array: a batch too wide for it
 # advances round by round, as windows pay only where few lanes switch in a
@@ -100,6 +110,16 @@ _WINDOW_BYTES = 1 << 17
 # doubleexp:2,1, M=2, took 9% and 18% less CPU at R=32 and R=60 with this
 # budget than with W=64, and the same at R=1, where a fixed W=32 took 26% more
 _WINDOW_LANES = 1 << 12
+
+# glibc's malloc maps a request above its mmap threshold (128 KiB at start)
+# and unmaps it when freed; freeing such a chunk raises that threshold to the
+# chunk's size and the heap's trim threshold to twice it (mallopt(3)). So one
+# untouched buffer of this size, made and freed at import, before any block,
+# lets the heap keep a refill's staging arrays and a window's arrays rather
+# than map and fault them in anew on every job: a figure1 job at R=10 faulted
+# 27k pages with 128 or 256 KiB here, and 400-630 first and 1-16 warm with 512
+_HEAP_BYTES = 1 << 19
+np.empty(_HEAP_BYTES, dtype=np.uint8)
 
 # numpy's SeedSequence hash: a pool of four uint32 words, mixed with these
 # constants and multipliers (uint32 arithmetic, which the arrays wrap silently)
@@ -206,12 +226,16 @@ class WorldState:
     totals: np.ndarray  # int64 [2, K, S*R]; [0]: the global counts, [1]: their reward sums
     arms: np.ndarray  # int64 [M, S*R]; the arms selected in round t
     keys: np.ndarray  # uint64 [R, M, 2]; the streams' Philox keys, shared by the strategies
-    means: np.ndarray  # float64 [K]
+    # uint8 [K], wider past 254 distinct means (_level_dtype); the rank of each
+    # arm's mean among the distinct means, plus one: a uniform of level v
+    # (_levels) is below arm a's mean exactly when v < thresholds[a]
+    thresholds: np.ndarray
     replication_indices: tuple[int, ...]  # the replication each slot runs
     schedules: tuple[CommunicationSchedule, ...]  # [S]; each strategy's schedule
     _stale: bool = False  # players 1.. of every slot are to hold player 0's view
-    # float64 [L, M, R]; the uniforms of the next L rounds, round-major; every
-    # refill is a leading slice of the first block's buffer
+    # [L, M, R] in thresholds' dtype; the levels of the uniforms of the next L
+    # rounds, round-major; every refill is a leading slice of the first
+    # block's buffer
     _block: np.ndarray | None = field(default=None, repr=False)
     _pos: int = 0  # the rounds of _block already read
     # float64 [L, S], or [L, 1] for ln2t, which reads the round alone; the
@@ -339,6 +363,7 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
     if not schedules:
         raise ValueError("expected one or more schedules, got an empty schedules list")
     n, m, k = len(schedules) * len(reps), cfg.players, cfg.arm_model.k
+    distinct = _distinct(cfg.arm_model.means)
     return WorldState(
         t=0,
         views=np.zeros((2, k, m, n)),
@@ -346,7 +371,9 @@ def init_state(cfg: RunConfig, replication_indices, *, schedules=None) -> WorldS
         totals=np.zeros((2, k, n), dtype=np.int64),
         arms=np.zeros((m, n), dtype=np.int64),
         keys=_stream_keys(cfg.seed, reps, m),
-        means=np.asarray(cfg.arm_model.means, dtype=np.float64),
+        thresholds=(np.searchsorted(distinct, cfg.arm_model.means) + 1).astype(
+            _level_dtype(distinct)
+        ),
         replication_indices=tuple(reps) * len(schedules),
         schedules=schedules,
     )
@@ -366,47 +393,103 @@ def merge_views(state: WorldState) -> WorldState:
     return state
 
 
-def _refill(state: WorldState, cfg: RunConfig) -> None:
-    """Draw the [L, M, R] uniforms of the next L rounds, one per stream and
-    round, into state._block, and fill its tables (_fill_budgets); the
-    strategies of a batch share them. The caller advances state._pos past the
-    rounds it commits."""
-    r_n, m, _ = state.keys.shape
-    full = max(64, min(4096, int(_BLOCK_BYTES // (8 * r_n * m))))
-    length = min(full, cfg.horizon - state.t)
-    # no block is longer than the first, so its buffer holds every refill
-    block = np.empty((length, m, r_n)) if state._block is None else state._block[:length]
-    # every stream has drawn one uniform (one Philox word) per round so far: a
-    # counter of t // 4 with its buffer spent, then t % 4 words skipped, puts
-    # it there; a block need not end on a counter boundary
-    rng = np.random.Generator(np.random.Philox(key=0))
+def _distinct(means) -> np.ndarray:
+    """The distinct arm means, ascending. Sorted in Python: a process's first
+    numpy sort (np.unique) maps about 1.6 MB of code (numpy 2.4, x86-64)."""
+    return np.array(sorted(set(means)), dtype=np.float64)
+
+
+def _level_dtype(distinct: np.ndarray) -> np.dtype:
+    """The least unsigned dtype of a level of these distinct means, 0 to
+    len(distinct), and of _level_table's mark, len(distinct) + 1: uint8 up to
+    254 distinct means, and wider beyond."""
+    return np.min_scalar_type(len(distinct) + 1)
+
+
+def _level_table(distinct: np.ndarray) -> np.ndarray:
+    """The level of each of _LEVEL_BINS equal bins of [0, 1): the count of
+    the distinct means (ascending) at or below every uniform of the bin, or
+    len(distinct) + 1 for a bin that a mean falls strictly inside, whose
+    uniforms have no one level. Scaling by a power of two is exact, so the
+    bin edges and the scaled means are the exact values."""
+    edges = np.arange(_LEVEL_BINS) / _LEVEL_BINS
+    table = np.searchsorted(distinct, edges, side="right").astype(_level_dtype(distinct))
+    scaled = distinct * _LEVEL_BINS
+    inside = scaled[scaled != np.floor(scaled)]
+    table[inside.astype(np.intp)] = len(distinct) + 1
+    return table
+
+
+def _levels(tile: np.ndarray, distinct: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
+    """Write the level of every uniform of the float64 tile to out: the count
+    of the distinct means at or below it, read off the table (_level_table)
+    and searched for where its bin holds a mean. Scales the tile in place."""
+    # u * _LEVEL_BINS is exact, its integer part the bin
+    np.multiply(tile, _LEVEL_BINS, out=tile)
+    np.take(table, tile.astype(np.intp), out=out)
+    inside = np.flatnonzero(out == len(distinct) + 1)
+    if inside.size:
+        out.reshape(-1)[inside] = np.searchsorted(
+            distinct * _LEVEL_BINS, tile.reshape(-1)[inside], side="right"
+        )
+
+
+def _draw(rng: np.random.Generator, keys: list, t: int, rows: np.ndarray) -> None:
+    """Fill rows[i] with the uniforms of rounds t+1.. of the contract stream
+    whose Philox key is keys[i], a pair of Python ints, through rng, a
+    Generator on Philox. Every stream has drawn one uniform (one Philox word)
+    per round so far: a counter of t // 4 with its buffer spent, then t % 4
+    words skipped, puts it there, so a block need not end on a counter
+    boundary."""
     bits = rng.bit_generator
-    skip = state.t % _PHILOX_WORDS
+    skip = t % _PHILOX_WORDS
     at = {
         "bit_generator": "Philox",
-        "state": {"counter": [state.t // _PHILOX_WORDS, 0, 0, 0], "key": None},
+        "state": {"counter": [t // _PHILOX_WORDS, 0, 0, 0], "key": None},
         "buffer": [0] * _PHILOX_WORDS,
         "buffer_pos": _PHILOX_WORDS,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    for key, row in zip(keys, rows):
+        at["state"]["key"] = key
+        bits.state = at
+        if skip:
+            bits.random_raw(skip)
+        rng.random(out=row)
+
+
+def _refill(state: WorldState, cfg: RunConfig) -> None:
+    """Draw the uniforms of the next L rounds, one per stream and round
+    (_draw), and store their levels (_levels) in state._block, [L, M, R], and
+    fill its tables (_fill_budgets); the strategies of a batch share them.
+    The caller advances state._pos past the rounds it commits."""
+    r_n, m, _ = state.keys.shape
+    dtype = state.thresholds.dtype
+    # the first block's length: no later one is longer, so its buffer holds
+    # every refill
+    full = min(max(64, min(4096, _BLOCK_BYTES // (dtype.itemsize * r_n * m))), cfg.horizon)
+    length = min(full, cfg.horizon - state.t)
+    block = (
+        np.empty((length, m, r_n), dtype) if state._block is None else state._block[:length]
+    )
+    distinct = _distinct(cfg.arm_model.means)
+    table = _level_table(distinct)
     # the streams in the block's column order, player-major; a tile of their
-    # rows is drawn, then copied into its columns while in cache. The tile's
-    # row count is set by the full block length, so a short last block
-    # converts no more keys at a time than the others
+    # rows is drawn, and its levels copied into their columns while in cache.
+    # The tile's row count is set by the first block's length, so a short
+    # last block converts no more keys at a time than the others
     keys = state.keys.transpose(1, 0, 2).reshape(-1, 2)
     columns = block.reshape(length, -1)
     tile = np.empty((max(1, _TILE_BYTES // (8 * full)), length))
+    levels = np.empty(tile.shape, dtype)
+    rng = np.random.Generator(np.random.Philox(key=0))
     for start in range(0, len(keys), len(tile)):
         # Python ints set a key faster than numpy rows do
         run = keys[start : start + len(tile)].tolist()
-        for key, row in zip(run, tile):
-            at["state"]["key"] = key
-            bits.state = at
-            if skip:
-                bits.random_raw(skip)
-            rng.random(out=row)
-        np.copyto(columns[:, start : start + len(run)], tile[: len(run)].T)
+        _draw(rng, run, state.t, tile[: len(run)])
+        _levels(tile[: len(run)], distinct, table, levels[: len(run)])
+        np.copyto(columns[:, start : start + len(run)], levels[: len(run)].T)
     state._block, state._pos = block, 0
     _fill_budgets(state, cfg)
 
@@ -548,7 +631,7 @@ def _select_window(
     ts, strategy, uniform_at = ts[live], strategy[live], uniform_at[:, live]
     arms, snapshot = state.arms[:, live], state.snapshot[:, live]
     slots = np.arange(len(ts))
-    # the block's uniforms and f from round state.t + 1 on, where every slot
+    # the block's levels and f from round state.t + 1 on, where every slot
     # stood at the last sync, and its flags from round state.t on
     u, f, comm = (x[state._pos :] for x in (state._block, state._f, state._comm))
     # comm[j, s]: does slot s's strategy communicate at round ts[s] + j (the
@@ -570,7 +653,7 @@ def _select_window(
     column = strategy if f.shape[1] > 1 else 0
     f = f.reshape(-1).take(start * f.shape[1] + column, mode="clip")
     pulled = arms == np.arange(k)[:, None, None]
-    won = np.less(u, state.means.take(arms, mode="clip"), out=np.empty(u.shape))
+    won = np.less(u, state.thresholds.take(arms, mode="clip"), out=np.empty(u.shape))
     steps = i[:, :, None]
     if any_merged := merged.any():
         # a merged slot's players hold one view, the totals, which gains every
@@ -640,12 +723,12 @@ def _commit_round(
     """Commit a round of the live slots (every slot by default): apply the
     pulls of their arms in state.arms to the totals and views, and merge the
     views of the merging ones. live is slice(None) or the live slots'
-    indices and merging bool [S*R], False off them; u is their uniforms,
-    [M, 1, R] on the round path, broadcast over the strategies, or [M, 1, S']
+    indices and merging bool [S*R], False off them; u is their uniforms'
+    levels, [M, 1, R] on the round path, broadcast over the strategies, or [M, 1, S']
     over the S' live slots, which is S*R when every slot is live."""
     _, k, m, n = state.views.shape
     arms = state.arms[:, live]
-    p = state.means.take(arms, mode="clip")
+    p = state.thresholds.take(arms, mode="clip")
     rewards = (u < p.reshape(m, -1, u.shape[-1])).reshape(arms.shape)
     # merging is False off the live slots, so all() means every slot merges
     if state._stale and merging.all():

@@ -3,9 +3,13 @@ independent scalar reference implementation, conservation/merge invariants,
 statistical sanity of the Monte Carlo aggregates, and config validation."""
 
 import copy
+import json
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import fields, replace
@@ -18,7 +22,8 @@ from hypothesis import strategies as st
 from oracle_sim import reference_run
 from view_reads import read_views
 
-from distbandit import experiment_runs, figure1_preset
+import distbandit
+from distbandit import engine, experiment_runs, figure1_preset
 from distbandit.core import BernoulliArmModel, ExplorationFunction
 from distbandit.engine import (
     InvariantViolation,
@@ -75,6 +80,45 @@ def player_stream(seed, r, p):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, r, p))))
 
 
+# the bytes of a uniform block entry, a uniform's uint8 level, and of a
+# staging tile entry, a float64 uniform
+LEVEL_BYTES = np.dtype(np.uint8).itemsize
+UNIFORM_BYTES = np.dtype(np.float64).itemsize
+
+
+def record_draws(monkeypatch):
+    """Record what every block refill draws through engine._draw: the returned
+    dict maps a refill's round t to its tiles' uniforms of rounds t+1..,
+    float64 [streams in the tile, L] each, in the block's column order
+    (player-major)."""
+    from distbandit import engine
+
+    drawn = {}
+    real = engine._draw
+
+    def recording(rng, keys, t, rows):
+        real(rng, keys, t, rows)
+        drawn.setdefault(t, []).append(rows.copy())
+
+    monkeypatch.setattr(engine, "_draw", recording)
+    return drawn
+
+
+def levels_of(uniforms, means):
+    """The level rule one mean at a time: the count of the distinct means at
+    or below each uniform."""
+    return sum((np.asarray(uniforms) >= mu).astype(np.int64) for mu in set(means))
+
+
+def assert_levels(levels, uniforms, state, means):
+    """levels are those of uniforms, and reading a level against an arm's
+    threshold gives the reward the uniform gives against the arm's mean."""
+    assert levels.dtype == state.thresholds.dtype
+    assert np.array_equal(levels, levels_of(uniforms, means))
+    below = np.asarray(uniforms)[..., None] < np.asarray(means, dtype=np.float64)
+    assert np.array_equal(levels[..., None] < state.thresholds, below)
+
+
 class TestRngContract:
     def test_single_draws_equal_chunked_draws(self):
         def gen():
@@ -109,40 +153,56 @@ class TestRngContract:
         assert np.array_equal(acts, acts_small)
 
     def test_uniform_block_is_sized_to_the_rounds_left(self, monkeypatch):
+        drawn = record_draws(monkeypatch)
         cfg = make_cfg(horizon=100, checkpoints=(100,), replications=2)
         state = init_state(cfg, range(2))
         step(state, cfg)
         assert state._block.shape == (100, cfg.players, 2)
+        assert state._block.itemsize == LEVEL_BYTES
+        uniforms = np.concatenate(drawn[0])
+        assert uniforms.shape == (2 * cfg.players, 100)
         for r in range(2):
             for p in range(cfg.players):
                 want = player_stream(cfg.seed, r, p).random(100)
-                assert np.array_equal(state._block[:, p, r], want)
+                assert np.array_equal(uniforms[p * 2 + r], want)
+                assert_levels(state._block[:, p, r], want, state, cfg.arm_model.means)
         # 64-round blocks: the third block holds only the 150 - 128 rounds left
         monkeypatch.setattr("distbandit.engine._BLOCK_BYTES", 1)
+        drawn.clear()
         cfg = make_cfg(horizon=150, checkpoints=(150,))
         state = init_state(cfg, [0])
         for _ in range(129):
             step(state, cfg)
+        assert sorted(drawn) == [0, 64, 128]
         assert state._block.shape == (22, cfg.players, 1)
-        want = player_stream(cfg.seed, 0, 1).random(150)[128:]
-        assert np.array_equal(state._block[:, 1, 0], want)
+        uniforms = np.concatenate(drawn[128])
+        assert uniforms.shape == (cfg.players, 22)
+        for p in range(cfg.players):
+            want = player_stream(cfg.seed, 0, p).random(150)[128:]
+            assert np.array_equal(uniforms[p], want)
+            assert_levels(state._block[:, p, 0], want, state, cfg.arm_model.means)
 
     def test_block_boundary_inside_a_philox_buffer(self, monkeypatch):
         # 66-round blocks: the second block starts two words into a Philox
         # counter's four
         cfg = make_cfg(players=2, horizon=150, schedule=CS.linear(7), checkpoints=(150,))
         counts, acts = run_once(cfg, 0, record_actions=True)
-        monkeypatch.setattr("distbandit.engine._BLOCK_BYTES", 16 * 66)
+        monkeypatch.setattr("distbandit.engine._BLOCK_BYTES", LEVEL_BYTES * 2 * 66)
         counts_66, acts_66 = run_once(cfg, 0, record_actions=True)
         assert np.array_equal(counts, counts_66)
         assert np.array_equal(acts, acts_66)
+        drawn = record_draws(monkeypatch)
         state = init_state(cfg, [0])
         for _ in range(67):
             step(state, cfg)
+        assert sorted(drawn) == [0, 66]
         assert state._block.shape == (66, 2, 1)
+        uniforms = np.concatenate(drawn[66])
+        assert uniforms.shape == (2, 66)
         for p in range(2):
             want = player_stream(cfg.seed, 0, p).random(cfg.horizon)[66:132]
-            assert np.array_equal(state._block[:, p, 0], want)
+            assert np.array_equal(uniforms[p], want)
+            assert_levels(state._block[:, p, 0], want, state, cfg.arm_model.means)
 
     @pytest.mark.parametrize("tile_streams", [3, 6])
     def test_staging_tile_boundaries(self, monkeypatch, tile_streams):
@@ -158,13 +218,14 @@ class TestRngContract:
             replications=r_n,
         )
         counts, acts = _simulate([cfg], range(r_n), record_actions=True)
-        monkeypatch.setattr(engine, "_BLOCK_BYTES", 8 * r_n * m * 66)
-        monkeypatch.setattr(engine, "_TILE_BYTES", 8 * 66 * tile_streams)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", LEVEL_BYTES * r_n * m * 66)
+        monkeypatch.setattr(engine, "_TILE_BYTES", UNIFORM_BYTES * 66 * tile_streams)
         counts_tiled, acts_tiled = _simulate([cfg], range(r_n), record_actions=True)
         assert np.array_equal(counts, counts_tiled)
         assert np.array_equal(acts, acts_tiled)
         want = [[player_stream(cfg.seed, r, p).random(cfg.horizon) for p in range(m)]
                 for r in range(r_n)]
+        drawn = record_draws(monkeypatch)
         state = init_state(cfg, range(r_n))
         starts = []
         for _ in range(cfg.horizon):
@@ -173,9 +234,18 @@ class TestRngContract:
                 start = state.t - 1
                 starts.append(start)
                 rounds = slice(start, start + len(state._block))
+                # whole tiles of tile_streams streams, the last one short
+                tiles = [len(rows) for rows in drawn[start]]
+                assert tiles[:-1] == [tile_streams] * (len(tiles) - 1)
+                assert 0 < tiles[-1] <= tile_streams and sum(tiles) == r_n * m
+                uniforms = np.concatenate(drawn[start])
                 for r in range(r_n):
                     for p in range(m):
-                        assert np.array_equal(state._block[:, p, r], want[r][p][rounds])
+                        assert np.array_equal(uniforms[p * r_n + r], want[r][p][rounds])
+                        assert_levels(
+                            state._block[:, p, r], want[r][p][rounds], state,
+                            cfg.arm_model.means,
+                        )
         assert starts == [0, 66, 132]
 
     @pytest.mark.parametrize("horizon", [2**23, 2**40], ids=["2^23", "2^40"])
@@ -208,19 +278,23 @@ class TestRngContract:
         monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)
         cfg = make_cfg(players=4, horizon=200, policy=PolicySpec(UCB), checkpoints=(200,))
         reps = range(1000)
-        block_bytes = 64 * cfg.players * len(reps) * 8
-        tracemalloc.start()
-        try:
-            state = init_state(cfg, reps)
-            state_bytes = tracemalloc.get_traced_memory()[0]
-            del state
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            _simulate([cfg], reps)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * block_bytes + state_bytes
+        block_bytes = 64 * cfg.players * len(reps) * LEVEL_BYTES
+
+        def peak_of(cfg):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _simulate([cfg], reps)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        # a run of one block holds the state, the block, a refill's staging
+        # tile and a round's arrays; the run of four blocks may add no second
+        # block to them
+        one_block = replace(cfg, horizon=64, checkpoints=(64,))
+        _simulate([one_block], reps)
+        assert peak_of(cfg) < peak_of(one_block) + 0.5 * block_bytes
         blocks = []
         real = engine._refill
 
@@ -306,6 +380,126 @@ class TestRngContract:
         sumsq = (stacked.astype(np.int64) ** 2).sum(axis=0)
         var = np.maximum(sumsq - 6 * mean * mean, 0.0) / 5
         assert np.allclose(agg.stderr, np.sqrt(var / 6), atol=1e-12, rtol=0)
+
+
+def mixed_means(k, seed):
+    """k means with 0 and 1, means on a level-table bin edge (0.5, 0.75,
+    1/4096) and an ulp off one, two means inside one bin, random means and
+    duplicates of the first four."""
+    pool = [0.0, 1.0, 0.5, 0.75, 2.0**-12, np.nextafter(0.5, 0.0), 0.3, 0.3 + 2.0**-50]
+    means = (pool + list(np.random.default_rng(seed).random(k)))[:k]
+    if k > 8:
+        means[-4:] = means[:4]
+    return tuple(float(mu) for mu in means)
+
+
+# (K, means) for the level rule
+LEVEL_MODELS = [
+    (1, (0.5,)),
+    (1, (0.0,)),
+    (1, (1.0,)),
+    (2, (0.9, 0.8)),
+    (2, (0.5, 0.5)),
+    (2, (1.0, 0.0)),
+    (2, (0.75, 0.75 + 2.0**-40)),
+    (10, (0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6, 0.55, 0.5, 0.45)),
+    (10, mixed_means(10, 10)),
+    (64, mixed_means(64, 64)),
+    (64, tuple(i / 64 for i in range(64))),
+]
+
+
+def edge_uniforms(means):
+    """The uniforms where a level can change: 0, the largest uniform below 1,
+    every level-table bin edge, every mean, and the floats next to each."""
+    points = np.concatenate([[0.0], np.arange(1 << 12) / (1 << 12), np.asarray(means, float)])
+    edges = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    return np.unique(edges[(edges >= 0.0) & (edges < 1.0)])
+
+
+def levels_by_the_engine(state, means, uniforms):
+    """The engine's levels of a tile of uniforms, [rows, L]."""
+    distinct = engine._distinct(means)
+    levels = np.empty(uniforms.shape, state.thresholds.dtype)
+    engine._levels(uniforms.copy(), distinct, engine._level_table(distinct), levels)
+    return levels
+
+
+class TestLevels:
+    """A block stores each uniform's level, the count of distinct arm means at
+    or below it, and an arm's reward is the level below its threshold: that
+    must be exactly the uniform below the arm's mean."""
+
+    @pytest.mark.parametrize("k, means", LEVEL_MODELS, ids=lambda x: str(x)[:40])
+    def test_a_level_below_the_threshold_is_a_uniform_below_the_mean(self, k, means):
+        assert len(means) == k
+        state = init_state(make_cfg(means=means), [0])
+        assert state.thresholds.dtype == np.uint8
+        rng = np.random.default_rng(k)
+        for uniforms in (edge_uniforms(means).reshape(1, -1), rng.random((16, 512))):
+            levels = levels_by_the_engine(state, means, uniforms)
+            assert_levels(levels, uniforms, state, means)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        means=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
+        uniforms=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64),
+    )
+    def test_drawn_means_and_uniforms(self, means, uniforms):
+        # uniforms are multiples of 2**-53; the means themselves are drawn too
+        uniforms = np.array([u * 2.0**-53 for u in uniforms] + [mu for mu in means if mu < 1])
+        state = init_state(make_cfg(means=means), [0])
+        levels = levels_by_the_engine(state, means, uniforms.reshape(1, -1))
+        assert_levels(levels, uniforms.reshape(1, -1), state, means)
+
+    @pytest.mark.parametrize("k, dtype", [(254, np.uint8), (255, np.uint16), (300, np.uint16)])
+    def test_more_distinct_means_widen_the_level_dtype(self, k, dtype):
+        # a level runs to the count of distinct means, and the table marks a
+        # bin a mean falls inside with one more
+        means = tuple(float(mu) for mu in np.linspace(0.0, 1.0, k))
+        cfg = make_cfg(means=means, players=2, horizon=k + 40, policy=PolicySpec(UCB))
+        state = init_state(cfg, [0])
+        assert state.thresholds.dtype == dtype
+        for uniforms in (edge_uniforms(means).reshape(1, -1), np.random.default_rng(k).random((4, 256))):
+            assert_levels(levels_by_the_engine(state, means, uniforms), uniforms, state, means)
+        step(state, cfg)
+        assert state._block.dtype == dtype
+        assert_trace_equals_reference(
+            means, 2, k + 40, CS.full(), set(range(1, k + 41)), UCB, "standard", 1.0
+        )
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's ru_minflt")
+def test_a_process_first_jobs_fault_few_pages():
+    # glibc's dynamic mmap and trim thresholds (mallopt(3)) decide whether a
+    # job's freed arrays are unmapped and faulted in anew; the engine raises
+    # them once per process, at import. Two figure1 jobs (R=10, T=8192), the
+    # first of a fresh process included, must each fault fewer than 5000
+    # minor pages
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "getrusage"):
+        pytest.skip("no resource.getrusage")
+    script = """
+import json, resource
+from dataclasses import replace
+from distbandit import experiment_runs, figure1_preset, run_strategies
+runs = experiment_runs(figure1_preset(replications=10))
+cfgs = [replace(cfg, horizon=8192, checkpoints=()) for _, cfg in runs]
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_strategies(cfgs)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(distbandit.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    faults = json.loads(done.stdout)
+    assert len(faults) == 2 and max(faults) < 5000, f"minor faults per job: {faults}"
 
 
 ORACLE_CASES = [
